@@ -5,6 +5,9 @@
 #include <cstdlib>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <thread>
 
 namespace servebench {
 
@@ -24,8 +27,50 @@ constexpr size_t kMaxToggles = 10;
 constexpr double kDistanceAbsTol = 1e-2;
 constexpr double kDistanceRelTol = 1e-4;
 
+double Tolerance(double distance) {
+  return kDistanceAbsTol + kDistanceRelTol * std::abs(distance);
+}
+
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// How far from the query's source an object can lie and still be in the
+// served answer: the radius of a range query, the k-th distance of a full
+// kNN answer (any distance when the answer is short), and nothing for
+// distance and path queries, whose answers do not depend on objects.
+double Reach(const eng::Query& query, const eng::Result& served) {
+  switch (query.type) {
+    case eng::QueryType::kDistance:
+    case eng::QueryType::kPath:
+      return -1.0;
+    case eng::QueryType::kRange:
+      return query.radius + Tolerance(query.radius);
+    case eng::QueryType::kKnn:
+    case eng::QueryType::kBooleanKnn:
+      break;
+  }
+  if (served.objects.size() < query.k) {
+    return std::numeric_limits<double>::infinity();
+  }
+  double kth = 0.0;
+  for (const viptree::ObjectResult& o : served.objects) {
+    kth = std::max(kth, o.distance);
+  }
+  return kth + Tolerance(kth);
+}
+
+// An answer as text, for the wrong-answer diagnostic.
+std::string Describe(const eng::Result& r) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", r.distance);
+  std::string out = buf;
+  for (const viptree::ObjectResult& o : r.objects) {
+    std::snprintf(buf, sizeof(buf), " %u@%.17g",
+                  static_cast<unsigned>(o.object), o.distance);
+    out += buf;
+  }
+  return out;
 }
 
 }  // namespace
@@ -54,8 +99,7 @@ bool Equivalent(const eng::Result& served, const eng::Result& reference) {
   const std::vector<viptree::ObjectResult> b = by_id(reference.objects);
   for (size_t i = 0; i < a.size(); ++i) {
     if (a[i].object != b[i].object ||
-        std::abs(a[i].distance - b[i].distance) >
-            kDistanceAbsTol + kDistanceRelTol * std::abs(b[i].distance)) {
+        std::abs(a[i].distance - b[i].distance) > Tolerance(b[i].distance)) {
       return false;
     }
   }
@@ -88,14 +132,11 @@ AnswerChecker::AnswerChecker(const std::string& snapshot_path,
                    snapshot_path.c_str(), error.c_str());
       std::exit(1);
     }
+    engine->EnableDistanceCache();  // bit-identical to a recompute
     positions_.push_back(engine->objects().objects());
     engines_.push_back(std::move(engine));
   }
-}
-
-size_t AnswerChecker::VenueIndex(const std::string& venue_id) const {
-  const auto it = std::find(venue_ids_.begin(), venue_ids_.end(), venue_id);
-  return static_cast<size_t>(it - venue_ids_.begin());
+  before_.resize(venue_ids_.size());
 }
 
 void AnswerChecker::Move(size_t venue, ObjectId id, const IndoorPoint& to) {
@@ -117,7 +158,7 @@ bool AnswerChecker::MatchesWithToggles(
   for (const size_t j : toggles) {
     const ObjectDelta::Move& move = stream[j].delta.moves.front();
     undo.emplace_back(move.id, positions_[venue][move.id]);
-    Move(venue, move.id, j < query_index ? before_.at(j) : move.to);
+    Move(venue, move.id, j < query_index ? before_[venue].at(j) : move.to);
   }
   const bool match = Equivalent(served, engines_[venue]->Run(query));
   for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
@@ -147,20 +188,42 @@ bool AnswerChecker::MatchesSomeSubset(
 CheckResult AnswerChecker::Check(const std::vector<eng::Request>& stream,
                                  size_t first,
                                  const std::vector<Record>& records) {
-  CheckResult out;
   double max_latency = 0.0;
   for (const Record& r : records) {
     if (r.answered()) max_latency = std::max(max_latency, r.recv_s - r.sent_s);
   }
+  // Each venue has its own reference engine, and a venue's answers depend
+  // only on its own moves, so the venues are checked in parallel.
+  std::vector<CheckResult> parts(venue_ids_.size());
+  std::vector<std::thread> threads;
+  for (size_t v = 0; v < venue_ids_.size(); ++v) {
+    threads.emplace_back([&, v] {
+      parts[v] = CheckVenue(v, stream, first, records, max_latency);
+    });
+  }
+  CheckResult out;
+  for (size_t v = 0; v < venue_ids_.size(); ++v) {
+    threads[v].join();
+    out.Add(parts[v]);
+  }
+  return out;
+}
+
+CheckResult AnswerChecker::CheckVenue(size_t venue,
+                                      const std::vector<eng::Request>& stream,
+                                      size_t first,
+                                      const std::vector<Record>& records,
+                                      double max_latency) {
+  CheckResult out;
   for (size_t i = 0; i < records.size(); ++i) {
     const size_t index = first + i;
     const eng::Request& request = stream[index];
     const Record& record = records[i];
-    const size_t venue = VenueIndex(request.venue_id);
+    if (request.venue_id != venue_ids_[venue]) continue;
     if (request.kind == eng::RequestKind::kUpdateObjects) {
       ++out.updates;
       const ObjectDelta::Move& move = request.delta.moves.front();
-      before_[index] = positions_[venue][move.id];
+      before_[venue][index] = positions_[venue][move.id];
       Move(venue, move.id, move.to);
       if (!record.answered()) {
         ++out.missing;
@@ -207,34 +270,39 @@ CheckResult AnswerChecker::Check(const std::vector<eng::Request>& stream,
         uncertain.push_back(first + j);
       }
     }
-    // Only a moved object that appears in one of the two answers can
-    // explain their difference; try those moves first, then all of them.
+    // Only a move whose object lies within the served answer's reach at
+    // one of its two positions can take part in producing that answer.
+    // (An object in neither answer still can: moving it back may be what
+    // keeps it out once another toggled move has freed a place.)
+    const double reach = Reach(request.query, served);
+    const auto within = [&](const IndoorPoint& p) {
+      return std::isinf(reach) ||
+             engines_[venue]
+                     ->Run(eng::Query::Distance(request.query.source, p))
+                     .distance <= reach;
+    };
     std::vector<size_t> relevant;
     for (const size_t j : uncertain) {
-      const ObjectId id = stream[j].delta.moves.front().id;
-      const auto in = [id](const eng::Result& r) {
-        return std::any_of(r.objects.begin(), r.objects.end(),
-                           [id](const viptree::ObjectResult& o) {
-                             return o.object == id;
-                           });
-      };
-      if (in(served) || in(reference)) relevant.push_back(j);
+      const ObjectDelta::Move& move = stream[j].delta.moves.front();
+      const IndoorPoint& other =
+          j < index ? before_[venue].at(j) : positions_[venue][move.id];
+      if (reach >= 0.0 && (within(move.to) || within(other))) {
+        relevant.push_back(j);
+      }
     }
-    const bool matched =
-        MatchesSomeSubset(venue, request.query, served, relevant, stream,
-                          index) ||
-        (uncertain.size() > relevant.size() &&
-         MatchesSomeSubset(venue, request.query, served, uncertain, stream,
-                           index));
-    if (matched) {
+    if (MatchesSomeSubset(venue, request.query, served, relevant, stream,
+                          index)) {
       ++out.reordered;
     } else {
       ++out.wrong;
       std::fprintf(stderr,
                    "checker: wrong answer to request %zu (%s on %s, %zu "
-                   "uncertain moves)\n",
+                   "uncertain moves, %zu within reach)\n"
+                   "  served:    %s\n  reference: %s\n",
                    index, eng::QueryTypeName(request.query.type),
-                   request.venue_id.c_str(), uncertain.size());
+                   request.venue_id.c_str(), uncertain.size(),
+                   relevant.size(), Describe(served).c_str(),
+                   Describe(reference).c_str());
     }
   }
   return out;

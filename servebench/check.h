@@ -12,9 +12,10 @@
 // *uncertain* for a query when neither completed (response received)
 // before the other was sent. For exactly those pairs the checker accepts
 // the answer at any combination of the uncertain moves applied or not;
-// every other mismatch is a wrong answer. Moves of objects that appear in
-// the served or the stream-order answer are tried first (only they can
-// explain a difference), then, when few enough, all uncertain moves.
+// every other mismatch is a wrong answer. Only uncertain moves whose object
+// lies, before or after the move, within the served answer's reach (range
+// radius, k-th distance) are tried: no other move can change whether the
+// reference produces that answer.
 
 #ifndef SERVEBENCH_CHECK_H_
 #define SERVEBENCH_CHECK_H_
@@ -48,6 +49,14 @@ struct CheckResult {
   size_t reordered = 0;   // matched only an alternative epoch
 
   size_t failed() const { return wrong + bad_status + missing; }
+  void Add(const CheckResult& other) {
+    queries += other.queries;
+    updates += other.updates;
+    wrong += other.wrong;
+    bad_status += other.bad_status;
+    missing += other.missing;
+    reordered += other.reordered;
+  }
 };
 
 // Bit-identical comparison of two query answers.
@@ -72,7 +81,12 @@ class AnswerChecker {
                     size_t first, const std::vector<Record>& records);
 
  private:
-  size_t VenueIndex(const std::string& venue_id) const;
+  // Check over the records of one venue; `max_latency` is the step's
+  // longest round trip.
+  CheckResult CheckVenue(size_t venue,
+                         const std::vector<viptree::engine::Request>& stream,
+                         size_t first, const std::vector<Record>& records,
+                         double max_latency);
   // The reference answer with the uncertain moves in `toggles` flipped
   // relative to stream order.
   bool MatchesWithToggles(size_t venue, const viptree::engine::Query& query,
@@ -94,9 +108,9 @@ class AnswerChecker {
   std::vector<std::unique_ptr<viptree::engine::QueryEngine>> engines_;
   // Current reference position of every object, per venue.
   std::vector<std::vector<viptree::IndoorPoint>> positions_;
-  // Position of the moved object before the move at each stream index,
-  // for undoing an uncertain move.
-  std::unordered_map<size_t, viptree::IndoorPoint> before_;
+  // Per venue: position of the moved object before the move at each
+  // stream index, for undoing an uncertain move.
+  std::vector<std::unordered_map<size_t, viptree::IndoorPoint>> before_;
 };
 
 }  // namespace servebench

@@ -7,7 +7,7 @@ root of the checkout, then runs one workload through the serving path:
   python3 servebench/run.py --workload men2-mixed --seed 1 --seconds 5 --trace 0
   python3 servebench/run.py --self-test
 
-Workload rates, the capacity window and set-up counts come from
+Workload rates and set-up counts come from
 servebench/workloads.json. The last line of standard output is the JSON
 result; a copy with the environment stamp is kept under
 .bench_build/results/.
@@ -73,7 +73,6 @@ def workload_flags(config, name):
     return [
         "--nominal", str(rates["nominal_qps"]),
         "--peak", str(rates["peak_qps"]),
-        "--window", str(rates["window"]),
         "--capacity-cap", str(rates["capacity_cap_qps"]),
         "--trace-requests", str(spec["trace_requests"]),
         "--setups", str(spec["setups"]),

@@ -2,11 +2,14 @@
 //   1. Seeded inputs: one seed gives a byte-identical stream (and arrival
 //      schedule) on every call; another seed gives a different one.
 //   2. The answer checker passes a faithful replay, catches one flipped
-//      distance bit, and accepts a query/move reordering only when the two
-//      were in flight together.
+//      distance bit, counts a missing response and a non-kOk status as
+//      failures, and accepts a query/move reordering only when the two
+//      were in flight together, also when the answer needs a move of an
+//      object that is in neither answer.
 //
 // Usage: servebench_test SCRATCH_DIR   (exit 0 = all passed)
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -120,6 +123,19 @@ void TestChecker(const std::string& dir) {
            "one flipped distance bit is caught as exactly one wrong answer");
   }
 
+  // A lost response and a rejected request fail the run as a wrong answer
+  // does (the result's `correct` is failed() == 0).
+  {
+    std::vector<Record> lossy = faithful;
+    lossy[target].recv_s = -1.0;
+    lossy[target + 1].response.status = eng::RequestStatus::kRejected;
+    AnswerChecker checker(snapshot, sc.venue_ids);
+    const CheckResult r = checker.Check(sc.stream, 0, lossy);
+    Expect(r.missing == 1 && r.bad_status == 1 && r.wrong == 0 &&
+               r.failed() == 2,
+           "a missing response and a non-kOk status count as failures");
+  }
+
   // A query served at the epoch before the preceding move of its venue:
   // accepted only while that move was still in flight.
   size_t move = 0;
@@ -165,6 +181,87 @@ void TestChecker(const std::string& dir) {
          "a stale answer while the move was in flight is accepted");
 }
 
+eng::Request MoveTo(const std::string& venue, viptree::ObjectId id,
+                    const viptree::IndoorPoint& to) {
+  viptree::ObjectDelta delta;
+  delta.moves.push_back({id, to});
+  return eng::Request::Update(venue, std::move(delta));
+}
+
+eng::Request KnnAt(const std::string& venue, const viptree::IndoorPoint& q) {
+  eng::Request request;
+  request.venue_id = venue;
+  request.query = eng::Query::Knn(q, 5);
+  return request;
+}
+
+// A kNN answer served before two in-flight moves: one brings back the
+// stream-order answer's 5th object, the other the 6th, which is in neither
+// answer. Accepted only while both moves were in flight.
+void TestTwoMoveReorder(const std::string& dir) {
+  WorkloadShape shape;
+  ShapeFor("men2-mixed", &shape);
+  const Scenario sc = MakeScenario(shape, MakeVenue(shape), 5, 200);
+  eng::EngineOptions options;
+  options.object_keywords = sc.keywords;
+  const std::string snapshot = dir + "/reorder_test.vipsnap";
+  if (!eng::VenueBundle::Build(MakeVenue(shape), sc.objects, options)
+           .Save(snapshot)
+           .ok()) {
+    Expect(false, "snapshot saved");
+    return;
+  }
+  std::string error;
+  const std::unique_ptr<eng::QueryEngine> probe =
+      eng::QueryEngine::TryLoad(snapshot, &error);
+  viptree::IndoorPoint q;
+  std::vector<viptree::ObjectResult> ranked;
+  for (const eng::Request& r : sc.stream) {
+    if (r.kind != eng::RequestKind::kQuery) continue;
+    ranked = probe->Run(eng::Query::Knn(r.query.source, sc.objects.size()))
+                 .objects;
+    if (ranked.size() > 7 && std::isfinite(ranked[7].distance)) {
+      q = r.query.source;
+      break;
+    }
+  }
+  if (ranked.size() <= 7) {
+    Expect(false, "some query point has 8 reachable objects");
+    return;
+  }
+  const std::string& venue = sc.venue_ids[0];
+  const viptree::ObjectId fifth = ranked[4].object, sixth = ranked[5].object;
+  const viptree::IndoorPoint far = sc.objects[ranked.back().object];
+  // Both objects go far away, then come back; the query follows.
+  const std::vector<eng::Request> stream = {
+      MoveTo(venue, fifth, far), MoveTo(venue, sixth, far),
+      MoveTo(venue, fifth, sc.objects[fifth]),
+      MoveTo(venue, sixth, sc.objects[sixth]), KnnAt(venue, q)};
+  // Served with only the first two moves applied.
+  probe->ApplyObjectDelta(stream[0].delta);
+  probe->ApplyObjectDelta(stream[1].delta);
+  std::vector<Record> records(stream.size());
+  for (size_t i = 0; i < stream.size(); ++i) {
+    records[i].due_s = records[i].sent_s = static_cast<double>(i);
+    records[i].recv_s = static_cast<double>(i) + 0.5;
+    records[i].response.kind = stream[i].kind;
+    records[i].response.venue_id = venue;
+  }
+  records[4].response.result = probe->Run(stream[4].query);
+  records[2].recv_s = records[3].recv_s = 10.0;  // both in flight
+  {
+    AnswerChecker checker(snapshot, sc.venue_ids);
+    const CheckResult r = checker.Check(stream, 0, records);
+    Expect(r.wrong == 0 && r.reordered == 1,
+           "a stale kNN answer needing two in-flight moves undone, one of an "
+           "object in neither answer, is accepted");
+  }
+  records[3].recv_s = 3.5;  // the second return completed before the query
+  AnswerChecker checker(snapshot, sc.venue_ids);
+  Expect(checker.Check(stream, 0, records).wrong == 1,
+         "the same answer with only one move in flight is wrong");
+}
+
 }  // namespace
 }  // namespace servebench
 
@@ -175,6 +272,7 @@ int main(int argc, char** argv) {
   }
   servebench::TestSeededStreams();
   servebench::TestChecker(argv[1]);
+  servebench::TestTwoMoveReorder(argv[1]);
   std::printf("%d failure(s)\n", servebench::failures);
   return servebench::failures == 0 ? 0 : 1;
 }

@@ -22,6 +22,10 @@ namespace {
 constexpr size_t kHotSources = 16;
 // Fast movers per venue on city-churn.
 constexpr size_t kFastMovers = 64;
+// The objects per venue city-hotspot's move trickle draws from: fewer than
+// the live index's merge watermark (64), so its overlay never merges and
+// read cost stays level, more than kMoveSpacing.
+constexpr size_t kTrickleMovers = 40;
 // A move never targets an object moved by one of this venue's previous
 // kMoveSpacing moves, so two moves of one object are never in flight at
 // once and the answer checker's epochs stay well defined.
@@ -185,10 +189,11 @@ Scenario MakeScenario(const WorkloadShape& shape, const Venue& venue,
       for (size_t i = 0; i < kHotSources; ++i) hot[v].push_back(random_point());
     }
     std::vector<ObjectId> fast;
-    if (shape.name == "city-churn") {
-      for (size_t i = 0; i < kFastMovers; ++i) {
-        fast.push_back(static_cast<ObjectId>(rng.UniformIndex(num_objects)));
-      }
+    const size_t pool = shape.name == "city-churn"     ? kFastMovers
+                        : shape.name == "city-hotspot" ? kTrickleMovers
+                                                       : 0;
+    for (size_t i = 0; i < pool; ++i) {
+      fast.push_back(static_cast<ObjectId>(rng.UniformIndex(num_objects)));
     }
     movers.emplace_back(num_objects, std::move(fast));
   }
@@ -224,7 +229,7 @@ Scenario MakeScenario(const WorkloadShape& shape, const Venue& venue,
       }
     } else if (shape.name == "city-hotspot") {
       if (rng.Chance(0.005)) {
-        sc.stream.push_back(MoveRequest(id, movers[v].Next(rng, 0.0),
+        sc.stream.push_back(MoveRequest(id, movers[v].Next(rng, 1.0),
                                         random_point()));
       } else {
         const IndoorPoint& source = hot[v][zipf.Next(rng)];
