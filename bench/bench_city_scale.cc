@@ -8,9 +8,9 @@
 //      through engine::QueryEngine at growing venue scale, with the City
 //      tier (synth/presets.h) carrying an object set that reaches ~10^6 at
 //      VIPTREE_SCALE=1.0.
-//   3. Bounded-RSS demo — the largest swept venue saved as a v2 snapshot
+//   3. Bounded-RSS demo — the largest swept venue saved as a snapshot
 //      and served through a VenueRegistry configured with
-//      MadvisePolicy::kDontneedOnRelease: PSS is sampled after querying
+//      drop_pages_on_evict: PSS is sampled after querying
 //      (pages faulted in) and after eviction (pages returned to the OS
 //      while the bundle reference is still alive).
 //
@@ -221,7 +221,7 @@ void PrintSweep(const std::vector<SweepRow>& rows) {
 }
 
 // --------------------------------------------------------------------------
-// Part 3: bounded RSS under MadvisePolicy::kDontneedOnRelease.
+// Part 3: bounded RSS with drop_pages_on_evict.
 // --------------------------------------------------------------------------
 
 // Proportional set size in KiB (see bench_mmap_load.cc for the rationale).
@@ -267,7 +267,7 @@ void PrintBoundedRssDemo(synth::Dataset dataset) {
   }
 
   eng::VenueBundle::LoadOptions load;
-  load.madvise = io::MadvisePolicy::kDontneedOnRelease;
+  load.drop_pages_on_evict = true;
   std::string error;
   std::optional<eng::VenueRegistry> registry =
       eng::VenueRegistry::Open(manifest, &error, load);
@@ -292,10 +292,10 @@ void PrintBoundedRssDemo(synth::Dataset dataset) {
     KeepAlive(engine.Run(eng::Query::Distance(a, b)));
   }
   const long pss_resident = PssKib();
-  registry->Evict("city");  // policy => pages returned to the OS
+  registry->Evict("city");  // pages returned to the OS
   const long pss_evicted = PssKib();
 
-  std::printf("=== bounded RSS under kDontneedOnRelease (%s snapshot) ===\n",
+  std::printf("=== bounded RSS with drop_pages_on_evict (%s snapshot) ===\n",
               synth::InfoFor(dataset).name.c_str());
   std::printf("PSS before load:        %8ld KiB\n", pss_before_load);
   std::printf("PSS after 200 queries:  %8ld KiB\n", pss_resident);

@@ -1,21 +1,20 @@
 // A/B benchmark for the cross-request distance cache
-// (core/distance_cache.h): cache-off vs the three eviction policies (LRU,
-// 2Q, S2Q) on zone-skewed repeat workloads — the access pattern the cache
-// exists for (venue users keep asking about the same lobby/entrance/POI
-// doors, with a uniform cold tail on top).
+// (core/distance_cache.h): cache off vs the LRU cache on zone-skewed
+// repeat workloads — the access pattern the cache exists for (venue users
+// keep asking about the same lobby/entrance/POI doors, with a uniform
+// cold tail on top).
 //
 // Two workloads:
 //   (a) door-pair: VIPDistanceQuery::DoorDistance over pairs where 90% of
 //       endpoints come from a small hot door set and 10% are uniform cold
 //       scans. Capacity is set well below the total key population so the
-//       cold tail applies real eviction pressure — this is exactly the
-//       pattern where 2Q/S2Q's scan resistance should beat plain LRU.
+//       cold tail applies real eviction pressure.
 //   (b) engine-level: the mixed serving workload (distance/path/kNN/range)
 //       through engine::QueryEngine with query points drawn from a small
 //       hot pool 90% of the time.
 //
-// Prints per-policy p50/avg latency, hit rate and evictions. Results are
-// bit-identical across all configurations (the cache memoizes exact
+// Prints p50/avg latency, hit rate and evictions per configuration.
+// Results are bit-identical with and without the cache (it memoizes exact
 // values); the bench CHECKs that as it runs. Respects VIPTREE_SCALE /
 // VIPTREE_QUERIES like every other bench.
 
@@ -40,7 +39,7 @@ constexpr size_t kHotDoors = 32;
 constexpr size_t kHotPoints = 64;
 constexpr size_t kChunk = 32;  // queries per latency sample
 
-struct PolicyRun {
+struct CacheRun {
   std::string name;
   Summary latency_micros;  // per-query, sampled per kChunk queries
   double avg_micros = 0.0;
@@ -76,12 +75,12 @@ std::vector<std::pair<DoorId, DoorId>> DoorPairWorkload(const Venue& venue,
 
 // Runs the door-pair workload through a fresh VIPDistanceQuery, optionally
 // with a cache, and checks every answer against the cache-off reference.
-PolicyRun RunDoorPairs(const VIPTree& tree,
+CacheRun RunDoorPairs(const VIPTree& tree,
                        const std::vector<std::pair<DoorId, DoorId>>& pairs,
                        const char* name, DistanceCache* cache,
                        const std::vector<double>* reference,
                        std::vector<double>* answers) {
-  PolicyRun run;
+  CacheRun run;
   run.name = name;
   run.cached = cache != nullptr;
   VIPDistanceQuery query(tree, {}, cache);
@@ -148,10 +147,10 @@ std::vector<engine::Query> SkewedEngineWorkload(const Venue& venue, size_t n,
   return queries;
 }
 
-PolicyRun RunEngineWorkload(engine::QueryEngine& engine,
+CacheRun RunEngineWorkload(engine::QueryEngine& engine,
                             const std::vector<engine::Query>& queries,
                             const char* name) {
-  PolicyRun run;
+  CacheRun run;
   run.name = name;
   run.cached = engine.distance_cache() != nullptr;
   std::vector<double> samples;
@@ -171,11 +170,11 @@ PolicyRun RunEngineWorkload(engine::QueryEngine& engine,
   return run;
 }
 
-void PrintTable(const char* title, const std::vector<PolicyRun>& runs) {
+void PrintTable(const char* title, const std::vector<CacheRun>& runs) {
   std::printf("%s\n", title);
-  std::printf("  %-8s %12s %12s %10s %12s\n", "policy", "p50 us", "avg us",
+  std::printf("  %-8s %12s %12s %10s %12s\n", "cache", "p50 us", "avg us",
               "hit rate", "evictions");
-  for (const PolicyRun& run : runs) {
+  for (const CacheRun& run : runs) {
     if (run.cached) {
       std::printf("  %-8s %12.3f %12.3f %9.1f%% %12llu\n", run.name.c_str(),
                   run.latency_micros.p50, run.avg_micros,
@@ -210,30 +209,21 @@ int main() {
       DoorPairWorkload(data.venue, door_queries, /*seed=*/0x5EED);
 
   // Capacity far below the cold-tail key population, comfortably above the
-  // hot set: the policies must keep the hot pairs resident through the
+  // hot set: the cache must keep the hot pairs resident through the
   // cold-scan churn.
   DistanceCacheOptions cache_options;
   cache_options.enabled = true;
   cache_options.capacity = 2048;
 
-  const std::pair<const char*, CachePolicy> policies[] = {
-      {"lru", CachePolicy::kLru},
-      {"2q", CachePolicy::k2Q},
-      {"s2q", CachePolicy::kS2Q},
-  };
-
   {
-    std::vector<PolicyRun> runs;
+    std::vector<CacheRun> runs;
     std::vector<double> reference;
     std::vector<double> answers;
     runs.push_back(
         RunDoorPairs(tree, pairs, "off", nullptr, nullptr, &reference));
-    for (const auto& [name, policy] : policies) {
-      cache_options.policy = policy;
-      DistanceCache cache(cache_options);
-      runs.push_back(
-          RunDoorPairs(tree, pairs, name, &cache, &reference, &answers));
-    }
+    DistanceCache cache(cache_options);
+    runs.push_back(
+        RunDoorPairs(tree, pairs, "lru", &cache, &reference, &answers));
     PrintTable(
         ("door-pair workload: " + std::to_string(pairs.size()) +
          " queries, 90% over " + std::to_string(kHotDoors) +
@@ -248,14 +238,10 @@ int main() {
                                        Objects(dataset, 50)));
     const std::vector<engine::Query> queries =
         SkewedEngineWorkload(data.venue, engine_queries, /*seed=*/0xCAFE);
-    std::vector<PolicyRun> runs;
+    std::vector<CacheRun> runs;
     runs.push_back(RunEngineWorkload(engine, queries, "off"));
-    for (const auto& [name, policy] : policies) {
-      cache_options.policy = policy;
-      engine.EnableDistanceCache(cache_options);
-      runs.push_back(RunEngineWorkload(engine, queries, name));
-      engine.SetDistanceCache(nullptr);
-    }
+    engine.EnableDistanceCache(cache_options);
+    runs.push_back(RunEngineWorkload(engine, queries, "lru"));
     PrintTable(("engine mixed workload: " + std::to_string(queries.size()) +
                 " queries, 90% over " + std::to_string(kHotPoints) +
                 " hot points")

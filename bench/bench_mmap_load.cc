@@ -1,26 +1,27 @@
 // Zero-copy arena load vs copying load: builds the MC analogue venue once,
-// saves the same bundle as a format-v1 (legacy, copying) and a format-v2
-// (aligned, mmap-able) snapshot, and times standing up a serving bundle
-// from each. The v2 path maps the file and aliases every index buffer into
-// it, so the work left is framing + small-structure decoding — the ISSUE /
-// ROADMAP target is v2 >= 5x faster than v1 at MC scale 1.0.
+// saves it as a snapshot, and times standing up a serving bundle from it
+// three ways. The mmap path maps the file and aliases every index buffer
+// into it, so the work left is framing + small-structure decoding — the
+// ROADMAP target is the trusted mmap load >= 5x faster than the copying
+// load at MC scale 1.0.
 //
 // Three load configurations are timed:
-//   * v1 copying load — the legacy format: full deserialization plus the
-//     per-cell validation sweep (its historical default);
-//   * v2 mmap load, CRC verified — the safe default: one sequential CRC
+//   * copying load — the whole file read into a private heap buffer
+//     (use_mmap = false) plus the per-cell validation sweep
+//     (deep_validate = true), so every byte is copied and touched;
+//   * mmap load, CRC verified — the safe default: one sequential CRC
 //     pass over the file (~memory bandwidth), then zero-copy decode;
-//   * v2 mmap load, CRC off — the trusted-artifact fleet mode (integrity
+//   * mmap load, CRC off — the trusted-artifact fleet mode (integrity
 //     verified once at build/install time, e.g. content-addressed storage):
 //     pure O(touched-pages) startup, the headline zero-copy number.
 // The CRC pass reads every byte, so it bounds *any* loader at checksum
 // bandwidth; the trusted mode is what the >=5x target measures.
 //
 // Memory is measured as the *proportional* set size (PSS) growth per
-// bundle while `kHeld` bundles of the same venue are held alive: the v1
-// path pays a private heap copy of the whole index per bundle, while v2
-// mappings share the page-cache folios of the snapshot file, so each
-// additional bundle costs a fraction. (Plain RSS would overstate the v2
+// bundle while `kHeld` bundles of the same venue are held alive: the
+// copying path pays a private heap copy of the whole index per bundle,
+// while mappings share the page-cache folios of the snapshot file, so each
+// additional bundle costs a fraction. (Plain RSS would overstate the mmap
 // side: kernels with large-folio page cache round every mapped fault up
 // to a 2 MiB folio, and RSS counts shared folios once per mapping.)
 //
@@ -129,15 +130,8 @@ int Main() {
       eng::VenueBundle::Build(std::move(venue), std::move(objects));
   const double build_ms = build_timer.ElapsedMillis();
 
-  const std::string v1_path = TempPath("v1");
-  const std::string v2_path = TempPath("v2");
-  io::SnapshotWriteOptions v1;
-  v1.version = io::kLegacyFormatVersion;
-  if (io::Status s = bundle.Save(v1_path, v1); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.error.c_str());
-    return 1;
-  }
-  if (io::Status s = bundle.Save(v2_path); !s.ok()) {
+  const std::string path = TempPath("snapshot");
+  if (io::Status s = bundle.Save(path); !s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.error.c_str());
     return 1;
   }
@@ -146,42 +140,44 @@ int Main() {
       "MC analogue venue at scale %.2f: %zu partitions, %zu doors, "
       "build %.1f ms\n",
       scale, num_partitions, num_doors, build_ms);
-  std::printf("snapshots: v1 %s, v2 %s (alignment padding)\n\n",
-              HumanBytes(static_cast<uint64_t>(FileBytes(v1_path))).c_str(),
-              HumanBytes(static_cast<uint64_t>(FileBytes(v2_path))).c_str());
+  std::printf("snapshot: %s\n\n",
+              HumanBytes(static_cast<uint64_t>(FileBytes(path))).c_str());
 
-  eng::VenueBundle::LoadOptions copying;      // v1 file: full copy + deep
-  eng::VenueBundle::LoadOptions mapped;       // v2 defaults: mmap + CRC
+  eng::VenueBundle::LoadOptions copying;  // heap read + full validation
+  copying.use_mmap = false;
+  copying.deep_validate = true;
+  eng::VenueBundle::LoadOptions mapped;  // defaults: mmap + CRC
   eng::VenueBundle::LoadOptions mapped_nocrc = mapped;
   mapped_nocrc.verify_checksums = false;
 
   // Measure the mapped paths before the copying path so the copying
   // loads' heap growth cannot mask the mapped paths' RSS numbers.
-  const LoadStats v2_nocrc_stats = MeasureLoad(v2_path, mapped_nocrc, kReps);
-  const LoadStats v2_stats = MeasureLoad(v2_path, mapped, kReps);
-  const LoadStats v1_stats = MeasureLoad(v1_path, copying, kReps);
+  const LoadStats nocrc_stats = MeasureLoad(path, mapped_nocrc, kReps);
+  const LoadStats mapped_stats = MeasureLoad(path, mapped, kReps);
+  const LoadStats copying_stats = MeasureLoad(path, copying, kReps);
 
   std::printf("%-38s %10s %16s\n", "load path", "best ms", "PSS/bundle");
   std::printf("%-38s %10.2f %12ld KiB\n",
-              "v1 copying load (deep validate)", v1_stats.best_ms,
-              v1_stats.pss_per_bundle_kib);
-  std::printf("%-38s %10.2f %12ld KiB\n", "v2 mmap load (CRC verified)",
-              v2_stats.best_ms, v2_stats.pss_per_bundle_kib);
+              "copying load (deep validate)", copying_stats.best_ms,
+              copying_stats.pss_per_bundle_kib);
+  std::printf("%-38s %10.2f %12ld KiB\n", "mmap load (CRC verified)",
+              mapped_stats.best_ms, mapped_stats.pss_per_bundle_kib);
   std::printf("%-38s %10.2f %12ld KiB\n",
-              "v2 mmap load (CRC off, trusted)", v2_nocrc_stats.best_ms,
-              v2_nocrc_stats.pss_per_bundle_kib);
+              "mmap load (CRC off, trusted)", nocrc_stats.best_ms,
+              nocrc_stats.pss_per_bundle_kib);
 
   const double verified_speedup =
-      v2_stats.best_ms > 0.0 ? v1_stats.best_ms / v2_stats.best_ms : 0.0;
-  const double trusted_speedup = v2_nocrc_stats.best_ms > 0.0
-                                     ? v1_stats.best_ms / v2_nocrc_stats.best_ms
-                                     : 0.0;
+      mapped_stats.best_ms > 0.0 ? copying_stats.best_ms / mapped_stats.best_ms
+                                 : 0.0;
+  const double trusted_speedup =
+      nocrc_stats.best_ms > 0.0 ? copying_stats.best_ms / nocrc_stats.best_ms
+                                : 0.0;
   // The >=5x acceptance target is defined at MC scale 1.0 and above; at
   // toy scales the fixed per-load costs (open, TOC, venue decode) dominate
   // both paths and the ratio is not meaningful.
   const bool at_target_scale = scale >= 1.0;
   std::printf(
-      "\nv2 mmap load vs v1 copying load: %.1fx with CRC verification, "
+      "\nmmap load vs copying load: %.1fx with CRC verification, "
       "%.1fx in trusted-artifact mode\n"
       "(the CRC pass reads every byte at ~memory bandwidth and bounds any "
       "loader; the trusted mode\nis the zero-copy fleet configuration the "
@@ -192,8 +188,7 @@ int Main() {
           : (trusted_speedup >= 5.0 ? "-- >=5x target met"
                                     : "-- below 5x target"));
 
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  std::remove(path.c_str());
   return (!at_target_scale || trusted_speedup >= 5.0) ? 0 : 2;
 }
 

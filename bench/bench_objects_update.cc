@@ -150,48 +150,6 @@ int Main() {
   }
 
   // -------------------------------------------------------------------
-  // Phase 2b: adaptive watermark under skewed query/update mixes. The
-  // same publish stream, but with Acquire() reads interleaved at a fixed
-  // ratio so the adaptive heuristic sees a workload: query-heavy traffic
-  // should pull the effective watermark toward min (merge eagerly, keep
-  // the overlay off the read path), update-heavy toward max (batch more
-  // moves per CSR rebuild).
-  // -------------------------------------------------------------------
-  {
-    const LiveObjectIndex::Options defaults;
-    std::printf(
-        "\nadaptive watermark (base %zu, clamp [%zu, %zu], "
-        "%zu single-move publishes each):\n",
-        defaults.merge_watermark, defaults.min_watermark,
-        defaults.max_watermark, publishes);
-    for (const double queries_per_update : {50.0, 1.0, 0.02}) {
-      LiveObjectIndex::Options options;
-      options.adaptive_watermark = true;
-      LiveObjectIndex adaptive(bundle->tree().base(), objects, {}, options);
-      Rng rng(0xADA7);
-      std::vector<double> micros;
-      // Acquire() is the query-counter tick, so the mix is driven purely
-      // by interleaving reads — no inspection reads that would skew it.
-      double read_debt = 0.0;
-      for (size_t i = 0; i < publishes; ++i) {
-        read_debt += queries_per_update;
-        while (read_debt >= 1.0) {
-          (void)adaptive.Acquire();
-          read_debt -= 1.0;
-        }
-        const ObjectDelta delta = RandomMove(data.venue, kNumObjects, rng);
-        const Timer timer;
-        if (adaptive.ApplyDelta(delta).has_value()) continue;
-        micros.push_back(timer.ElapsedMicros());
-      }
-      const Summary s = Summarize(micros);
-      std::printf(
-          "  q:u %6.2f -> effective watermark %4zu, mean %6.1f us/publish\n",
-          queries_per_update, adaptive.EffectiveMergeWatermark(), s.mean);
-    }
-  }
-
-  // -------------------------------------------------------------------
   // Phase 3: reader latency, quiescent vs full-rate churn.
   // -------------------------------------------------------------------
   const size_t num_readers = 2;

@@ -2,227 +2,14 @@
 
 #include <algorithm>
 #include <list>
+#include <mutex>
 #include <unordered_map>
-#include <unordered_set>
-#include <utility>
 
 #include "common/check.h"
 
 namespace viptree {
 
 namespace {
-
-// Node of the intrusive recency/FIFO lists the policies maintain. Policies
-// own their list storage; the shard map stores only values, so policy and
-// residency bookkeeping stay independent.
-using KeyList = std::list<DistanceCache::Key>;
-
-struct KeyHasher {
-  size_t operator()(const DistanceCache::Key& key) const {
-    // splitmix64 finalizer over the packed 72-bit key; good avalanche so
-    // both the shard choice (low bits) and the map buckets stay uniform
-    // even though door/node ids are small dense integers.
-    uint64_t x = (static_cast<uint64_t>(static_cast<uint32_t>(key.a)) << 32) |
-                 static_cast<uint64_t>(static_cast<uint32_t>(key.b));
-    x ^= static_cast<uint64_t>(key.kind) << 56;
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    x = x ^ (x >> 31);
-    return static_cast<size_t>(x);
-  }
-};
-
-// -------------------------------------------------------------------------
-// LRU: one recency list, most recent at the front.
-
-class LruState : public DistanceCache::EvictionState {
- public:
-  explicit LruState(size_t capacity) : EvictionState(capacity) {}
-
-  void OnHit(const DistanceCache::Key& key) override {
-    auto it = pos_.find(key);
-    VIPTREE_DCHECK(it != pos_.end());
-    list_.splice(list_.begin(), list_, it->second);
-  }
-
-  void OnInsert(const DistanceCache::Key& key,
-                std::vector<DistanceCache::Key>* evicted) override {
-    list_.push_front(key);
-    pos_[key] = list_.begin();
-    while (list_.size() > capacity_) {
-      evicted->push_back(list_.back());
-      pos_.erase(list_.back());
-      list_.pop_back();
-    }
-  }
-
-  void Clear() override {
-    list_.clear();
-    pos_.clear();
-  }
-
- private:
-  KeyList list_;
-  std::unordered_map<DistanceCache::Key, KeyList::iterator, KeyHasher> pos_;
-};
-
-// -------------------------------------------------------------------------
-// Full 2Q (Johnson & Shasha, VLDB'94): new keys enter the FIFO A1in; when
-// pushed out of A1in their *key* is remembered in the ghost FIFO A1out; a
-// re-insert while ghosted goes straight to the LRU main queue Am — so only
-// keys referenced twice within the ghost window earn long-term residency,
-// which is what keeps one-shot scans from flushing the hot set. Hits in
-// A1in do not promote (that is the 2Q "correlated reference" rule).
-
-class TwoQState : public DistanceCache::EvictionState {
- public:
-  explicit TwoQState(size_t capacity)
-      : EvictionState(capacity),
-        // The paper's tuning: Kin ~ 25% of capacity, Kout ~ 50%.
-        kin_(std::max<size_t>(1, capacity / 4)),
-        kout_(std::max<size_t>(1, capacity / 2)) {}
-
-  void OnHit(const DistanceCache::Key& key) override {
-    auto am = am_pos_.find(key);
-    if (am != am_pos_.end()) {
-      am_.splice(am_.begin(), am_, am->second);
-      return;
-    }
-    // Resident in A1in: leave it where it is.
-    VIPTREE_DCHECK(a1in_pos_.count(key) != 0);
-  }
-
-  void OnInsert(const DistanceCache::Key& key,
-                std::vector<DistanceCache::Key>* evicted) override {
-    auto ghost = a1out_pos_.find(key);
-    if (ghost != a1out_pos_.end()) {
-      // Second reference within the ghost window: admit to Am.
-      a1out_.erase(ghost->second);
-      a1out_pos_.erase(ghost);
-      am_.push_front(key);
-      am_pos_[key] = am_.begin();
-    } else {
-      a1in_.push_front(key);
-      a1in_pos_[key] = a1in_.begin();
-    }
-    Balance(evicted);
-  }
-
-  void Clear() override {
-    a1in_.clear();
-    a1in_pos_.clear();
-    a1out_.clear();
-    a1out_pos_.clear();
-    am_.clear();
-    am_pos_.clear();
-  }
-
- private:
-  void Balance(std::vector<DistanceCache::Key>* evicted) {
-    while (a1in_.size() + am_.size() > capacity_) {
-      if (a1in_.size() > kin_ || am_.empty()) {
-        // Demote the A1in tail to a ghost (key only, value evicted).
-        DistanceCache::Key victim = a1in_.back();
-        a1in_pos_.erase(victim);
-        a1in_.pop_back();
-        evicted->push_back(victim);
-        a1out_.push_front(victim);
-        a1out_pos_[victim] = a1out_.begin();
-        while (a1out_.size() > kout_) {
-          a1out_pos_.erase(a1out_.back());
-          a1out_.pop_back();
-        }
-      } else {
-        evicted->push_back(am_.back());
-        am_pos_.erase(am_.back());
-        am_.pop_back();
-      }
-    }
-  }
-
-  const size_t kin_;
-  const size_t kout_;
-  KeyList a1in_;   // FIFO of resident first-timers
-  KeyList a1out_;  // FIFO of ghost keys (not resident)
-  KeyList am_;     // LRU of established keys
-  std::unordered_map<DistanceCache::Key, KeyList::iterator, KeyHasher>
-      a1in_pos_, a1out_pos_, am_pos_;
-};
-
-// -------------------------------------------------------------------------
-// Simplified 2Q ("S2Q" in eFIND's read-buffer catalogue): two resident
-// queues, no ghost history. New keys enter the FIFO A1; a hit while in A1
-// promotes to the LRU Am immediately. Cheaper metadata than full 2Q, still
-// scan-resistant for single-pass misses.
-
-class S2qState : public DistanceCache::EvictionState {
- public:
-  explicit S2qState(size_t capacity)
-      : EvictionState(capacity), ka1_(std::max<size_t>(1, capacity / 4)) {}
-
-  void OnHit(const DistanceCache::Key& key) override {
-    auto a1 = a1_pos_.find(key);
-    if (a1 != a1_pos_.end()) {
-      a1_.erase(a1->second);
-      a1_pos_.erase(a1);
-      am_.push_front(key);
-      am_pos_[key] = am_.begin();
-      return;
-    }
-    auto am = am_pos_.find(key);
-    VIPTREE_DCHECK(am != am_pos_.end());
-    am_.splice(am_.begin(), am_, am->second);
-  }
-
-  void OnInsert(const DistanceCache::Key& key,
-                std::vector<DistanceCache::Key>* evicted) override {
-    a1_.push_front(key);
-    a1_pos_[key] = a1_.begin();
-    while (a1_.size() + am_.size() > capacity_) {
-      if (a1_.size() > ka1_ || am_.empty()) {
-        evicted->push_back(a1_.back());
-        a1_pos_.erase(a1_.back());
-        a1_.pop_back();
-      } else {
-        evicted->push_back(am_.back());
-        am_pos_.erase(am_.back());
-        am_.pop_back();
-      }
-    }
-  }
-
-  void Clear() override {
-    a1_.clear();
-    a1_pos_.clear();
-    am_.clear();
-    am_pos_.clear();
-  }
-
- private:
-  const size_t ka1_;
-  KeyList a1_;  // FIFO of first-timers
-  KeyList am_;  // LRU of promoted keys
-  std::unordered_map<DistanceCache::Key, KeyList::iterator, KeyHasher>
-      a1_pos_, am_pos_;
-};
-
-std::unique_ptr<DistanceCache::EvictionState> MakePolicy(CachePolicy policy,
-                                                         size_t capacity) {
-  switch (policy) {
-    case CachePolicy::kLru:
-      return std::unique_ptr<DistanceCache::EvictionState>(
-          new LruState(capacity));
-    case CachePolicy::k2Q:
-      return std::unique_ptr<DistanceCache::EvictionState>(
-          new TwoQState(capacity));
-    case CachePolicy::kS2Q:
-      return std::unique_ptr<DistanceCache::EvictionState>(
-          new S2qState(capacity));
-  }
-  VIPTREE_CHECK_MSG(false, "unknown cache policy");
-  return nullptr;
-}
 
 size_t RoundUpPow2(size_t n) {
   size_t p = 1;
@@ -232,49 +19,40 @@ size_t RoundUpPow2(size_t n) {
 
 }  // namespace
 
-const char* CachePolicyName(CachePolicy policy) {
-  switch (policy) {
-    case CachePolicy::kLru:
-      return "lru";
-    case CachePolicy::k2Q:
-      return "2q";
-    case CachePolicy::kS2Q:
-      return "s2q";
-  }
-  return "?";
-}
-
-bool ParseCachePolicy(const std::string& name, CachePolicy* out) {
-  if (name == "lru") {
-    *out = CachePolicy::kLru;
-  } else if (name == "2q") {
-    *out = CachePolicy::k2Q;
-  } else if (name == "s2q") {
-    *out = CachePolicy::kS2Q;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 size_t DistanceCache::KeyHash::operator()(const Key& key) const {
-  return KeyHasher()(key);
+  // splitmix64 finalizer over the packed 72-bit key; good avalanche so
+  // both the shard choice (low bits) and the map buckets stay uniform
+  // even though door/node ids are small dense integers.
+  uint64_t x = (static_cast<uint64_t>(static_cast<uint32_t>(key.a)) << 32) |
+               static_cast<uint64_t>(static_cast<uint32_t>(key.b));
+  x ^= static_cast<uint64_t>(key.kind) << 56;
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  x = x ^ (x >> 31);
+  return static_cast<size_t>(x);
 }
 
 // One value slot per kind family; which member is live is implied by the
-// key's kind, so no discriminant is stored.
+// key's kind, so no discriminant is stored. `pos` is the entry's place in
+// its shard's recency list.
 struct DistanceCache::Entry {
   double scalar = 0.0;
   std::vector<double> dist;
   std::vector<int32_t> index;
+  std::list<Key>::iterator pos;
 };
 
+// One LRU shard: the map owns the values, the list orders their keys by
+// recency (most recent at the front).
 struct DistanceCache::Shard {
   mutable std::mutex mu;
   std::unordered_map<Key, Entry, KeyHash> map;
-  std::unique_ptr<EvictionState> policy;
+  std::list<Key> lru;
+  size_t capacity = 1;
   CacheCounters counters;
-  std::vector<Key> evicted_scratch;
+
+  void Touch(Entry& entry) { lru.splice(lru.begin(), lru, entry.pos); }
 };
 
 size_t AdaptiveCacheCapacity(size_t num_doors) {
@@ -292,15 +70,13 @@ DistanceCache::DistanceCache(const DistanceCacheOptions& options)
       options.capacity == 0 ? (size_t{1} << 16) : options.capacity;
   const size_t per_shard = std::max<size_t>(1, capacity / num_shards_);
   shards_.reset(new Shard[num_shards_]);
-  for (size_t i = 0; i < num_shards_; ++i) {
-    shards_[i].policy = MakePolicy(options.policy, per_shard);
-  }
+  for (size_t i = 0; i < num_shards_; ++i) shards_[i].capacity = per_shard;
 }
 
 DistanceCache::~DistanceCache() = default;
 
 DistanceCache::Shard& DistanceCache::ShardFor(const Key& key) {
-  return shards_[KeyHasher()(key) & (num_shards_ - 1)];
+  return shards_[KeyHash()(key) & (num_shards_ - 1)];
 }
 
 template <typename Copy>
@@ -313,7 +89,7 @@ bool DistanceCache::LookupInternal(const Key& key, Copy&& copy) {
     return false;
   }
   ++shard.counters.hits;
-  shard.policy->OnHit(key);
+  shard.Touch(it->second);
   copy(it->second);
   return true;
 }
@@ -326,17 +102,20 @@ void DistanceCache::InsertInternal(const Key& key, Fill&& fill) {
   if (!emplaced.second) {
     // Concurrent fill of the same miss: both threads computed the same
     // deterministic value, so keeping the first is equivalent. Count it
-    // as a touch so the policy sees the reference.
-    shard.policy->OnHit(key);
+    // as a touch so the recency list sees the reference.
+    shard.Touch(emplaced.first->second);
     return;
   }
-  fill(emplaced.first->second);
+  Entry& entry = emplaced.first->second;
+  fill(entry);
   ++shard.counters.insertions;
-  shard.evicted_scratch.clear();
-  shard.policy->OnInsert(key, &shard.evicted_scratch);
-  for (const Key& victim : shard.evicted_scratch) {
-    VIPTREE_DCHECK(!(victim == key));
-    shard.map.erase(victim);
+  shard.lru.push_front(key);
+  entry.pos = shard.lru.begin();
+  // capacity >= 1, so the key just inserted is never its own victim.
+  while (shard.lru.size() > shard.capacity) {
+    VIPTREE_DCHECK(!(shard.lru.back() == key));
+    shard.map.erase(shard.lru.back());
+    shard.lru.pop_back();
     ++shard.counters.evictions;
   }
 }
@@ -403,7 +182,7 @@ void DistanceCache::Clear() {
   for (size_t i = 0; i < num_shards_; ++i) {
     std::lock_guard<std::mutex> lock(shards_[i].mu);
     shards_[i].map.clear();
-    shards_[i].policy->Clear();
+    shards_[i].lru.clear();
   }
 }
 

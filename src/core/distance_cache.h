@@ -26,12 +26,9 @@
 //       coordinates cannot key a cache.
 //
 // Sharded and thread-safe: a key hashes to one of `shards` independent
-// (mutex, hash map, eviction state, counters) quadruples, so concurrent
+// (mutex, hash map, recency list, counters) quadruples, so concurrent
 // workers sharing one cache per venue contend only per shard. Eviction is
-// pluggable behind one interface — LRU, full 2Q (FIFO A1in + ghost A1out +
-// LRU Am, after Johnson & Shasha) and simplified 2Q (S2Q: no ghost queue,
-// promote on re-reference), mirroring the read-buffer policy catalogue of
-// FESTIval's eFIND. Capacity counts entries, split evenly across shards.
+// LRU per shard. Capacity counts entries, split evenly across shards.
 //
 // One cache must serve exactly one venue: keys are venue-local dense ids,
 // so sharing a cache across venues would alias unrelated doors.
@@ -41,24 +38,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/stats.h"
 #include "model/types.h"
 
 namespace viptree {
-
-enum class CachePolicy : uint8_t {
-  kLru,  // single recency list
-  k2Q,   // FIFO A1in + ghost A1out + LRU Am (full 2Q)
-  kS2Q,  // FIFO A1 + LRU Am, promote on re-reference (simplified 2Q)
-};
-
-const char* CachePolicyName(CachePolicy policy);
-// "lru" | "2q" | "s2q" (case-sensitive); false on anything else.
-bool ParseCachePolicy(const std::string& name, CachePolicy* out);
 
 struct DistanceCacheOptions {
   // Owning layers (EngineOptions / ServiceOptions) create a cache only
@@ -72,7 +57,6 @@ struct DistanceCacheOptions {
   size_t capacity = 0;
   // Rounded up to a power of two, clamped to [1, 256].
   size_t shards = 8;
-  CachePolicy policy = CachePolicy::kLru;
 };
 
 // Capacity for the auto sentinel: ~16 entries per door — enough to hold
@@ -119,11 +103,12 @@ class DistanceCache {
   CacheCounters Counters() const;
   // Resident entries, summed over shards.
   size_t Size() const;
-  // Drops every resident entry and all eviction history.
+  // Drops every resident entry and its recency history.
   void Clear();
 
   const DistanceCacheOptions& options() const { return options_; }
 
+ private:
   struct Key {
     uint8_t kind = 0;
     int32_t a = 0;
@@ -132,25 +117,6 @@ class DistanceCache {
       return kind == other.kind && a == other.a && b == other.b;
     }
   };
-
-  // Per-shard eviction bookkeeping behind one interface; implementations
-  // (LRU / 2Q / S2Q) live in the .cc. Called under the shard lock.
-  class EvictionState {
-   public:
-    explicit EvictionState(size_t capacity) : capacity_(capacity) {}
-    virtual ~EvictionState() = default;
-    // A lookup found `key` resident.
-    virtual void OnHit(const Key& key) = 0;
-    // `key` was just inserted; append the keys to drop to *evicted (the
-    // shard erases them). Never evicts `key` itself (capacity >= 1).
-    virtual void OnInsert(const Key& key, std::vector<Key>* evicted) = 0;
-    virtual void Clear() = 0;
-
-   protected:
-    const size_t capacity_;
-  };
-
- private:
   struct KeyHash {
     size_t operator()(const Key& key) const;
   };

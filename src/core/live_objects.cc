@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -83,23 +82,7 @@ LiveObjectIndex::LiveObjectIndex(const IPTree& tree,
 }
 
 std::shared_ptr<const ObjectSnapshot> LiveObjectIndex::Acquire() const {
-  if (options_.adaptive_watermark) {
-    queries_seen_.fetch_add(1, std::memory_order_relaxed);
-  }
   return std::atomic_load(&snapshot_);
-}
-
-size_t LiveObjectIndex::EffectiveMergeWatermark() const {
-  if (!options_.adaptive_watermark) return options_.merge_watermark;
-  const uint64_t queries = queries_seen_.load(std::memory_order_relaxed);
-  const uint64_t updates = updates_seen_.load(std::memory_order_relaxed);
-  if (queries == 0 || updates == 0) return options_.merge_watermark;
-  const double scaled = static_cast<double>(options_.merge_watermark) *
-                        std::sqrt(static_cast<double>(updates) /
-                                  static_cast<double>(queries));
-  const double lo = static_cast<double>(options_.min_watermark);
-  const double hi = static_cast<double>(options_.max_watermark);
-  return static_cast<size_t>(std::min(hi, std::max(lo, scaled)));
 }
 
 void LiveObjectIndex::SetObjects(
@@ -206,12 +189,9 @@ std::optional<std::string> LiveObjectIndex::ApplyDelta(
     upsert_overlay(id);
   }
 
-  updates_seen_.fetch_add(delta.size(), std::memory_order_relaxed);
-
   // Velocity partitioning's cold path: once the hot overlay outgrows the
-  // watermark (workload-scaled under adaptive_watermark), fold everything
-  // back into a packed CSR built aside.
-  if (overlay_.size() > EffectiveMergeWatermark()) MergeLocked();
+  // watermark, fold everything back into a packed CSR built aside.
+  if (overlay_.size() > options_.merge_watermark) MergeLocked();
   PublishLocked();
   return std::nullopt;
 }

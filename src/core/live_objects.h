@@ -116,18 +116,6 @@ struct LiveObjectOptions {
   // publish. Small by design: every overlay entry costs each query one
   // exact distance evaluation.
   size_t merge_watermark = 64;
-
-  // Scale the watermark by the measured workload instead of using the
-  // fixed value: effective = clamp(merge_watermark * sqrt(updates /
-  // queries), [min_watermark, max_watermark]). Query-heavy venues merge
-  // eagerly (each overlay entry taxes every query with one exact distance
-  // evaluation); update-heavy venues batch more mutations per CSR
-  // rebuild. Counters come from Acquire() (one per read query) and
-  // ApplyDelta (one per mutation) via relaxed atomics; until both have
-  // fired the fixed watermark applies.
-  bool adaptive_watermark = false;
-  size_t min_watermark = 8;
-  size_t max_watermark = 1024;
 };
 
 // The epoch-published object store of one venue. Thread-safe: any number
@@ -193,10 +181,9 @@ class LiveObjectIndex {
   const ObjectIndex& current_base() const { return *Acquire()->base; }
   const KeywordIndex& current_keywords() const { return *Acquire()->keywords; }
 
-  // The merge threshold ApplyDelta will use next: the fixed watermark, or
-  // the query/update-ratio-scaled value under adaptive_watermark (exposed
-  // for tests and the update benchmark).
-  size_t EffectiveMergeWatermark() const;
+  // The merge threshold ApplyDelta uses (exposed for tests and the
+  // benchmarks).
+  size_t EffectiveMergeWatermark() const { return options_.merge_watermark; }
 
   uint64_t MemoryBytes() const;
 
@@ -210,12 +197,6 @@ class LiveObjectIndex {
 
   const IPTree& tree_;
   const Options options_;
-
-  // Workload counters of the adaptive watermark. Relaxed: they only steer
-  // a heuristic, and Acquire() must stay a single uncontended load plus
-  // one relaxed increment.
-  mutable std::atomic<uint64_t> queries_seen_{0};
-  std::atomic<uint64_t> updates_seen_{0};
 
   // Writer-side canonical state, guarded by write_mu_. positions_ and
   // keyword_strings_ cover every id ever allocated (tombstones included).

@@ -105,10 +105,6 @@ struct BatchOptions {
   // is the single implementation of this rule, shared with Service).
   // Thread count is additionally clamped to the batch size.
   size_t num_threads = 1;
-  // Historical knob of the pre-Service sharded scheduler. The service
-  // queue schedules per request, so this no longer affects execution; it
-  // is kept so existing callers compile (results never depended on it).
-  size_t shard_size = 32;
   // Execution-planner coalescing (engine/exec_plan.h): the transient
   // service's workers pull up to `coalesce.window` queries into one group
   // and answer it through the multi-target kernels — identical results,

@@ -535,11 +535,6 @@ std::shared_ptr<DistanceCache> Service::CacheFor(
     resolved.capacity = AdaptiveCacheCapacity(bundle->venue().NumDoors());
   }
   std::lock_guard<std::mutex> lock(cache_mu_);
-  if (options_.cache_scope == ServiceOptions::CacheScope::kPerWorker) {
-    auto cache = std::make_shared<DistanceCache>(resolved);
-    worker_caches_.push_back(cache);
-    return cache;
-  }
   VenueCache& entry = venue_caches_[venue_id];
   if (entry.cache == nullptr || entry.bundle.lock() != bundle) {
     // First touch, or the registry handed out a fresh bundle instance
@@ -649,9 +644,6 @@ ServiceStats Service::Stats() const {
     for (const auto& [venue, entry] : venue_caches_) {
       (void)venue;
       stats.cache += entry.cache->Counters();
-    }
-    for (const auto& cache : worker_caches_) {
-      stats.cache += cache->Counters();
     }
   }
   return stats;

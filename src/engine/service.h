@@ -185,21 +185,12 @@ struct ServiceOptions {
   size_t queue_capacity = 1024;
 
   // Cross-request distance caching (core/distance_cache.h). With
-  // cache.enabled the service creates caches and attaches them to the
-  // worker engines; Stats() aggregates their hit/miss/evict counters.
+  // cache.enabled the service creates one cache per venue, shared by every
+  // worker serving it, and replaced whenever the registry hands out a fresh
+  // bundle instance for the venue (so a re-loaded snapshot can never be
+  // answered from the old file's entries); Stats() aggregates their
+  // hit/miss/evict counters.
   DistanceCacheOptions cache;
-  enum class CacheScope : uint8_t {
-    // One cache per venue, shared by every worker serving it (default:
-    // cross-worker reuse, contention only per shard). Replaced whenever
-    // the registry hands out a fresh bundle instance for the venue, so a
-    // re-loaded snapshot can never be answered from the old file's
-    // entries.
-    kSharedPerVenue,
-    // One private cache per (worker, venue) engine: zero lock contention,
-    // no cross-worker reuse. For measuring the sharing trade-off.
-    kPerWorker,
-  };
-  CacheScope cache_scope = CacheScope::kSharedPerVenue;
   // A pre-existing cache every worker shares, taking precedence over
   // `cache`. Single-venue services only (door ids are venue-local dense
   // ints — one cache across venues would alias unrelated doors);
@@ -389,15 +380,13 @@ class Service {
   // Distance caches handed to worker engines. Venue entries remember the
   // bundle they were built against (weakly, so a cache never pins an
   // evicted bundle) and are replaced when the registry hands out a fresh
-  // instance. Per-worker caches are kept strongly so Stats() still counts
-  // them after workers retire their engines.
+  // instance.
   mutable std::mutex cache_mu_;
   struct VenueCache {
     std::weak_ptr<const VenueBundle> bundle;
     std::shared_ptr<DistanceCache> cache;
   };
   std::map<std::string, VenueCache> venue_caches_;
-  std::vector<std::shared_ptr<DistanceCache>> worker_caches_;
 };
 
 }  // namespace engine

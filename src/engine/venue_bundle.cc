@@ -69,8 +69,7 @@ uint64_t VenueBundle::IndexMemoryBytes() const {
   return tree_->MemoryBytes() + live_->MemoryBytes();
 }
 
-io::Status VenueBundle::Save(const std::string& path,
-                             const io::SnapshotWriteOptions& options) const {
+io::Status VenueBundle::Save(const std::string& path) const {
   io::Snapshot snapshot;
   snapshot.venue = venue_->ToParts();
   snapshot.graph = graph_->ToParts();
@@ -82,7 +81,7 @@ io::Status VenueBundle::Save(const std::string& path,
     snapshot.keywords = std::move(*packed.keywords);
   }
   snapshot.query_options = query_options_;
-  return io::WriteSnapshotFile(path, snapshot, options);
+  return io::WriteSnapshotFile(path, snapshot);
 }
 
 std::optional<VenueBundle> VenueBundle::TryLoad(const std::string& path,
@@ -93,20 +92,18 @@ std::optional<VenueBundle> VenueBundle::TryLoad(const std::string& path,
     return std::nullopt;
   };
 
-  // Map (or read) the file into an arena, then decode. For a v2 snapshot
-  // the decoder hands out views into the arena (zero-copy) and the bundle
-  // keeps the arena alive; a v1 snapshot decodes into owned buffers and
-  // the arena is dropped at the end of this function.
+  // Map (or read) the file into an arena, then decode. The decoder hands
+  // out views into the arena (zero-copy) and the bundle keeps the arena
+  // alive; on a host where aliasing is impossible it decodes into owned
+  // buffers and the arena is dropped at the end of this function.
   auto arena = std::make_shared<io::MmapArena>();
   {
     const io::Status status =
-        io::MmapArena::Map(path, arena.get(), options.use_mmap,
-                           options.madvise);
+        io::MmapArena::Map(path, arena.get(), options.use_mmap);
     if (!status.ok()) return fail(status.error);
   }
   io::SnapshotReadOptions read_options;
   read_options.verify_checksums = options.verify_checksums;
-  read_options.allow_alias = true;
   io::Snapshot snapshot;
   {
     const io::Status status =
@@ -114,15 +111,12 @@ std::optional<VenueBundle> VenueBundle::TryLoad(const std::string& path,
     if (!status.ok()) return fail(status.error);
   }
 
-  // v1 snapshots keep their historical full validation; v2 snapshots run
-  // the cheap structural level by default (deep_validate opts back in) —
-  // the CRCs already reject corruption, and the per-cell sweep would fault
-  // in every page of the mapped index.
+  // The cheap structural level runs by default (deep_validate opts into
+  // the full sweep) — the CRCs already reject corruption, and the per-cell
+  // sweep would fault in every page of the mapped index.
   const IPTree::ValidationLevel level =
-      (snapshot.format_version == io::kLegacyFormatVersion ||
-       options.deep_validate)
-          ? IPTree::ValidationLevel::kFull
-          : IPTree::ValidationLevel::kStructure;
+      options.deep_validate ? IPTree::ValidationLevel::kFull
+                            : IPTree::ValidationLevel::kStructure;
 
   // Structural validation of every layer before assembly, bottom-up: a
   // snapshot that fails must surface as an error the caller can report
@@ -185,8 +179,8 @@ std::optional<VenueBundle> VenueBundle::TryLoad(const std::string& path,
       bundle.tree_->base(), std::move(object_base), std::move(keywords));
   bundle.query_options_ = snapshot.query_options;
   // A zero-copy decode left views into the arena inside the indexes; the
-  // bundle must then keep the arena alive. A copying decode (v1 snapshot,
-  // exotic host) owns everything, so the arena can be released here.
+  // bundle must then keep the arena alive. A copying decode (exotic host)
+  // owns everything, so the arena can be released here.
   if (snapshot.aliased) bundle.arena_ = std::move(arena);
   return bundle;
 }

@@ -11,13 +11,12 @@
 //     written by Save, skipping construction entirely. Build once offline,
 //     load the immutable artifact into every serving process.
 //
-// Snapshot loads come in two flavours. A format-v2 snapshot is memory-
-// mapped (io/mmap_arena.h) and the index buffers alias the mapped file —
-// zero-copy, so standing up a venue costs O(resident-pages) instead of a
-// private copy of the whole index; the bundle keeps the arena alive for as
-// long as any index aliases it. Format-v1 snapshots (and hosts where
-// aliasing is impossible) take the copying path: every buffer is
-// deserialized into owned memory, exactly as before.
+// A snapshot is memory-mapped (io/mmap_arena.h) and the index buffers
+// alias the mapped file — zero-copy, so standing up a venue costs
+// O(resident-pages) instead of a private copy of the whole index; the
+// bundle keeps the arena alive for as long as any index aliases it. Hosts
+// where aliasing is impossible take the copying path: every buffer is
+// deserialized into owned memory.
 //
 // All members live behind stable heap storage, so moving a bundle never
 // invalidates the internal venue/graph/tree cross-references.
@@ -61,27 +60,24 @@ struct EngineOptions {
 // Knobs of the snapshot load path (namespace-scope so it can appear in
 // default arguments of VenueBundle's own members).
 struct SnapshotLoadOptions {
-  // Map the file instead of reading it (v2 snapshots only; v1 always
-  // copies). Benchmarks force this off to measure the copying path.
+  // Map the file instead of reading it into a heap buffer. Benchmarks
+  // force this off to measure the read path.
   bool use_mmap = true;
   // Verify every section's CRC-32 before decoding. Costs one sequential
   // pass over the file; turn off only for snapshots whose integrity is
   // guaranteed elsewhere.
   bool verify_checksums = true;
-  // Run the per-cell matrix/edge validation sweep on v2 snapshots (v1
-  // loads always run it, preserving their historical behaviour). Off by
-  // default: the checksums already reject accidental corruption, and the
-  // sweep would fault in every page of the mapped index. The default
-  // therefore trusts the *producer*: a crafted v2 file with consistent
-  // CRCs but out-of-range next-hop/edge cells would only be caught at
-  // query time. Set this when loading snapshots from producers you do not
-  // control.
+  // Run the per-cell matrix/edge validation sweep. Off by default: the
+  // checksums already reject accidental corruption, and the sweep would
+  // fault in every page of the mapped index. The default therefore trusts
+  // the *producer*: a crafted file with consistent CRCs but out-of-range
+  // next-hop/edge cells would only be caught at query time. Set this when
+  // loading snapshots from producers you do not control.
   bool deep_validate = false;
-  // Paging hint forwarded to the snapshot mapping (io/mmap_arena.h):
-  // kRandom for point-query serving, kSequential for one-pass scans,
-  // kDontneedOnRelease to let VenueRegistry eviction return the mapped
-  // pages to the OS even while callers still hold bundle references.
-  io::MadvisePolicy madvise = io::MadvisePolicy::kNormal;
+  // Let VenueRegistry eviction return the snapshot mapping's resident
+  // pages to the OS (madvise(MADV_DONTNEED)) even while callers still hold
+  // bundle references.
+  bool drop_pages_on_evict = false;
 };
 
 class VenueBundle {
@@ -105,18 +101,15 @@ class VenueBundle {
                                std::vector<IndoorPoint> objects,
                                EngineOptions options = {});
 
-  // Snapshot persistence (io/snapshot.h format; Save writes format v2
-  // unless told otherwise). Save serializes the *live* object set: after
-  // updates, removed objects are dropped and the survivors get dense
-  // renumbered ids, so the on-disk format never sees overlays or
-  // tombstones (see LiveObjectIndex::PackedParts). Save reports failures
-  // as a Status; TryLoad
-  // reports them as nullopt plus a human-readable message in *error
-  // (truncation, corruption, version skew, structural inconsistency); Load
-  // aborts with that message (for callers who treat the snapshot as
-  // trusted infrastructure).
-  io::Status Save(const std::string& path,
-                  const io::SnapshotWriteOptions& options = {}) const;
+  // Snapshot persistence (io/snapshot.h format). Save serializes the
+  // *live* object set: after updates, removed objects are dropped and the
+  // survivors get dense renumbered ids, so the on-disk format never sees
+  // overlays or tombstones (see LiveObjectIndex::PackedParts). Save
+  // reports failures as a Status; TryLoad reports them as nullopt plus a
+  // human-readable message in *error (truncation, corruption, version
+  // skew, structural inconsistency); Load aborts with that message (for
+  // callers who treat the snapshot as trusted infrastructure).
+  io::Status Save(const std::string& path) const;
   static std::optional<VenueBundle> TryLoad(const std::string& path,
                                             std::string* error,
                                             const LoadOptions& options = {});

@@ -288,10 +288,10 @@ void VenueRegistry::EnforceResidencyCapLocked() {
 
 void VenueRegistry::ReleaseBundleLocked(Entry& entry) {
   if (entry.bundle == nullptr) return;
-  // Under kDontneedOnRelease, outstanding shared_ptrs may keep the mapping
-  // alive past eviction; dropping its resident pages bounds RSS either way
-  // (the holders' next queries simply re-fault what they touch).
-  if (load_options_.madvise == io::MadvisePolicy::kDontneedOnRelease) {
+  // Outstanding shared_ptrs may keep the mapping alive past eviction;
+  // dropping its resident pages bounds RSS either way (the holders' next
+  // queries simply re-fault what they touch).
+  if (load_options_.drop_pages_on_evict) {
     entry.bundle->ReleaseResidentPages();
   }
   entry.bundle.reset();

@@ -130,7 +130,7 @@ class VenueRegistry {
   void EnforceResidencyCapLocked();
 
   // Drops an entry's cached bundle, first returning its mapped pages to
-  // the OS when the load options ask for kDontneedOnRelease.
+  // the OS when the load options set drop_pages_on_evict.
   void ReleaseBundleLocked(Entry& entry);
 
   VenueBundle::LoadOptions load_options_;

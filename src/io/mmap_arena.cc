@@ -24,24 +24,6 @@ Status Errno(const std::string& what, const std::string& path) {
   return Status::Error(what + " '" + path + "': " + std::strerror(errno));
 }
 
-#if VIPTREE_HAS_MMAP
-// Best-effort readahead hint; a kernel that rejects the advice changes
-// performance, not correctness, so failures are deliberately ignored.
-void ApplyMapTimeAdvice(void* addr, size_t size, MadvisePolicy policy) {
-  switch (policy) {
-    case MadvisePolicy::kSequential:
-      ::posix_madvise(addr, size, POSIX_MADV_SEQUENTIAL);
-      break;
-    case MadvisePolicy::kRandom:
-      ::posix_madvise(addr, size, POSIX_MADV_RANDOM);
-      break;
-    case MadvisePolicy::kNormal:
-    case MadvisePolicy::kDontneedOnRelease:
-      break;  // default kernel readahead
-  }
-}
-#endif
-
 }  // namespace
 
 MmapArena& MmapArena::operator=(MmapArena&& other) noexcept {
@@ -50,12 +32,10 @@ MmapArena& MmapArena::operator=(MmapArena&& other) noexcept {
     data_ = other.data_;
     size_ = other.size_;
     mapped_ = other.mapped_;
-    policy_ = other.policy_;
     heap_ = std::move(other.heap_);
     other.data_ = nullptr;
     other.size_ = 0;
     other.mapped_ = false;
-    other.policy_ = MadvisePolicy::kNormal;
   }
   return *this;
 }
@@ -69,7 +49,6 @@ void MmapArena::Release() {
   data_ = nullptr;
   size_ = 0;
   mapped_ = false;
-  policy_ = MadvisePolicy::kNormal;
   heap_.clear();
   heap_.shrink_to_fit();
 }
@@ -90,8 +69,8 @@ size_t MmapArena::DropResidentPages() const {
 #endif
 }
 
-Status MmapArena::Map(const std::string& path, MmapArena* out, bool allow_mmap,
-                      MadvisePolicy policy) {
+Status MmapArena::Map(const std::string& path, MmapArena* out,
+                      bool allow_mmap) {
   out->Release();
 #if VIPTREE_HAS_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -112,11 +91,9 @@ Status MmapArena::Map(const std::string& path, MmapArena* out, bool allow_mmap,
     void* mapping = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
     if (mapping != MAP_FAILED) {
       ::close(fd);
-      ApplyMapTimeAdvice(mapping, size, policy);
       out->data_ = static_cast<const uint8_t*>(mapping);
       out->size_ = size;
       out->mapped_ = true;
-      out->policy_ = policy;
       return Status::Ok();
     }
     // Fall through to the heap read (e.g. a filesystem without mmap).
@@ -141,7 +118,6 @@ Status MmapArena::Map(const std::string& path, MmapArena* out, bool allow_mmap,
   out->data_ = dst;
   out->size_ = done;
   out->mapped_ = false;
-  out->policy_ = policy;
   return Status::Ok();
 #else
   (void)allow_mmap;
@@ -152,7 +128,6 @@ Status MmapArena::Map(const std::string& path, MmapArena* out, bool allow_mmap,
   out->data_ = out->heap_.data();
   out->size_ = out->heap_.size();
   out->mapped_ = false;
-  out->policy_ = policy;
   return Status::Ok();
 #endif
 }

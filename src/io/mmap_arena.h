@@ -27,27 +27,6 @@
 namespace viptree {
 namespace io {
 
-// Paging-behaviour hint for a mapped arena, applied at Map time (no effect
-// on the heap fallback, which is always fully resident):
-//   kNormal             — default kernel readahead.
-//   kSequential         — aggressive readahead, early reclaim behind the
-//                         cursor; the right hint for one-pass loads such as
-//                         checksum verification followed by decode.
-//   kRandom             — no readahead; the right hint for point-query
-//                         serving, where touching one matrix row should not
-//                         fault in its neighbours.
-//   kDontneedOnRelease  — like kNormal, but the owner (VenueRegistry
-//                         eviction) additionally calls DropResidentPages()
-//                         when the venue leaves the working set, returning
-//                         its RSS to the OS even while outstanding bundle
-//                         references keep the mapping alive.
-enum class MadvisePolicy : uint8_t {
-  kNormal = 0,
-  kSequential = 1,
-  kRandom = 2,
-  kDontneedOnRelease = 3,
-};
-
 class MmapArena {
  public:
   MmapArena() = default;
@@ -65,8 +44,7 @@ class MmapArena {
   // Errors (missing file, directory, I/O failure) come back as a Status
   // with a human-readable message.
   static Status Map(const std::string& path, MmapArena* out,
-                    bool allow_mmap = true,
-                    MadvisePolicy policy = MadvisePolicy::kNormal);
+                    bool allow_mmap = true);
 
   // The whole arena. data() is at least 64-byte aligned (page-aligned when
   // mapped, kIndexBufferAlign on the heap path), which lets the v2
@@ -78,9 +56,6 @@ class MmapArena {
   // True when the bytes are a file mapping (paged lazily), false for the
   // heap fallback (fully resident).
   bool mapped() const { return mapped_; }
-
-  // The policy Map was called with (kNormal for a default-mapped arena).
-  MadvisePolicy policy() const { return policy_; }
 
   // Returns the arena's resident file-backed pages to the OS
   // (madvise(MADV_DONTNEED) on the read-only private mapping — later
@@ -97,7 +72,6 @@ class MmapArena {
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;
   bool mapped_ = false;
-  MadvisePolicy policy_ = MadvisePolicy::kNormal;
   AlignedVector<uint8_t> heap_;  // fallback buffer, 64-byte aligned
 };
 

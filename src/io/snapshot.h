@@ -5,9 +5,7 @@
 // process without re-running construction (the paper's §4/Fig. 8 point that
 // indexing time is paid separately from query time, made operational).
 //
-// Two format versions are readable; writers default to v2.
-//
-// Format v2 (zero-copy layout; all integers little-endian):
+// Format version 2 (zero-copy layout; all integers little-endian):
 //
 //   8 B   magic "VIPTSNAP"
 //   u32   format version (2)
@@ -29,11 +27,6 @@
 //   views straight into the mapped file instead of copying. Struct element
 //   types (D2DEdge, IPTree::DoorLeafPair) are static_asserted padding-free.
 //
-// Format v1 (legacy, PR 3): the same magic, version 1, a reserved u32, then
-// a *sequence* of [tag, u64 size, u32 crc, payload] frames with no
-// alignment; always decoded by copying. Still fully readable and writable
-// (SnapshotWriteOptions{.version = 1}) so pre-v2 artifacts keep loading.
-//
 // Sections VENU, GRPH, TREE, VIPX, OBJX and ENGO are mandatory; KWIX is
 // present only when the engine was built with object keywords. Unknown
 // sections, duplicate sections, truncation, misaligned TOC offsets,
@@ -41,9 +34,9 @@
 // human-readable errors.
 //
 // Versioning policy: the format version is bumped on any incompatible
-// change. This build reads versions 1 and 2; anything else is rejected
-// outright (no in-place migration — loading a v1 snapshot and re-saving it
-// produces a v2 snapshot, which is the supported upgrade path).
+// change. This build reads version 2 only; anything else is rejected
+// outright with no in-place migration. The older version 1 is no longer
+// read: rebuild such snapshots from the venue with viptree_build.
 
 #ifndef VIPTREE_IO_SNAPSHOT_H_
 #define VIPTREE_IO_SNAPSHOT_H_
@@ -65,12 +58,11 @@ namespace viptree {
 namespace io {
 
 inline constexpr uint32_t kFormatVersion = 2;
-inline constexpr uint32_t kLegacyFormatVersion = 1;
 
 // The fully deserialized (but not yet assembled) contents of a snapshot:
 // plain part-structs with no cross-references, ready for the FromParts
-// factories. After an aliased v2 decode the Storage members are *views*
-// into the decoded byte range — see SnapshotReadOptions::allow_alias.
+// factories. After an aliased decode the Storage members are *views*
+// into the decoded byte range — see DecodeSnapshot.
 struct Snapshot {
   Venue::Parts venue;
   D2DGraph::Parts graph;
@@ -80,45 +72,33 @@ struct Snapshot {
   std::optional<KeywordIndex::Parts> keywords;
   DistanceQueryOptions query_options;
 
-  // Filled in by DecodeSnapshot.
-  uint32_t format_version = kFormatVersion;
-  // True when any Storage member aliases the input bytes (zero-copy): the
-  // byte buffer must then outlive this Snapshot and everything built from
-  // its parts.
+  // Filled in by DecodeSnapshot: true when any Storage member aliases the
+  // input bytes (zero-copy). The byte buffer must then outlive this
+  // Snapshot and everything built from its parts.
   bool aliased = false;
-};
-
-struct SnapshotWriteOptions {
-  uint32_t version = kFormatVersion;  // 2 (aligned TOC) or 1 (legacy)
 };
 
 struct SnapshotReadOptions {
   // Verify each section's CRC-32 before decoding it. Turning this off
-  // makes a v2 load touch only the pages the decoder reads — for snapshots
+  // makes a load touch only the pages the decoder reads — for snapshots
   // whose integrity is guaranteed elsewhere (verified at install time,
   // content-addressed storage).
   bool verify_checksums = true;
-  // Let v2 bulk arrays alias `bytes` (zero-copy) instead of copying. The
-  // caller must keep the buffer alive and 8-aligned (MmapArena guarantees
-  // both); when the buffer or host does not qualify the decoder silently
-  // copies instead. v1 snapshots always copy.
-  bool allow_alias = false;
 };
 
 // In-memory encode/decode (DecodeSnapshot performs framing, checksum and
 // per-field bounds validation; structural validation against the assembled
-// venue/tree happens in the FromParts factories).
-std::vector<uint8_t> EncodeSnapshot(const Snapshot& snapshot,
-                                    const SnapshotWriteOptions& options = {});
+// venue/tree happens in the FromParts factories). DecodeSnapshot lets bulk
+// arrays alias `bytes` (zero-copy) instead of copying, so the caller must
+// keep the buffer alive and 8-aligned (MmapArena guarantees both); where
+// the buffer or host does not qualify the decoder silently copies instead.
+std::vector<uint8_t> EncodeSnapshot(const Snapshot& snapshot);
 Status DecodeSnapshot(Span<const uint8_t> bytes, Snapshot* out,
                       const SnapshotReadOptions& options = {});
 
-// File round-trip. ReadSnapshotFile always copies (the returned Snapshot is
-// self-contained); zero-copy loads go through MmapArena + DecodeSnapshot
-// (see engine::VenueBundle::TryLoad).
-Status WriteSnapshotFile(const std::string& path, const Snapshot& snapshot,
-                         const SnapshotWriteOptions& options = {});
-Status ReadSnapshotFile(const std::string& path, Snapshot* out);
+// File write; loads go through MmapArena + DecodeSnapshot (see
+// engine::VenueBundle::TryLoad).
+Status WriteSnapshotFile(const std::string& path, const Snapshot& snapshot);
 
 // Install-time integrity check: one section of VerifySnapshotFile's
 // per-section verdict.

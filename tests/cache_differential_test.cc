@@ -1,11 +1,11 @@
 // Bit-identity sweep for the cross-request distance cache: the cache
 // memoizes exact outputs of deterministic functions of discrete keys
 // (door-pair distances, ascent vectors, index maps), so turning it on —
-// under any eviction policy — must never change a single bit of any
-// answer. For 24 seeded random venues, run an interleaved stream of
-// distance / path / kNN / range / boolean-kNN queries and live-object
-// delta publishes through a cache-off engine and through one engine per
-// policy, and require exact (==, not NEAR) agreement on every distance,
+// with eviction pressure — must never change a single bit of any answer.
+// For 24 seeded random venues, run an interleaved stream of distance /
+// path / kNN / range / boolean-kNN queries and live-object delta
+// publishes through a cache-off engine and through a small LRU-cached
+// engine, and require exact (==, not NEAR) agreement on every distance,
 // door sequence and object id. A second pass over the same engine checks
 // warm-cache answers against the cold ones.
 
@@ -155,27 +155,22 @@ TEST_P(CacheDifferentialTest, AllPoliciesBitIdenticalToCacheOff) {
   ASSERT_EQ(reference.distance_cache(), nullptr);
   const std::vector<eng::Result> expected = Replay(reference, steps, 2);
 
-  for (CachePolicy policy :
-       {CachePolicy::kLru, CachePolicy::k2Q, CachePolicy::kS2Q}) {
-    eng::EngineOptions cached_options = options;
-    cached_options.cache.enabled = true;
-    cached_options.cache.policy = policy;
-    // Small enough that the sweep exercises eviction, not just lookups.
-    cached_options.cache.capacity = 512;
-    cached_options.cache.shards = 2;
-    eng::QueryEngine engine(venue, graph, objects, cached_options);
-    ASSERT_NE(engine.distance_cache(), nullptr);
+  eng::EngineOptions cached_options = options;
+  cached_options.cache.enabled = true;
+  // Small enough that the sweep exercises eviction, not just lookups.
+  cached_options.cache.capacity = 512;
+  cached_options.cache.shards = 2;
+  eng::QueryEngine engine(venue, graph, objects, cached_options);
+  ASSERT_NE(engine.distance_cache(), nullptr);
 
-    const std::vector<eng::Result> actual = Replay(engine, steps, 2);
-    ExpectBitIdentical(actual, expected, CachePolicyName(policy), seed);
-    // The workload repeats its query stream, so on a multi-leaf venue the
-    // cache must have served real hits while producing identical answers.
-    // (A single-leaf venue never leaves the Dijkstra fast path, so there
-    // is legitimately no cache traffic there.)
-    if (engine.tree().base().num_leaves() > 1) {
-      EXPECT_GT(engine.distance_cache()->Counters().hits, 0u)
-          << CachePolicyName(policy) << " seed " << seed;
-    }
+  const std::vector<eng::Result> actual = Replay(engine, steps, 2);
+  ExpectBitIdentical(actual, expected, "lru", seed);
+  // The workload repeats its query stream, so on a multi-leaf venue the
+  // cache must have served real hits while producing identical answers.
+  // (A single-leaf venue never leaves the Dijkstra fast path, so there is
+  // legitimately no cache traffic there.)
+  if (engine.tree().base().num_leaves() > 1) {
+    EXPECT_GT(engine.distance_cache()->Counters().hits, 0u) << "seed " << seed;
   }
 }
 

@@ -1,7 +1,7 @@
 // Unit tests for the cross-request distance cache (core/distance_cache.h):
-// entry-kind isolation, counters, Clear, sharding bounds, the three
-// eviction policies' observable semantics (driven through the public
-// API with shards=1 so eviction order is deterministic), a concurrency
+// entry-kind isolation, counters, Clear, sharding bounds, LRU eviction
+// order (driven through the public API with shards=1 so eviction order is
+// deterministic), a concurrency
 // smoke (the suite runs under TSan via the `cache` ctest label), and the
 // DoorDistance regression for multi-leaf boundary doors whose LCA index
 // lookups used to go unchecked.
@@ -23,17 +23,16 @@
 namespace viptree {
 namespace {
 
-DistanceCacheOptions SingleShard(size_t capacity, CachePolicy policy) {
+DistanceCacheOptions SingleShard(size_t capacity) {
   DistanceCacheOptions options;
   options.enabled = true;
   options.capacity = capacity;
   options.shards = 1;
-  options.policy = policy;
   return options;
 }
 
 TEST(DistanceCacheTest, ScalarRoundTripAndCounters) {
-  DistanceCache cache(SingleShard(8, CachePolicy::kLru));
+  DistanceCache cache(SingleShard(8));
   double out = 0.0;
   EXPECT_FALSE(cache.LookupScalar(CacheKind::kIpDoorPair, 1, 2, &out));
   cache.InsertScalar(CacheKind::kIpDoorPair, 1, 2, 42.5);
@@ -51,7 +50,7 @@ TEST(DistanceCacheTest, ScalarRoundTripAndCounters) {
 }
 
 TEST(DistanceCacheTest, KindsDoNotCollide) {
-  DistanceCache cache(SingleShard(16, CachePolicy::kLru));
+  DistanceCache cache(SingleShard(16));
   cache.InsertScalar(CacheKind::kIpDoorPair, 3, 4, 1.0);
   cache.InsertScalar(CacheKind::kVipDoorPair, 3, 4, 2.0);
   cache.InsertDistVector(CacheKind::kIpDoorAscent, 3, 4, {3.0, 4.0});
@@ -75,7 +74,7 @@ TEST(DistanceCacheTest, KindsDoNotCollide) {
 }
 
 TEST(DistanceCacheTest, ClearDropsEntriesKeepsCounters) {
-  DistanceCache cache(SingleShard(8, CachePolicy::k2Q));
+  DistanceCache cache(SingleShard(8));
   cache.InsertScalar(CacheKind::kIpDoorPair, 1, 1, 1.0);
   double out;
   ASSERT_TRUE(cache.LookupScalar(CacheKind::kIpDoorPair, 1, 1, &out));
@@ -92,7 +91,7 @@ TEST(DistanceCacheTest, ClearDropsEntriesKeepsCounters) {
 }
 
 TEST(DistanceCacheTest, LruEvictsLeastRecentlyUsed) {
-  DistanceCache cache(SingleShard(3, CachePolicy::kLru));
+  DistanceCache cache(SingleShard(3));
   for (int32_t i = 1; i <= 3; ++i) {
     cache.InsertScalar(CacheKind::kIpDoorPair, i, 0, i);
   }
@@ -107,51 +106,16 @@ TEST(DistanceCacheTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(cache.LookupScalar(CacheKind::kIpDoorPair, 3, 0, &out));
   EXPECT_TRUE(cache.LookupScalar(CacheKind::kIpDoorPair, 4, 0, &out));
   EXPECT_EQ(cache.Counters().evictions, 1u);
-}
 
-TEST(DistanceCacheTest, TwoQGhostHitPromotesToMain) {
-  // capacity 4, shards 1 -> Kin = 1, Kout = 2.
-  DistanceCache cache(SingleShard(4, CachePolicy::k2Q));
-  for (int32_t i = 1; i <= 5; ++i) {
-    cache.InsertScalar(CacheKind::kIpDoorPair, i, 0, i);
-  }
-  // Key 1 was demoted from A1in to a ghost: evicted but remembered.
-  EXPECT_EQ(cache.Size(), 4u);
-  double out;
-  EXPECT_FALSE(cache.LookupScalar(CacheKind::kIpDoorPair, 1, 0, &out));
-
-  // Second reference within the ghost window admits key 1 to Am, where a
-  // subsequent one-pass scan of fresh keys cannot push it out (each scan
-  // key is demoted from the A1in FIFO instead).
+  // Recency is now 4, 3, 1 (most recent first). A second fill of a
+  // resident key (two workers computing the same miss) keeps the first
+  // value but counts as a touch, so key 3 outlives key 1.
   cache.InsertScalar(CacheKind::kIpDoorPair, 1, 0, 1.0);
-  for (int32_t i = 10; i < 20; ++i) {
-    cache.InsertScalar(CacheKind::kIpDoorPair, i, 0, i);
-  }
+  cache.InsertScalar(CacheKind::kIpDoorPair, 5, 0, 5.0);
   EXPECT_TRUE(cache.LookupScalar(CacheKind::kIpDoorPair, 1, 0, &out));
-  EXPECT_EQ(out, 1.0);
-  // The scanned keys churned through A1in: the oldest are gone.
-  EXPECT_FALSE(cache.LookupScalar(CacheKind::kIpDoorPair, 10, 0, &out));
-  EXPECT_LE(cache.Size(), 4u);
-}
-
-TEST(DistanceCacheTest, S2qPromotionOnA1Hit) {
-  // capacity 4, shards 1 -> Ka1 = 1.
-  DistanceCache cache(SingleShard(4, CachePolicy::kS2Q));
-  for (int32_t i = 1; i <= 4; ++i) {
-    cache.InsertScalar(CacheKind::kIpDoorPair, i, 0, i);
-  }
-  // Hit key 1 while it sits in A1: promoted to Am immediately (no ghost
-  // round-trip like full 2Q).
-  double out;
-  ASSERT_TRUE(cache.LookupScalar(CacheKind::kIpDoorPair, 1, 0, &out));
-  // A one-pass scan churns the A1 FIFO but leaves Am alone.
-  for (int32_t i = 10; i < 20; ++i) {
-    cache.InsertScalar(CacheKind::kIpDoorPair, i, 0, i);
-  }
-  EXPECT_TRUE(cache.LookupScalar(CacheKind::kIpDoorPair, 1, 0, &out));
-  EXPECT_EQ(out, 1.0);
-  EXPECT_FALSE(cache.LookupScalar(CacheKind::kIpDoorPair, 10, 0, &out));
-  EXPECT_LE(cache.Size(), 4u);
+  EXPECT_FALSE(cache.LookupScalar(CacheKind::kIpDoorPair, 3, 0, &out));
+  EXPECT_EQ(cache.Counters().insertions, 5u);
+  EXPECT_EQ(cache.Counters().evictions, 2u);
 }
 
 TEST(DistanceCacheTest, ShardingBoundsTotalSize) {
@@ -159,7 +123,6 @@ TEST(DistanceCacheTest, ShardingBoundsTotalSize) {
   options.enabled = true;
   options.capacity = 64;
   options.shards = 8;
-  options.policy = CachePolicy::kLru;
   DistanceCache cache(options);
   for (int32_t i = 0; i < 500; ++i) {
     cache.InsertScalar(CacheKind::kIpDoorPair, i, i, i);
@@ -190,59 +153,40 @@ TEST(DistanceCacheTest, ShardCountClampedToPowerOfTwo) {
   }
 }
 
-TEST(DistanceCacheTest, ParseCachePolicy) {
-  CachePolicy policy;
-  ASSERT_TRUE(ParseCachePolicy("lru", &policy));
-  EXPECT_EQ(policy, CachePolicy::kLru);
-  ASSERT_TRUE(ParseCachePolicy("2q", &policy));
-  EXPECT_EQ(policy, CachePolicy::k2Q);
-  ASSERT_TRUE(ParseCachePolicy("s2q", &policy));
-  EXPECT_EQ(policy, CachePolicy::kS2Q);
-  EXPECT_FALSE(ParseCachePolicy("arc", &policy));
-  EXPECT_FALSE(ParseCachePolicy("", &policy));
-  EXPECT_STREQ(CachePolicyName(CachePolicy::kLru), "lru");
-  EXPECT_STREQ(CachePolicyName(CachePolicy::k2Q), "2q");
-  EXPECT_STREQ(CachePolicyName(CachePolicy::kS2Q), "s2q");
-}
-
 // Concurrency smoke: threads race lookups and inserts over an overlapping
 // key range. Values are a pure function of the key, so every hit must
 // return the value any thread would have inserted. Run under TSan via the
 // `cache` label.
 TEST(DistanceCacheTest, ConcurrentInsertLookupSmoke) {
-  for (CachePolicy policy :
-       {CachePolicy::kLru, CachePolicy::k2Q, CachePolicy::kS2Q}) {
-    DistanceCacheOptions options;
-    options.enabled = true;
-    options.capacity = 256;
-    options.shards = 4;
-    options.policy = policy;
-    DistanceCache cache(options);
+  DistanceCacheOptions options;
+  options.enabled = true;
+  options.capacity = 256;
+  options.shards = 4;
+  DistanceCache cache(options);
 
-    constexpr int kThreads = 4;
-    constexpr int kOps = 4000;
-    constexpr int32_t kKeySpace = 512;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&cache, t]() {
-        for (int i = 0; i < kOps; ++i) {
-          const int32_t a = static_cast<int32_t>((i * 37 + t * 11) % kKeySpace);
-          const int32_t b = static_cast<int32_t>((i * 13) % kKeySpace);
-          double out;
-          if (cache.LookupScalar(CacheKind::kIpDoorPair, a, b, &out)) {
-            ASSERT_EQ(out, a * 1000.0 + b);
-          } else {
-            cache.InsertScalar(CacheKind::kIpDoorPair, a, b, a * 1000.0 + b);
-          }
+  constexpr int kThreads = 4;
+  constexpr int kOps = 4000;
+  constexpr int32_t kKeySpace = 512;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, t]() {
+      for (int i = 0; i < kOps; ++i) {
+        const int32_t a = static_cast<int32_t>((i * 37 + t * 11) % kKeySpace);
+        const int32_t b = static_cast<int32_t>((i * 13) % kKeySpace);
+        double out;
+        if (cache.LookupScalar(CacheKind::kIpDoorPair, a, b, &out)) {
+          ASSERT_EQ(out, a * 1000.0 + b);
+        } else {
+          cache.InsertScalar(CacheKind::kIpDoorPair, a, b, a * 1000.0 + b);
         }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-
-    const CacheCounters counters = cache.Counters();
-    EXPECT_EQ(counters.lookups(), static_cast<uint64_t>(kThreads) * kOps);
-    EXPECT_LE(cache.Size(), options.capacity);
+      }
+    });
   }
+  for (std::thread& thread : threads) thread.join();
+
+  const CacheCounters counters = cache.Counters();
+  EXPECT_EQ(counters.lookups(), static_cast<uint64_t>(kThreads) * kOps);
+  EXPECT_LE(cache.Size(), options.capacity);
 }
 
 // Regression for the unchecked LCA index lookups in the DoorDistance join
@@ -260,7 +204,7 @@ TEST(DistanceCacheTest, MultiLeafBoundaryDoorDistances) {
     const VIPTree vip = VIPTree::Build(venue, graph, {.min_degree = 2});
     ASSERT_GT(tree.num_leaves(), 1u) << "seed " << seed;
 
-    DistanceCache cache(SingleShard(1 << 14, CachePolicy::k2Q));
+    DistanceCache cache(SingleShard(1 << 14));
     IPDistanceQuery ip_plain(tree);
     IPDistanceQuery ip_cached(tree, {}, &cache);
     VIPDistanceQuery vip_plain(vip);

@@ -93,11 +93,11 @@ TEST_F(EngineTest, TypedResultsCarryTheRightFields) {
           .empty());
 }
 
-TEST_F(EngineTest, BatchSchedulingIsIndependentOfThreadAndShardCounts) {
+TEST_F(EngineTest, BatchSchedulingIsIndependentOfThreadCount) {
   const eng::QueryEngine engine = MakeEngine(6);
   Rng rng(11);
   std::vector<eng::Query> batch;
-  for (int i = 0; i < 37; ++i) {  // deliberately not a multiple of a shard
+  for (int i = 0; i < 37; ++i) {  // deliberately prime: uneven splits
     const IndoorPoint a = synth::RandomIndoorPoint(venue_, rng);
     const IndoorPoint b = synth::RandomIndoorPoint(venue_, rng);
     batch.push_back(i % 2 == 0 ? eng::Query::Distance(a, b)
@@ -106,18 +106,14 @@ TEST_F(EngineTest, BatchSchedulingIsIndependentOfThreadAndShardCounts) {
   const std::vector<eng::Result> reference = engine.RunSequential(batch);
 
   for (const size_t threads : {1u, 2u, 3u, 8u, 64u}) {
-    for (const size_t shard : {1u, 4u, 1000u}) {
-      eng::BatchOptions options;
-      options.num_threads = threads;
-      options.shard_size = shard;
-      const eng::BatchResult run = engine.RunBatch(batch, options);
-      ASSERT_EQ(run.results.size(), reference.size());
-      for (size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(run.results[i].distance, reference[i].distance)
-            << "threads=" << threads << " shard=" << shard << " i=" << i;
-        ASSERT_EQ(run.results[i].objects.size(),
-                  reference[i].objects.size());
-      }
+    eng::BatchOptions options;
+    options.num_threads = threads;
+    const eng::BatchResult run = engine.RunBatch(batch, options);
+    ASSERT_EQ(run.results.size(), reference.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(run.results[i].distance, reference[i].distance)
+          << "threads=" << threads << " i=" << i;
+      ASSERT_EQ(run.results[i].objects.size(), reference[i].objects.size());
     }
   }
 }

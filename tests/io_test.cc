@@ -276,9 +276,25 @@ TEST_F(SnapshotRejectionTest, EmptyAndTinyFiles) {
 }
 
 TEST_F(SnapshotRejectionTest, WrongVersion) {
-  std::vector<uint8_t> bytes = *bytes_;
-  bytes[8] = 99;  // version u32 follows the 8-byte magic
-  ExpectRejected(bytes, "unsupported snapshot format version 99");
+  // 1 is the retired pre-TOC layout, 3 and 99 are from the future; all are
+  // rejected up front by both the loader and the install-time verifier.
+  for (const uint8_t version : {1, 3, 99}) {
+    std::vector<uint8_t> bytes = *bytes_;
+    bytes[8] = version;  // version u32 follows the 8-byte magic
+    const std::string expect = "unsupported snapshot format version " +
+                               std::to_string(version) +
+                               " (this build reads version 2)";
+    ExpectRejected(bytes, expect);
+
+    const std::string path = TempPath("wrong_version");
+    ASSERT_TRUE(io::WriteFileBytes(path, bytes).ok());
+    io::SnapshotVerifyReport report;
+    const io::Status status = io::VerifySnapshotFile(path, &report);
+    std::remove(path.c_str());
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.error.find(expect), std::string::npos) << status.error;
+    EXPECT_TRUE(report.sections.empty());
+  }
 }
 
 TEST_F(SnapshotRejectionTest, TruncationAtEveryRegionIsRejected) {
@@ -522,70 +538,6 @@ TEST_F(SnapshotRejectionTest, RandomizedRegionFuzzIsAlwaysClean) {
 }
 
 // ---------------------------------------------------------------------------
-// Format-v1 compatibility: snapshots written in the legacy layout must keep
-// loading through the copying path, and damaged v1 files must still be
-// rejected cleanly.
-// ---------------------------------------------------------------------------
-
-TEST(SnapshotV1CompatTest, V1SnapshotLoadsViaTheCopyingPath) {
-  Venue venue = synth::RandomVenue(11);
-  Rng rng(5);
-  std::vector<IndoorPoint> objects = synth::PlaceObjects(venue, 6, rng);
-  const eng::VenueBundle bundle =
-      eng::VenueBundle::Build(std::move(venue), std::move(objects));
-
-  const std::string path = TempPath("v1");
-  io::SnapshotWriteOptions v1;
-  v1.version = io::kLegacyFormatVersion;
-  ASSERT_TRUE(bundle.Save(path, v1).ok());
-
-  std::string error;
-  const std::optional<eng::VenueBundle> loaded =
-      eng::VenueBundle::TryLoad(path, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  // v1 decodes into owned buffers: no arena is retained.
-  EXPECT_FALSE(loaded->zero_copy());
-  EXPECT_EQ(loaded->venue().NumDoors(), bundle.venue().NumDoors());
-
-  // Re-saving the loaded bundle produces a v2 snapshot (the upgrade path),
-  // which loads zero-copy.
-  const std::string path2 = TempPath("v1_to_v2");
-  ASSERT_TRUE(loaded->Save(path2).ok());
-  const std::optional<eng::VenueBundle> upgraded =
-      eng::VenueBundle::TryLoad(path2, &error);
-  std::remove(path2.c_str());
-  ASSERT_TRUE(upgraded.has_value()) << error;
-  EXPECT_TRUE(upgraded->zero_copy());
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotV1CompatTest, DamagedV1SnapshotIsRejected) {
-  Venue venue = synth::RandomVenue(11);
-  const eng::VenueBundle bundle =
-      eng::VenueBundle::Build(std::move(venue), /*objects=*/{});
-  const std::string path = TempPath("v1_damage");
-  io::SnapshotWriteOptions v1;
-  v1.version = io::kLegacyFormatVersion;
-  ASSERT_TRUE(bundle.Save(path, v1).ok());
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(io::ReadFileBytes(path, &bytes).ok());
-  std::remove(path.c_str());
-
-  bytes[bytes.size() / 2] ^= 0x10;
-  ExpectRejected(bytes, "checksum mismatch");
-  bytes[bytes.size() / 2] ^= 0x10;  // restore
-  std::vector<uint8_t> truncated(bytes.begin(),
-                                 bytes.begin() + static_cast<long>(
-                                                     bytes.size() * 2 / 3));
-  const std::string tpath = TempPath("v1_trunc");
-  ASSERT_TRUE(io::WriteFileBytes(tpath, truncated).ok());
-  std::string error;
-  EXPECT_FALSE(eng::VenueBundle::TryLoad(tpath, &error).has_value());
-  EXPECT_FALSE(error.empty());
-  std::remove(tpath.c_str());
-}
-
-// ---------------------------------------------------------------------------
 // Install-time checksum verification (`viptree_build --verify`): every
 // section CRC re-checked without decoding, per-section report.
 // ---------------------------------------------------------------------------
@@ -635,31 +587,6 @@ TEST_F(SnapshotRejectionTest, VerifySnapshotFileFlagsCorruptedSections) {
   std::remove(tpath.c_str());
 }
 
-TEST(SnapshotV1CompatTest, VerifySnapshotFileHandlesV1) {
-  Venue venue = synth::RandomVenue(11);
-  const eng::VenueBundle bundle =
-      eng::VenueBundle::Build(std::move(venue), /*objects=*/{});
-  const std::string path = TempPath("verify_v1");
-  io::SnapshotWriteOptions v1;
-  v1.version = io::kLegacyFormatVersion;
-  ASSERT_TRUE(bundle.Save(path, v1).ok());
-
-  io::SnapshotVerifyReport report;
-  EXPECT_TRUE(io::VerifySnapshotFile(path, &report).ok());
-  EXPECT_EQ(report.format_version, io::kLegacyFormatVersion);
-  EXPECT_EQ(report.sections.size(), 6u);  // no keywords in this fixture
-
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(io::ReadFileBytes(path, &bytes).ok());
-  bytes[bytes.size() / 2] ^= 0x10;
-  ASSERT_TRUE(io::WriteFileBytes(path, bytes).ok());
-  const io::Status status = io::VerifySnapshotFile(path, &report);
-  std::remove(path.c_str());
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.error.find("checksum mismatch"), std::string::npos)
-      << status.error;
-}
-
 TEST_F(SnapshotRejectionTest, DefaultSaveLoadsZeroCopy) {
   const std::string path = TempPath("zero_copy");
   ASSERT_TRUE(io::WriteFileBytes(path, *bytes_).ok());
@@ -683,22 +610,24 @@ TEST_F(SnapshotRejectionTest, DefaultSaveLoadsZeroCopy) {
 }
 
 // ---------------------------------------------------------------------------
-// MmapArena madvise policies and page-residency control.
+// MmapArena page-residency control.
 // ---------------------------------------------------------------------------
 
 TEST(MmapArenaPolicyTest, EveryPolicyMapsAndReadsIdenticalBytes) {
+  // Both ways the arena can hold a file — mapped, or read into the heap —
+  // must expose the same bytes.
   const std::string path = TempPath("arena_policy");
   std::vector<uint8_t> payload(4096 * 3 + 17);
   for (size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<uint8_t>(i * 31 + 7);
   }
   ASSERT_TRUE(io::WriteFileBytes(path, payload).ok());
-  for (const io::MadvisePolicy policy :
-       {io::MadvisePolicy::kNormal, io::MadvisePolicy::kSequential,
-        io::MadvisePolicy::kRandom, io::MadvisePolicy::kDontneedOnRelease}) {
+  for (const bool allow_mmap : {true, false}) {
     io::MmapArena arena;
-    ASSERT_TRUE(io::MmapArena::Map(path, &arena, true, policy).ok());
-    EXPECT_EQ(arena.policy(), policy);
+    ASSERT_TRUE(io::MmapArena::Map(path, &arena, allow_mmap).ok());
+    if (!allow_mmap) {
+      EXPECT_FALSE(arena.mapped());
+    }
     ASSERT_EQ(arena.size(), payload.size());
     EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
                            arena.bytes().begin()));
@@ -714,9 +643,7 @@ TEST(MmapArenaPolicyTest, DropResidentPagesKeepsBytesReadable) {
   }
   ASSERT_TRUE(io::WriteFileBytes(path, payload).ok());
   io::MmapArena arena;
-  ASSERT_TRUE(io::MmapArena::Map(path, &arena, true,
-                                 io::MadvisePolicy::kDontneedOnRelease)
-                  .ok());
+  ASSERT_TRUE(io::MmapArena::Map(path, &arena).ok());
   if (arena.mapped()) {
     // Touch every page, drop them all, then re-read: the private read-only
     // mapping must re-fault identical bytes from the file.
@@ -747,7 +674,7 @@ TEST(MmapArenaPolicyTest, HeapFallbackIsAlignedAndDropIsANoop) {
 }
 
 TEST(MmapArenaPolicyTest, RegistryEvictionDropsPagesUnderDontneedPolicy) {
-  // End-to-end: a registry configured with kDontneedOnRelease serves a
+  // End-to-end: a registry configured with drop_pages_on_evict serves a
   // venue, evicts it while a caller still holds the bundle, and the
   // outstanding bundle keeps answering (pages re-fault on demand).
   Venue venue = synth::RandomVenue(21);
@@ -762,7 +689,7 @@ TEST(MmapArenaPolicyTest, RegistryEvictionDropsPagesUnderDontneedPolicy) {
       eng::VenueRegistry::UpsertManifestEntry(manifest, "v", snap).ok());
 
   eng::VenueBundle::LoadOptions load;
-  load.madvise = io::MadvisePolicy::kDontneedOnRelease;
+  load.drop_pages_on_evict = true;
   std::string error;
   std::optional<eng::VenueRegistry> registry =
       eng::VenueRegistry::Open(manifest, &error, load);

@@ -4,8 +4,9 @@
 // boolean-kNN queries and live-object delta publishes must produce
 // EXACTLY (==, not NEAR) the same distances, door sequences and object
 // ids under forced-scalar and default dispatch. A second sweep loads the
-// same snapshot under every MmapArena madvise policy — page-cache advice
-// must be just as invisible in the output as the instruction set. On
+// same snapshot and replays it with and without its mapped pages dropped
+// (madvise) — page residency must be just as invisible in the output as
+// the instruction set. On
 // hosts without AVX2 both dispatch runs take the scalar path and the
 // suite degenerates to a determinism check.
 
@@ -176,8 +177,8 @@ TEST_P(KernelDifferentialTest, ScalarAndDispatchBitIdenticalWithUpdates) {
                      seed);
 }
 
-// Snapshot round trip under every madvise policy, each replayed under
-// both dispatch modes, all compared against the in-memory scalar
+// Snapshot round trip with and without the mapped pages dropped, each
+// replayed under both dispatch modes, all compared against the in-memory scalar
 // reference — the mmap'd (8-byte-aligned, arena-aliased) rows must feed
 // the kernels exactly like the owning 64-byte buffers do.
 TEST_P(KernelDifferentialTest, MadvisePoliciesBitIdenticalOnBothPaths) {
@@ -204,15 +205,14 @@ TEST_P(KernelDifferentialTest, MadvisePoliciesBitIdenticalOnBothPaths) {
     reference = Replay(engine, steps);
   }
 
-  const io::MadvisePolicy policies[] = {
-      io::MadvisePolicy::kNormal, io::MadvisePolicy::kSequential,
-      io::MadvisePolicy::kRandom, io::MadvisePolicy::kDontneedOnRelease};
-  for (const io::MadvisePolicy policy : policies) {
+  // Default paging, then with every mapped page handed back to the OS
+  // (MADV_DONTNEED, as registry eviction under drop_pages_on_evict does)
+  // before the replay, so every row the kernels read is re-faulted.
+  for (const bool drop_pages : {false, true}) {
     for (const bool force : {true, false}) {
       ScalarGuard guard(force);
-      eng::VenueBundle::LoadOptions load;
-      load.madvise = policy;
-      eng::QueryEngine engine(eng::VenueBundle::Load(path, load));
+      eng::QueryEngine engine(eng::VenueBundle::Load(path));
+      if (drop_pages) engine.bundle().ReleaseResidentPages();
       const std::vector<eng::Result> results = Replay(engine, steps);
       ExpectBitIdentical(results, reference,
                          force ? "mmap-scalar" : "mmap-dispatch", seed);

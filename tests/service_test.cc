@@ -177,7 +177,9 @@ TEST_F(ServiceTest, WaitAllCountsOnlyOkOverMixedOutcomes) {
   EXPECT_EQ(eng::Service::WaitAll(tickets), 6u);
   // WaitAll is a barrier: every valid ticket is terminal afterwards.
   for (const eng::Ticket& ticket : tickets) {
-    if (ticket.valid()) EXPECT_TRUE(ticket.Done());
+    if (ticket.valid()) {
+      EXPECT_TRUE(ticket.Done());
+    }
   }
   service.Stop();
 }

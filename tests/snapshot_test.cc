@@ -122,21 +122,21 @@ TEST_P(SnapshotRoundTripTest, LoadedEngineAnswersIdentically) {
       eng::QueryEngine::TryLoad(path, &error);
   std::remove(path.c_str());
   ASSERT_NE(loaded, nullptr) << error;
-  // The default save is format v2 and loads through the zero-copy arena.
+  // The default load maps the file and aliases the index into it.
   EXPECT_TRUE(loaded->bundle().zero_copy());
 
-  // The same bundle written in the legacy v1 layout must load through the
-  // copying path and answer just as bit-identically.
-  const std::string v1_path = TempSnapshotPath(seed + 5000);
-  io::SnapshotWriteOptions v1;
-  v1.version = io::kLegacyFormatVersion;
-  ASSERT_TRUE(built.bundle().Save(v1_path, v1).ok());
-  std::optional<eng::VenueBundle> v1_bundle =
-      eng::VenueBundle::TryLoad(v1_path, &error);
-  std::remove(v1_path.c_str());
-  ASSERT_TRUE(v1_bundle.has_value()) << error;
-  EXPECT_FALSE(v1_bundle->zero_copy());
-  const eng::QueryEngine v1_loaded(std::move(*v1_bundle));
+  // The read-into-heap load with the full per-cell validation sweep must
+  // answer just as bit-identically.
+  const std::string heap_path = TempSnapshotPath(seed + 5000);
+  ASSERT_TRUE(built.bundle().Save(heap_path).ok());
+  eng::VenueBundle::LoadOptions heap_options;
+  heap_options.use_mmap = false;
+  heap_options.deep_validate = true;
+  std::optional<eng::VenueBundle> heap_bundle =
+      eng::VenueBundle::TryLoad(heap_path, &error, heap_options);
+  std::remove(heap_path.c_str());
+  ASSERT_TRUE(heap_bundle.has_value()) << error;
+  const eng::QueryEngine heap_loaded(std::move(*heap_bundle));
 
   // The loaded bundle mirrors the built one structurally...
   EXPECT_EQ(loaded->venue().NumPartitions(), built.venue().NumPartitions());
@@ -150,12 +150,12 @@ TEST_P(SnapshotRoundTripTest, LoadedEngineAnswersIdentically) {
   EXPECT_EQ(loaded->has_keywords(), with_keywords);
 
   // ...and answers the whole mixed workload bit-identically — through both
-  // the zero-copy v2 load and the copying v1 load.
+  // the mapped load and the heap-read, deep-validated load.
   const std::vector<eng::Query> queries =
       MixedWorkload(built.venue(), seed, with_keywords);
   const std::vector<eng::Result> built_results = built.RunSequential(queries);
   ExpectIdenticalResults(built_results, loaded->RunSequential(queries), seed);
-  ExpectIdenticalResults(built_results, v1_loaded.RunSequential(queries),
+  ExpectIdenticalResults(built_results, heap_loaded.RunSequential(queries),
                          seed);
 }
 

@@ -255,13 +255,12 @@ TEST(UpdateStressTest, ConcurrentWritersSerializeCleanly) {
 // Distance answers are epoch-independent, so each reader can check its
 // own cached distance queries for exact self-consistency while kNN churns
 // the snapshot underneath; TSan (ctest -L update / -L cache) watches the
-// shard locks and policy lists.
+// shard locks and recency lists.
 TEST(UpdateStressTest, ReadersShareCacheUnderWriterChurn) {
   eng::EngineOptions bundle_options;
   bundle_options.cache.enabled = true;
   bundle_options.cache.capacity = 128;  // heavy eviction pressure
   bundle_options.cache.shards = 2;
-  bundle_options.cache.policy = CachePolicy::k2Q;
   const std::shared_ptr<const eng::VenueBundle> bundle =
       MakeBundle(29, bundle_options);
   ASSERT_NE(bundle->distance_cache(), nullptr);

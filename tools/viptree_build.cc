@@ -20,8 +20,6 @@
 // `viptree_query --registry ... --venue ...`.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -29,6 +27,7 @@
 #include "common/stats.h"
 #include "engine/venue_bundle.h"
 #include "engine/venue_registry.h"
+#include "flags.h"
 #include "synth/objects.h"
 #include "synth/presets.h"
 #include "synth/random_venue.h"
@@ -47,7 +46,6 @@ struct Args {
   size_t objects = 32;
   size_t keyword_tags = 0;  // 0 = no keyword index
   int min_degree = 2;
-  uint32_t format_version = io::kFormatVersion;
   std::string registry;   // manifest path; empty = no registration
   std::string venue_id;   // id for the manifest entry
 };
@@ -57,7 +55,7 @@ void Usage(const char* argv0) {
       stderr,
       "usage: %s --out PATH (--preset NAME [--scale S] | --seed N)\n"
       "          [--objects N] [--keyword-tags K] [--min-degree T]\n"
-      "          [--format-version V] [--registry MANIFEST [--venue-id ID]]\n"
+      "          [--registry MANIFEST [--venue-id ID]]\n"
       "       %s --verify SNAPSHOT\n"
       "\n"
       "Builds a VIP-Tree serving bundle and writes it as a snapshot.\n"
@@ -72,8 +70,6 @@ void Usage(const char* argv0) {
       "  --keyword-tags K    tag objects round-robin with K keywords\n"
       "                      (tag-0..tag-K-1) and build the keyword index\n"
       "  --min-degree T      Algorithm 1 minimum degree t (default 2)\n"
-      "  --format-version V  snapshot format: 2 (zero-copy mmap load,\n"
-      "                      default) or 1 (legacy copying load)\n"
       "  --registry MANIFEST register the snapshot in this manifest for\n"
       "                      multi-venue serving (created if missing)\n"
       "  --venue-id ID       manifest id (default: derived from the\n"
@@ -104,23 +100,30 @@ bool Parse(int argc, char** argv, Args* args) {
       args->preset = v;
     } else if (flag == "--scale") {
       if ((v = value()) == nullptr) return false;
-      args->scale = std::atof(v);
+      if (!tools::ParseNonNegativeFlag(argv[0], flag, v, &args->scale)) {
+        return false;
+      }
     } else if (flag == "--seed") {
       if ((v = value()) == nullptr) return false;
       args->has_seed = true;
-      args->seed = std::strtoull(v, nullptr, 10);
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->seed)) {
+        return false;
+      }
     } else if (flag == "--objects") {
       if ((v = value()) == nullptr) return false;
-      args->objects = static_cast<size_t>(std::atol(v));
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->objects)) {
+        return false;
+      }
     } else if (flag == "--keyword-tags") {
       if ((v = value()) == nullptr) return false;
-      args->keyword_tags = static_cast<size_t>(std::atol(v));
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->keyword_tags)) {
+        return false;
+      }
     } else if (flag == "--min-degree") {
       if ((v = value()) == nullptr) return false;
-      args->min_degree = std::atoi(v);
-    } else if (flag == "--format-version") {
-      if ((v = value()) == nullptr) return false;
-      args->format_version = static_cast<uint32_t>(std::atol(v));
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->min_degree)) {
+        return false;
+      }
     } else if (flag == "--registry") {
       if ((v = value()) == nullptr) return false;
       args->registry = v;
@@ -154,11 +157,6 @@ bool Parse(int argc, char** argv, Args* args) {
   }
   if (args->min_degree < 2) {
     std::fprintf(stderr, "%s: --min-degree must be at least 2\n", argv[0]);
-    return false;
-  }
-  if (args->format_version != io::kFormatVersion &&
-      args->format_version != io::kLegacyFormatVersion) {
-    std::fprintf(stderr, "%s: --format-version must be 1 or 2\n", argv[0]);
     return false;
   }
   if (!args->venue_id.empty() && args->registry.empty()) {
@@ -238,9 +236,7 @@ int main(int argc, char** argv) {
               bundle.has_keywords() ? ", keyword index" : "");
 
   Timer save_timer;
-  io::SnapshotWriteOptions write_options;
-  write_options.version = args.format_version;
-  const io::Status status = bundle.Save(args.out, write_options);
+  const io::Status status = bundle.Save(args.out);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.error.c_str());
     return 1;
@@ -255,7 +251,7 @@ int main(int argc, char** argv) {
   std::printf("snapshot written to %s in %.1f ms (%s, format v%u)\n",
               args.out.c_str(), save_timer.ElapsedMillis(),
               HumanBytes(static_cast<uint64_t>(snapshot_bytes)).c_str(),
-              args.format_version);
+              io::kFormatVersion);
 
   if (!args.registry.empty()) {
     // The registry resolves relative snapshot paths against the manifest's

@@ -40,7 +40,6 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <iostream>
@@ -56,6 +55,7 @@
 #include "engine/service.h"
 #include "engine/venue_registry.h"
 #include "engine/workload_text.h"
+#include "flags.h"
 #include "net/client.h"
 #include "net/shard_server.h"
 #include "net/wire.h"
@@ -86,7 +86,6 @@ struct Args {
   // Cross-request distance cache (core/distance_cache.h). Off by default:
   // the cache only pays off on workloads that repeat door pairs.
   bool cache = false;
-  CachePolicy cache_policy = CachePolicy::kLru;
   size_t cache_capacity = DistanceCacheOptions{}.capacity;
   // Execution-planner coalescing (engine/exec_plan.h). Off by default:
   // batch mode forwards it to RunBatch, serve mode to the Service workers.
@@ -100,13 +99,13 @@ void Usage(const char* argv0) {
       "usage: %s (--snapshot PATH | --registry MANIFEST --venue ID)\n"
       "          [--queries N] [--threads T] [--seed S]\n"
       "          [--mix mixed|distance|path|knn|range]\n"
-      "          [--cache] [--cache-policy lru|2q|s2q] [--cache-capacity N]\n"
+      "          [--cache] [--cache-capacity N]\n"
       "          [--coalesce] [--coalesce-window K]\n"
       "          [--emit-workload [--updates U]]\n"
       "       %s (--snapshot PATH | --registry MANIFEST) --serve\n"
       "          [--input FILE] [--threads T] [--deadline-ms D]\n"
-      "          [--queue-capacity C] [--cache] [--cache-policy P]\n"
-      "          [--cache-capacity N] [--coalesce] [--coalesce-window K]\n"
+      "          [--queue-capacity C] [--cache] [--cache-capacity N]\n"
+      "          [--coalesce] [--coalesce-window K]\n"
       "       %s (--snapshot PATH | --registry MANIFEST) --listen PORT\n"
       "          [--threads T] [--queue-capacity C] [--cache] [--coalesce]\n"
       "       %s --connect HOST:PORT [--input FILE] [--deadline-ms D]\n"
@@ -129,13 +128,12 @@ void Usage(const char* argv0) {
       "10%% boolean keyword kNN (keyword queries fall back to kNN when\n"
       "the snapshot has no keyword index). --cache turns on the exact\n"
       "cross-request door-pair distance cache (results are bit-identical\n"
-      "with and without it); --cache-policy picks the eviction policy;\n"
-      "--cache-capacity 0 (default) sizes the cache from the venue's\n"
-      "door count. --coalesce turns on the execution planner: workers\n"
-      "pull up to --coalesce-window K (default %zu) queued same-venue\n"
-      "queries into one group and share their source ascents through the\n"
-      "multi-target kernels — results stay bit-identical to sequential\n"
-      "execution.\n",
+      "with and without it; LRU eviction); --cache-capacity 0 (default)\n"
+      "sizes the cache from the venue's door count. --coalesce turns on\n"
+      "the execution planner: workers pull up to --coalesce-window K\n"
+      "(default %zu) queued same-venue queries into one group and share\n"
+      "their source ascents through the multi-target kernels — results\n"
+      "stay bit-identical to sequential execution.\n",
       argv0, argv0, argv0, argv0, argv0, eng::CoalesceOptions{}.window);
 }
 
@@ -168,10 +166,8 @@ bool Parse(int argc, char** argv, Args* args) {
       args->emit_workload = true;
     } else if (flag == "--listen") {
       if ((v = value()) == nullptr) return false;
-      args->listen_port = std::atoi(v);
-      if (args->listen_port < 0 || args->listen_port > 65535) {
-        std::fprintf(stderr, "%s: --listen wants a port in [0, 65535]\n",
-                     argv[0]);
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->listen_port,
+                                    65535)) {
         return false;
       }
     } else if (flag == "--connect") {
@@ -182,44 +178,52 @@ bool Parse(int argc, char** argv, Args* args) {
       args->input = v;
     } else if (flag == "--deadline-ms") {
       if ((v = value()) == nullptr) return false;
-      args->deadline_ms = std::atof(v);
+      if (!tools::ParseNonNegativeFlag(argv[0], flag, v, &args->deadline_ms)) {
+        return false;
+      }
     } else if (flag == "--queue-capacity") {
       if ((v = value()) == nullptr) return false;
-      args->queue_capacity = static_cast<size_t>(std::atol(v));
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->queue_capacity)) {
+        return false;
+      }
     } else if (flag == "--queries") {
       if ((v = value()) == nullptr) return false;
-      args->queries = static_cast<size_t>(std::atol(v));
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->queries)) {
+        return false;
+      }
     } else if (flag == "--updates") {
       if ((v = value()) == nullptr) return false;
-      args->updates = static_cast<size_t>(std::atol(v));
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->updates)) {
+        return false;
+      }
     } else if (flag == "--threads") {
       if ((v = value()) == nullptr) return false;
-      args->threads = static_cast<size_t>(std::atol(v));
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->threads)) {
+        return false;
+      }
     } else if (flag == "--seed") {
       if ((v = value()) == nullptr) return false;
-      args->seed = std::strtoull(v, nullptr, 10);
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->seed)) {
+        return false;
+      }
     } else if (flag == "--mix") {
       if ((v = value()) == nullptr) return false;
       args->mix = v;
     } else if (flag == "--cache") {
       args->cache = true;
-    } else if (flag == "--cache-policy") {
-      if ((v = value()) == nullptr) return false;
-      if (!ParseCachePolicy(v, &args->cache_policy)) {
-        std::fprintf(stderr, "%s: unknown --cache-policy '%s' "
-                     "(expected lru, 2q or s2q)\n", argv[0], v);
-        return false;
-      }
-      args->cache = true;  // naming a policy implies --cache
     } else if (flag == "--cache-capacity") {
       if ((v = value()) == nullptr) return false;
-      args->cache_capacity = static_cast<size_t>(std::atol(v));
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->cache_capacity)) {
+        return false;
+      }
       args->cache = true;
     } else if (flag == "--coalesce") {
       args->coalesce = true;
     } else if (flag == "--coalesce-window") {
       if ((v = value()) == nullptr) return false;
-      args->coalesce_window = static_cast<size_t>(std::atol(v));
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->coalesce_window)) {
+        return false;
+      }
       args->coalesce = true;  // naming a window implies --coalesce
     } else if (flag == "--help" || flag == "-h") {
       Usage(argv[0]);
@@ -295,7 +299,6 @@ bool Parse(int argc, char** argv, Args* args) {
 DistanceCacheOptions CacheOptionsFrom(const Args& args) {
   DistanceCacheOptions options;
   options.enabled = args.cache;
-  options.policy = args.cache_policy;
   options.capacity = args.cache_capacity;
   return options;
 }
@@ -356,10 +359,9 @@ void PrintPlanStats(const eng::PlanStats& plan) {
   std::printf("\n");
 }
 
-void PrintCacheStats(const CacheCounters& cache, CachePolicy policy) {
-  std::printf("  cache (%s)    %llu hits, %llu misses (%.1f%% hit rate), "
+void PrintCacheStats(const CacheCounters& cache) {
+  std::printf("  cache          %llu hits, %llu misses (%.1f%% hit rate), "
               "%llu evictions\n",
-              CachePolicyName(policy),
               static_cast<unsigned long long>(cache.hits),
               static_cast<unsigned long long>(cache.misses),
               100.0 * cache.hit_rate(),
@@ -570,7 +572,7 @@ int ServeMain(const Args& args, std::optional<eng::VenueRegistry> registry) {
   if (stats.updates > 0) {
     std::printf("  update p99    %10.2f us\n", stats.update_micros.p99);
   }
-  if (args.cache) PrintCacheStats(stats.cache, args.cache_policy);
+  if (args.cache) PrintCacheStats(stats.cache);
   if (args.coalesce) PrintPlanStats(stats.plan);
   for (const auto& [venue_id, counters] : stats.per_venue) {
     std::printf("  venue %-12s %llu ok, %llu updates, %llu expired, "
@@ -896,7 +898,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.visited_nodes));
   if (args.coalesce) PrintPlanStats(stats.plan);
   if (args.cache) {
-    PrintCacheStats(engine->distance_cache()->Counters(), args.cache_policy);
+    PrintCacheStats(engine->distance_cache()->Counters());
   }
   return 0;
 }

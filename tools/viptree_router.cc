@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "engine/venue_registry.h"
+#include "flags.h"
 #include "net/router.h"
 
 namespace {
@@ -87,24 +88,34 @@ bool Parse(int argc, char** argv, Args* args) {
       args->manifest = v;
     } else if (flag == "--listen") {
       if ((v = value()) == nullptr) return false;
-      args->listen_port = std::atoi(v);
-      if (args->listen_port < 0 || args->listen_port > 65535) {
-        std::fprintf(stderr, "%s: --listen wants a port in [0, 65535]\n",
-                     argv[0]);
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->listen_port,
+                                    65535)) {
         return false;
       }
     } else if (flag == "--pool") {
       if ((v = value()) == nullptr) return false;
-      args->options.pool_size = static_cast<size_t>(std::atol(v));
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v,
+                                    &args->options.pool_size)) {
+        return false;
+      }
     } else if (flag == "--probe-interval-ms") {
       if ((v = value()) == nullptr) return false;
-      args->options.probe_interval_ms = std::atof(v);
+      if (!tools::ParseNonNegativeFlag(argv[0], flag, v,
+                                       &args->options.probe_interval_ms)) {
+        return false;
+      }
     } else if (flag == "--probe-miss-limit") {
       if ((v = value()) == nullptr) return false;
-      args->options.probe_miss_limit = static_cast<size_t>(std::atol(v));
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v,
+                                    &args->options.probe_miss_limit)) {
+        return false;
+      }
     } else if (flag == "--max-attempts") {
       if ((v = value()) == nullptr) return false;
-      args->options.max_attempts = static_cast<size_t>(std::atol(v));
+      if (!tools::ParseUnsignedFlag(argv[0], flag, v,
+                                    &args->options.max_attempts)) {
+        return false;
+      }
     } else if (flag == "--print-assignments") {
       args->print_assignments = true;
     } else if (flag == "--help" || flag == "-h") {
