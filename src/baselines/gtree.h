@@ -60,8 +60,6 @@ class GTree {
   std::vector<GTreeObjectResult> Range(const IndoorPoint& q, double radius);
 
   uint64_t MemoryBytes() const;
-  size_t NumNodes() const { return nodes_.size(); }
-  size_t NumLeaves() const { return num_leaves_; }
 
  private:
   // ROAD reuses the hierarchy and shortcut matrices (docs/ARCHITECTURE.md).

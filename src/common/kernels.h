@@ -99,12 +99,6 @@ inline void PrefetchRead(const void* p) {
 #endif
 }
 
-// Prefetches the first `bytes` of a buffer, one cache line at a time.
-inline void PrefetchReadRange(const void* p, size_t bytes) {
-  const char* c = static_cast<const char*>(p);
-  for (size_t off = 0; off < bytes; off += 64) PrefetchRead(c + off);
-}
-
 // --- Dispatch control. --------------------------------------------------
 
 // True when the AVX2 paths are active (CPU support present, not forced

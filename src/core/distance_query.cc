@@ -278,43 +278,6 @@ double IPDistanceQuery::Distance(const IndoorPoint& s,
   return best;
 }
 
-double IPDistanceQuery::DistanceWithAscent(const IndoorPoint& s,
-                                           const AscentDistances& ascent,
-                                           const IndoorPoint& t) const {
-  const NodeId ls = tree_.LeafOfPartition(s.partition);
-  VIPTREE_DCHECK(!ascent.chain.empty() && ascent.chain[0] == ls);
-  const NodeId lt = tree_.LeafOfPartition(t.partition);
-  if (ls == lt) return LocalDistance(QuerySource::Point(s), t);
-
-  const NodeId lca = tree_.Lca(ls, lt);
-  const NodeId ns = ChildToward(tree_, lca, ls);
-  const NodeId nt = ChildToward(tree_, lca, lt);
-  // The ascent's row for ns is the iteration prefix GetDistances(s, ns)
-  // would have produced, so reading it here is bit-identical to Distance.
-  size_t pos = 0;
-  while (pos < ascent.chain.size() && ascent.chain[pos] != ns) ++pos;
-  VIPTREE_CHECK_MSG(pos < ascent.chain.size(),
-                    "precomputed ascent does not cover the LCA join child");
-  const std::vector<double>& sd = ascent.ad_dist[pos];
-  const AscentDistances at = GetDistances(QuerySource::Point(t), nt);
-  const std::vector<double>& td = at.ad_dist.back();
-
-  const TreeNode& lca_node = tree_.node(lca);
-  const TreeNode& ns_node = tree_.node(ns);
-  const TreeNode& nt_node = tree_.node(nt);
-  AccessDoorIndexMap(lca, ns, row_idx_);
-  AccessDoorIndexMap(lca, nt, col_idx_);
-  double best = kInfDistance;
-  for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
-    if (sd[i] == kInfDistance) continue;
-    const double cand = kernels::JoinMinIndexedF32(
-        sd[i], lca_node.dist.row(static_cast<size_t>(row_idx_[i])).data(),
-        col_idx_.data(), td.data(), nt_node.access_doors.size());
-    if (cand < best) best = cand;
-  }
-  return best;
-}
-
 double IPDistanceQuery::DoorDistance(DoorId s, DoorId t) const {
   if (s == t) return 0.0;
   // The (s, t) key is kept ordered: the join sums associate differently for

@@ -91,16 +91,6 @@ class IPDistanceQuery {
   // which must be an ancestor of (or equal to) the source's leaf.
   AscentDistances GetDistances(const QuerySource& source, NodeId target) const;
 
-  // Algorithm 3 with the source ascent precomputed (typically once per
-  // source via GetDistances(Point(s), tree().root()) and reused across
-  // many targets by the execution planner). `ascent` must start at
-  // Leaf(s); the row for the LCA join child is the iteration prefix the
-  // per-query ascent would have produced, so the result is bit-identical
-  // to Distance(s, t).
-  double DistanceWithAscent(const IndoorPoint& s,
-                            const AscentDistances& ascent,
-                            const IndoorPoint& t) const;
-
   // Shared same-leaf fallback: Dijkstra on the D2D graph.
   double LocalDistance(const QuerySource& s, const IndoorPoint& t) const;
 

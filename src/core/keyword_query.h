@@ -72,8 +72,6 @@ class KeywordIndex {
                                        const KnnQuery& knn,
                                        SearchStats* stats = nullptr) const;
 
-  size_t NumDistinctKeywords() const { return keyword_ids_.size(); }
-
   // Maps query strings to sorted, deduplicated keyword ids; nullopt when
   // any string is not in the dictionary (no indexed object can match).
   // Exposed so external readers (the live-object snapshot query) can

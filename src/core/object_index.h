@@ -70,12 +70,6 @@ class ObjectIndex {
             leaf_objects_.data() + leaf_object_offsets_[leaf + 1]};
   }
 
-  // Exact indoor distance from access door `col` of `leaf` to object with
-  // in-leaf index `i` (aligned with ObjectsInLeaf).
-  double AccessDoorToObject(NodeId leaf, size_t col, size_t i) const {
-    return DoorDistances(leaf, col)[i];
-  }
-
   // The contiguous distance row of access door `col` of `leaf`, aligned
   // with ObjectsInLeaf (the kNN leaf-scan inner loop walks this span).
   Span<const double> DoorDistances(NodeId leaf, size_t col) const {

@@ -247,6 +247,12 @@ std::vector<Result> QueryEngine::RunCoalesced(Span<const Query> queries,
   std::vector<Result> results(queries.size());
   if (queries.empty()) return results;
   Worker& worker = *main_worker_;
+  // A singleton is never a group: answer it exactly as Run does, without
+  // the planner's bookkeeping.
+  if (queries.size() == 1) {
+    results[0] = Execute(queries[0], worker);
+    return results;
+  }
   // One pinned snapshot serves every grouped kNN query; the fallback path
   // re-pins per query like Run does (same epoch unless a concurrent
   // publish lands mid-group, which per-query execution is equally exposed

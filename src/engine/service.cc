@@ -149,86 +149,56 @@ void Service::Submit(Request request, ResultCallback callback) {
 }
 
 Ticket Service::SubmitInternal(Request request, ResultCallback callback) {
-  auto state = std::make_shared<Ticket::State>();
-  state->callback = std::move(callback);
-  Item item{std::move(request), ServiceClock::now(), state};
-
-  bool accepted = false;
-  bool was_accepting = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    was_accepting = accepting_;
-    accepted = accepting_ && queue_.size() < options_.queue_capacity;
-    if (accepted) {
-      ++pending_;
-      queue_.push_back(std::move(item));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++submitted_;
-  }
-  if (accepted) {
-    queue_cv_.notify_one();
-  } else {
-    Response response;
-    response.status = RequestStatus::kRejected;
-    response.tag = item.request.tag;
-    response.venue_id = item.request.venue_id;
-    response.error = was_accepting
-                         ? "request queue is full (capacity " +
-                               std::to_string(options_.queue_capacity) + ")"
-                         : "service is stopped";
-    Finalize(state, std::move(response));
-  }
   Ticket ticket;
-  ticket.state_ = std::move(state);
+  ticket.state_ = std::make_shared<Ticket::State>();
+  ticket.state_->callback = std::move(callback);
+  Item item{std::move(request), ServiceClock::now(), ticket.state_};
+  Admit(Span<Item>(&item, 1));
   return ticket;
 }
 
 std::vector<Ticket> Service::SubmitBatch(std::vector<Request> requests) {
-  std::vector<Ticket> tickets;
-  tickets.reserve(requests.size());
-  std::vector<Item> rejected;
-
   const ServiceClock::time_point now = ServiceClock::now();
-  bool was_accepting = false;
+  std::vector<Ticket> tickets(requests.size());
+  std::vector<Item> items;
+  items.reserve(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    tickets[i].state_ = std::make_shared<Ticket::State>();
+    items.push_back(Item{std::move(requests[i]), now, tickets[i].state_});
+  }
+  Admit(Span<Item>(items));
+  return tickets;
+}
+
+void Service::Admit(Span<Item> items) {
   size_t accepted = 0;
+  bool was_accepting = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     was_accepting = accepting_;
-    for (Request& request : requests) {
-      auto state = std::make_shared<Ticket::State>();
-      Ticket ticket;
-      ticket.state_ = state;
-      tickets.push_back(std::move(ticket));
-      Item item{std::move(request), now, std::move(state)};
-      if (accepting_ && queue_.size() < options_.queue_capacity) {
-        ++pending_;
-        ++accepted;
-        queue_.push_back(std::move(item));
-      } else {
-        rejected.push_back(std::move(item));
-      }
+    while (accepted < items.size() && accepting_ &&
+           queue_.size() < options_.queue_capacity) {
+      queue_.push_back(std::move(items[accepted++]));
     }
+    pending_ += accepted;
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    submitted_ += requests.size();
+    submitted_ += items.size();
   }
-  if (accepted > 0) queue_cv_.notify_all();
-  for (Item& item : rejected) {
+  if (accepted == 1) queue_cv_.notify_one();
+  if (accepted > 1) queue_cv_.notify_all();
+  for (size_t i = accepted; i < items.size(); ++i) {
     Response response;
     response.status = RequestStatus::kRejected;
-    response.tag = item.request.tag;
-    response.venue_id = item.request.venue_id;
+    response.tag = items[i].request.tag;
+    response.venue_id = items[i].request.venue_id;
     response.error = was_accepting
                          ? "request queue is full (capacity " +
                                std::to_string(options_.queue_capacity) + ")"
                          : "service is stopped";
-    Finalize(item.state, std::move(response));
+    Finalize(items[i].state, std::move(response));
   }
-  return tickets;
 }
 
 void Service::Drain() {
@@ -302,11 +272,7 @@ void Service::WorkerLoop() {
       }
     }
     const size_t count = batch.size();
-    if (count == 1) {
-      Process(std::move(batch.front()), &engines);
-    } else {
-      ProcessGroup(std::move(batch), &engines);
-    }
+    ProcessRun(Span<Item>(batch), &engines);
     {
       std::lock_guard<std::mutex> lock(mu_);
       pending_ -= count;
@@ -315,102 +281,68 @@ void Service::WorkerLoop() {
   }
 }
 
-void Service::Process(
-    Item item, std::map<std::string, std::unique_ptr<QueryEngine>>* engines) {
-  const ServiceClock::time_point start = ServiceClock::now();
-  Response response;
-  response.kind = item.request.kind;
-  response.tag = item.request.tag;
-  response.venue_id = item.request.venue_id;
-  response.queue_micros = MicrosBetween(item.enqueued, start);
-
-  if (start >= item.request.deadline) {
-    // Shed without running: the answer is already too late to matter.
-    response.status = RequestStatus::kDeadlineExceeded;
-    response.error = "deadline passed after " +
-                     std::to_string(response.queue_micros) +
-                     " us in the queue";
-  } else {
-    std::string error;
-    QueryEngine* engine =
-        ResolveEngine(item.request.venue_id, engines, &error);
-    if (engine == nullptr) {
-      response.status = RequestStatus::kVenueNotFound;
-      response.error = std::move(error);
-    } else if (item.request.kind == RequestKind::kUpdateObjects) {
-      // Updates route exactly like queries; the venue's LiveObjectIndex
-      // serializes concurrent updates internally and queries keep reading
-      // their pinned snapshots, so nothing here needs the queue lock.
-      RunUpdate(item.request.delta, engine, &response);
-    } else if (!ValidateQuery(item.request.query, *engine, &error)) {
-      // A server fails the request, never the process: unvalidated input
-      // (serve-mode lines, remote clients) must not reach the engine's
-      // CHECKs or index arrays.
-      response.status = RequestStatus::kInvalidRequest;
-      response.error = std::move(error);
-    } else {
-      response.result = engine->Run(item.request.query);
-      response.status = RequestStatus::kOk;
-    }
-  }
-  Finalize(item.state, std::move(response));
-}
-
-void Service::ProcessGroup(
-    std::vector<Item> items,
+void Service::ProcessRun(
+    Span<Item> run,
     std::map<std::string, std::unique_ptr<QueryEngine>>* engines) {
   const ServiceClock::time_point start = ServiceClock::now();
-  const size_t n = items.size();
+  const size_t n = run.size();
   std::vector<Response> responses(n);
-  for (size_t i = 0; i < n; ++i) {
-    responses[i].kind = items[i].request.kind;
-    responses[i].tag = items[i].request.tag;
-    responses[i].venue_id = items[i].request.venue_id;
-    responses[i].queue_micros = MicrosBetween(items[i].enqueued, start);
-  }
-
-  // The pull guaranteed one venue, so resolve it once for the group.
+  // The pull guaranteed one venue: resolve it once, when the first member
+  // that is not shed needs it.
+  QueryEngine* engine = nullptr;
+  bool resolved = false;
   std::string resolve_error;
-  QueryEngine* engine =
-      ResolveEngine(items.front().request.venue_id, engines, &resolve_error);
-
-  // Per-item admission keeps the single-item semantics: deadline shed at
-  // pickup (sharing one `start` — exactly the moment a sequential worker
-  // would have reached the earliest of them, and never later for the
-  // rest) and per-query validation. Only the runnable remainder is
-  // planned.
   std::vector<size_t> runnable;
-  runnable.reserve(n);
   std::vector<Query> queries;
-  queries.reserve(n);
+
+  // Per-item admission: deadline shed at pickup (sharing one `start` —
+  // exactly the moment a sequential worker would have reached the earliest
+  // of them, and never later for the rest), then venue resolution and
+  // validation. Only the runnable queries are planned.
   for (size_t i = 0; i < n; ++i) {
+    Request& request = run[i].request;
     Response& response = responses[i];
-    if (start >= items[i].request.deadline) {
+    response.kind = request.kind;
+    response.tag = request.tag;
+    response.venue_id = request.venue_id;
+    response.queue_micros = MicrosBetween(run[i].enqueued, start);
+    if (start >= request.deadline) {
+      // Shed without running: the answer is already too late to matter.
       response.status = RequestStatus::kDeadlineExceeded;
       response.error = "deadline passed after " +
                        std::to_string(response.queue_micros) +
                        " us in the queue";
       continue;
     }
+    if (!resolved) {
+      engine = ResolveEngine(request.venue_id, engines, &resolve_error);
+      resolved = true;
+    }
+    std::string error;
     if (engine == nullptr) {
       response.status = RequestStatus::kVenueNotFound;
       response.error = resolve_error;
-      continue;
-    }
-    std::string error;
-    if (!ValidateQuery(items[i].request.query, *engine, &error)) {
+    } else if (request.kind == RequestKind::kUpdateObjects) {
+      // An update is always a run of one. The venue's LiveObjectIndex
+      // serializes concurrent updates internally and queries keep reading
+      // their pinned snapshots, so nothing here needs the queue lock.
+      RunUpdate(request.delta, engine, &response);
+    } else if (!ValidateQuery(request.query, *engine, &error)) {
+      // A server fails the request, never the process: unvalidated input
+      // (serve-mode lines, remote clients) must not reach the engine's
+      // CHECKs or index arrays.
       response.status = RequestStatus::kInvalidRequest;
       response.error = std::move(error);
-      continue;
+    } else {
+      runnable.push_back(i);
+      queries.push_back(std::move(request.query));
     }
-    runnable.push_back(i);
-    queries.push_back(items[i].request.query);
   }
 
   if (!runnable.empty()) {
     PlanStats plan;
-    std::vector<Result> results = engine->RunCoalesced(
-        Span<const Query>(queries.data(), queries.size()), &plan);
+    std::vector<Result> results =
+        engine->RunCoalesced(Span<const Query>(queries), &plan);
     for (size_t j = 0; j < runnable.size(); ++j) {
       responses[runnable[j]].result = std::move(results[j]);
       responses[runnable[j]].status = RequestStatus::kOk;
@@ -424,7 +356,7 @@ void Service::ProcessGroup(
   // Finalize in queue order: streaming callbacks observe the same
   // delivery order a sequential worker would produce.
   for (size_t i = 0; i < n; ++i) {
-    Finalize(items[i].state, std::move(responses[i]));
+    Finalize(run[i].state, std::move(responses[i]));
   }
 }
 
@@ -603,6 +535,11 @@ void Service::RecordStats(const Response& response) {
   }
 }
 
+size_t Service::QueueDepth() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return queue_.size();
+}
+
 ServiceStats Service::Stats() const {
   ServiceStats stats;
   bool started = false;
@@ -613,29 +550,37 @@ ServiceStats Service::Stats() const {
     started = started_;
     start_time = start_time_;
   }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats.num_queries = completed_;
+  // Copy under the lock, summarize (sort) after releasing it: workers
+  // record every response under stats_mu_.
+  std::vector<double> latency_samples, update_samples, queue_samples;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats.num_queries = completed_;
+    stats.visited_nodes = visited_nodes_;
+    stats.submitted = submitted_;
+    stats.rejected = rejected_;
+    stats.expired = expired_;
+    stats.cancelled = cancelled_;
+    stats.failed = failed_;
+    stats.updates = updates_;
+    stats.per_venue = per_venue_;
+    stats.plan = plan_stats_;
+    latency_samples = latency_samples_;
+    update_samples = update_samples_;
+    queue_samples = queue_samples_;
+  }
   stats.num_threads = num_threads_;
   if (started) {
     stats.wall_millis =
         MicrosBetween(start_time, ServiceClock::now()) / 1000.0;
     if (stats.wall_millis > 0.0) {
-      stats.queries_per_second =
-          static_cast<double>(completed_) / (stats.wall_millis / 1000.0);
+      stats.queries_per_second = static_cast<double>(stats.num_queries) /
+                                 (stats.wall_millis / 1000.0);
     }
   }
-  stats.latency_micros = Summarize(latency_samples_);
-  stats.visited_nodes = visited_nodes_;
-  stats.submitted = submitted_;
-  stats.rejected = rejected_;
-  stats.expired = expired_;
-  stats.cancelled = cancelled_;
-  stats.failed = failed_;
-  stats.updates = updates_;
-  stats.update_micros = Summarize(update_samples_);
-  stats.queue_micros = Summarize(queue_samples_);
-  stats.per_venue = per_venue_;
-  stats.plan = plan_stats_;
+  stats.latency_micros = Summarize(latency_samples);
+  stats.update_micros = Summarize(update_samples);
+  stats.queue_micros = Summarize(queue_samples);
   {
     std::lock_guard<std::mutex> cache_lock(cache_mu_);
     if (options_.shared_cache != nullptr) {

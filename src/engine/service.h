@@ -290,6 +290,9 @@ class Service {
   void Stop();
 
   ServiceStats Stats() const;
+  // Requests waiting right now (ServiceStats::queue_depth without the
+  // latency summaries): cheap enough for a health probe.
+  size_t QueueDepth() const;
 
   size_t num_threads() const { return num_threads_; }
   bool multi_venue() const { return registry_.has_value(); }
@@ -305,15 +308,16 @@ class Service {
   };
 
   Ticket SubmitInternal(Request request, ResultCallback callback);
+  // Queues the longest prefix of `items` the queue has room for (all of
+  // them unless it fills up or the service has stopped) under one lock
+  // hold, and completes the rest with kRejected.
+  void Admit(Span<Item> items);
   void WorkerLoop();
-  void Process(Item item,
-               std::map<std::string, std::unique_ptr<QueryEngine>>* engines);
-  // Coalesced sibling of Process: one pulled group of same-venue queries
-  // through QueryEngine::RunCoalesced. Per-item deadline shed and
-  // validation keep the single-item semantics; responses finalize in
-  // queue order.
-  void ProcessGroup(
-      std::vector<Item> items,
+  // Answers one pulled run: a single update, or one or more same-venue
+  // queries through QueryEngine::RunCoalesced. Each member is shed or
+  // validated on its own; responses finalize in queue order.
+  void ProcessRun(
+      Span<Item> run,
       std::map<std::string, std::unique_ptr<QueryEngine>>* engines);
   // Worker-local venue resolution: pins the venue's current bundle behind
   // a per-worker QueryEngine, rebuilt if the registry re-loaded the venue

@@ -99,15 +99,6 @@ class D2DGraph {
     return {edges_.data() + offsets_[d], edges_.data() + offsets_[d + 1]};
   }
 
-  // Average out-degree; the paper observes indoor graphs reach out-degrees
-  // of hundreds while road networks stay at 2-4 (§1.2.1).
-  double AverageOutDegree() const {
-    return num_vertices_ == 0
-               ? 0.0
-               : static_cast<double>(edges_.size()) /
-                     static_cast<double>(num_vertices_);
-  }
-
   uint64_t MemoryBytes() const {
     return offsets_.MemoryBytes() + edges_.MemoryBytes();
   }

@@ -24,6 +24,18 @@ namespace {
 
 constexpr int kPollTimeoutMs = 100;
 constexpr size_t kReadChunk = 64 * 1024;
+constexpr int kListenBacklog = 64;
+// Client connections beyond this are accepted and immediately closed.
+constexpr size_t kMaxClientConnections = 256;
+// Connections kept open to each shard. More than one lets a shard ride out
+// one dead socket without a re-route and spreads pipelined load.
+constexpr size_t kShardPoolSize = 2;
+// Consecutive unanswered probe ticks after which a shard's connections are
+// failed over even without a TCP error (a hung, not dead, process).
+constexpr size_t kProbeMissLimit = 10;
+// Routing attempts per request (1 initial + failovers) before the client
+// gets kRejected.
+constexpr size_t kMaxAttempts = 3;
 
 // FNV-1a over the venue id, then splitmix64-style avalanche mixed with the
 // shard index: the per-(venue, shard) rendezvous score. Deterministic
@@ -60,14 +72,12 @@ Router::Router(std::vector<std::string> shard_endpoints,
   shards_.resize(shard_endpoints.size());
   for (size_t i = 0; i < shard_endpoints.size(); ++i) {
     shards_[i].endpoint = std::move(shard_endpoints[i]);
-    const size_t pool = options_.pool_size < 1 ? 1 : options_.pool_size;
-    for (size_t p = 0; p < pool; ++p) {
+    for (size_t p = 0; p < kShardPoolSize; ++p) {
       auto conn = std::make_unique<ShardConn>();
       conn->shard = i;
       shards_[i].pool.push_back(std::move(conn));
     }
   }
-  shard_stats_snapshot_.resize(shards_.size());
   shard_healthy_snapshot_.assign(shards_.size(), false);
 }
 
@@ -80,7 +90,7 @@ io::Status Router::Start() {
     return status;
   }
   if (io::Status status = ListenTcp(options_.bind_address, options_.port,
-                                    options_.backlog, &listener_, &port_);
+                                    kListenBacklog, &listener_, &port_);
       !status.ok()) {
     return status;
   }
@@ -133,13 +143,6 @@ std::vector<std::pair<std::string, size_t>> Router::Assignments() const {
 RouterCounters Router::counters() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return counters_;
-}
-
-WireStats Router::FleetStats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  WireStats total;
-  for (const WireStats& stats : shard_stats_snapshot_) total += stats;
-  return total;
 }
 
 size_t Router::healthy_shards() const {
@@ -375,7 +378,7 @@ void Router::AcceptAll() {
   while (true) {
     const int fd = ::accept(listener_.fd(), nullptr, nullptr);
     if (fd < 0) return;
-    if (clients_.size() >= options_.max_connections ||
+    if (clients_.size() >= kMaxClientConnections ||
         !SetNonBlocking(fd).ok()) {
       ::close(fd);
       continue;
@@ -490,12 +493,12 @@ void Router::RoutePending(uint64_t router_tag) {
   if (it == pending_.end()) return;
   Pending& pending = it->second;
   ++pending.attempts;
-  if (pending.attempts > options_.max_attempts) {
+  if (pending.attempts > kMaxAttempts) {
     Pending finished = std::move(pending);
     pending_.erase(it);
     RejectPending(std::move(finished),
                   "no shard answered after " +
-                      std::to_string(options_.max_attempts) + " attempts");
+                      std::to_string(kMaxAttempts) + " attempts");
     return;
   }
   const size_t shard = HealthyShardForVenue(pending.venue_id);
@@ -598,8 +601,6 @@ bool Router::HandleShardFrame(ShardConn* conn, Frame frame) {
       if (DecodeStatsPayload(&reader, &stats, &error)) {
         shard.last_stats = stats;
         shard.have_stats = true;
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        shard_stats_snapshot_[conn->shard] = stats;
       }
       return true;
     }
@@ -657,7 +658,7 @@ void Router::ProbeTick() {
       }
     }
     if (probe_conn == nullptr) continue;
-    if (shard.unanswered_probes >= options_.probe_miss_limit) {
+    if (shard.unanswered_probes >= kProbeMissLimit) {
       // Hung shard (accepting bytes, answering nothing): fail its
       // connections so pendings move on; reconnects resume next tick.
       for (const auto& conn : shard.pool) {

@@ -11,19 +11,20 @@
 // (SIGKILLed process, reset, refused reconnect), the router immediately
 // re-routes that connection's pending requests — first to the shard's
 // surviving pool connections, else to the next healthy shard by the same
-// rendezvous order — up to max_attempts, after which the client gets a
-// clean kRejected response. Because every shard serves the same registry
-// manifest (venues load lazily), any healthy shard can answer any venue;
-// assignment exists for cache locality, not correctness, which is what
-// makes failover safe.
+// rendezvous order — up to three attempts in all, after which the client
+// gets a clean kRejected response. Because every shard serves the same
+// registry manifest (venues load lazily), any healthy shard can answer any
+// venue; assignment exists for cache locality, not correctness, which is
+// what makes failover safe.
 //
 // Health: a periodic probe tick sends kHealthProbe / kStatsProbe on each
 // shard's first pooled connection and re-dials dead connections. TCP
 // errors mark a shard down instantly (well under one probe interval); a
 // shard that answers probes with ready=0 (draining) stops receiving *new*
-// assignments but keeps its in-flight work. The cached per-shard stats
-// replies are summed into the fleet-wide WireStats the router answers
-// kStatsProbe with.
+// assignments but keeps its in-flight work; a shard that leaves ten probes
+// in a row unanswered (hung, not dead) has its connections failed over.
+// The cached per-shard stats replies are summed into the fleet-wide
+// WireStats the router answers kStatsProbe with.
 //
 // Threading: strictly single-threaded — one poll() loop owns every socket
 // and all state, so there are no locks on the forwarding path. The only
@@ -51,22 +52,9 @@ namespace net {
 struct RouterOptions {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; port() reports the bound one
-  int backlog = 64;
-  size_t max_connections = 256;
-  // Connections kept open to each shard. More than one lets a single
-  // shard's pool ride out one dead socket without a re-route and spreads
-  // pipelined load.
-  size_t pool_size = 2;
   // Cadence of the health/stats probe tick (also the reconnect cadence
   // for dead shard connections).
   double probe_interval_ms = 200.0;
-  // A shard whose probes go unanswered this many consecutive ticks has
-  // its connections failed over even without a TCP error (a hung, not
-  // dead, process).
-  size_t probe_miss_limit = 10;
-  // Routing attempts per request (1 initial + failovers) before the
-  // client gets kRejected.
-  size_t max_attempts = 3;
   double connect_timeout_ms = 1000.0;
 };
 
@@ -111,8 +99,6 @@ class Router {
   std::vector<std::pair<std::string, size_t>> Assignments() const;
 
   RouterCounters counters() const;
-  // Fleet-wide sum of the most recent per-shard stats replies.
-  WireStats FleetStats() const;
   // Shards currently considered healthy (ready connection + ready flag).
   size_t healthy_shards() const;
 
@@ -198,7 +184,7 @@ class Router {
   std::atomic<bool> drain_requested_{false};
   std::atomic<bool> stop_requested_{false};
 
-  // Everything below is loop-thread-owned, except the three mutable
+  // Everything below is loop-thread-owned, except the two mutable
   // snapshots guarded by stats_mu_ for the in-process accessors.
   std::map<int, std::shared_ptr<ClientConn>> clients_;
   std::map<uint64_t, Pending> pending_;
@@ -207,7 +193,6 @@ class Router {
 
   mutable std::mutex stats_mu_;
   RouterCounters counters_;
-  std::vector<WireStats> shard_stats_snapshot_;
   std::vector<bool> shard_healthy_snapshot_;
 };
 

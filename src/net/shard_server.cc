@@ -24,6 +24,11 @@ constexpr int kPollTimeoutMs = 250;
 
 constexpr size_t kReadChunk = 64 * 1024;
 
+constexpr int kListenBacklog = 64;
+// Connections beyond this are accepted and immediately closed, bounding
+// the poll set and per-connection buffer memory.
+constexpr size_t kMaxConnections = 256;
+
 }  // namespace
 
 ShardServer::ShardServer(std::shared_ptr<const engine::VenueBundle> bundle,
@@ -47,7 +52,7 @@ io::Status ShardServer::Start() {
     return status;
   }
   if (io::Status status = ListenTcp(options_.bind_address, options_.port,
-                                    options_.backlog, &listener_, &port_);
+                                    kListenBacklog, &listener_, &port_);
       !status.ok()) {
     return status;
   }
@@ -178,7 +183,7 @@ void ShardServer::AcceptAll() {
   while (true) {
     const int fd = ::accept(listener_.fd(), nullptr, nullptr);
     if (fd < 0) return;  // EAGAIN (or a transient error): try next tick
-    if (connections_.size() >= options_.max_connections) {
+    if (connections_.size() >= kMaxConnections) {
       ::close(fd);
       continue;
     }
@@ -266,7 +271,7 @@ void ShardServer::HandleFrame(const std::shared_ptr<Connection>& conn,
     case FrameType::kHealthProbe: {
       WireHealth health;
       health.ready = draining_.load(std::memory_order_acquire) ? 0 : 1;
-      health.queue_depth = service_->Stats().queue_depth;
+      health.queue_depth = service_->QueueDepth();
       SendOnLoop(conn, EncodeHealthReplyFrame(health, frame.tag));
       return;
     }

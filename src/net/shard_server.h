@@ -53,10 +53,6 @@ struct ShardServerOptions {
   // 0 picks an ephemeral port; port() reports the actual one (what the
   // in-process tests use to avoid fixed-port collisions).
   uint16_t port = 0;
-  int backlog = 64;
-  // Connections beyond this are accepted and immediately closed, bounding
-  // the poll set and per-connection buffer memory.
-  size_t max_connections = 256;
   // Forwarded to the owned engine::Service (workers, queue bound, caching,
   // coalescing — everything downstream composes with the wire for free).
   engine::ServiceOptions service;

@@ -20,6 +20,7 @@
 // `viptree_query --registry ... --venue ...`.
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -78,67 +79,21 @@ void Usage(const char* argv0) {
 }
 
 bool Parse(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
-                     flag.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (flag == "--verify") {
-      if ((v = value()) == nullptr) return false;
-      args->verify = v;
-    } else if (flag == "--out") {
-      if ((v = value()) == nullptr) return false;
-      args->out = v;
-    } else if (flag == "--preset") {
-      if ((v = value()) == nullptr) return false;
-      args->preset = v;
-    } else if (flag == "--scale") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseNonNegativeFlag(argv[0], flag, v, &args->scale)) {
-        return false;
-      }
-    } else if (flag == "--seed") {
-      if ((v = value()) == nullptr) return false;
-      args->has_seed = true;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->seed)) {
-        return false;
-      }
-    } else if (flag == "--objects") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->objects)) {
-        return false;
-      }
-    } else if (flag == "--keyword-tags") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->keyword_tags)) {
-        return false;
-      }
-    } else if (flag == "--min-degree") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->min_degree)) {
-        return false;
-      }
-    } else if (flag == "--registry") {
-      if ((v = value()) == nullptr) return false;
-      args->registry = v;
-    } else if (flag == "--venue-id") {
-      if ((v = value()) == nullptr) return false;
-      args->venue_id = v;
-    } else if (flag == "--help" || flag == "-h") {
-      Usage(argv[0]);
-      return false;
-    } else {
-      std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], flag.c_str());
-      Usage(argv[0]);
-      return false;
-    }
-  }
+  const std::vector<tools::Flag> flags = {
+      tools::StringFlag("--verify", &args->verify),
+      tools::StringFlag("--out", &args->out),
+      tools::StringFlag("--preset", &args->preset),
+      tools::NonNegativeFlag("--scale", &args->scale),
+      tools::UnsignedFlag("--seed", &args->seed,
+                          std::numeric_limits<uint64_t>::max(),
+                          &args->has_seed),
+      tools::UnsignedFlag("--objects", &args->objects),
+      tools::UnsignedFlag("--keyword-tags", &args->keyword_tags),
+      tools::UnsignedFlag("--min-degree", &args->min_degree),
+      tools::StringFlag("--registry", &args->registry),
+      tools::StringFlag("--venue-id", &args->venue_id),
+  };
+  if (!tools::ParseFlags(argc, argv, flags, Usage)) return false;
   if (!args->verify.empty()) return true;  // verify mode needs nothing else
   if (args->out.empty()) {
     std::fprintf(stderr, "%s: --out is required\n", argv[0]);

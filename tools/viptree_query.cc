@@ -3,15 +3,18 @@
 // workflow. Load failures (truncation, corruption, version skew) are
 // reported with the decoder's message and a non-zero exit.
 //
-// Three modes:
-//   * batch (default): generate a random workload and run it through
-//     QueryEngine::RunBatch, printing the BatchStats;
-//   * --serve: read queries one per line from stdin (or --input FILE) and
-//     submit each through the async engine::Service front-end — resident
-//     workers, multi-venue routing, optional per-request deadlines;
-//   * --emit-workload: print the random workload in the --serve text
-//     format instead of running it, so `viptree_query --emit-workload |
-//     viptree_query --serve` pipes a reproducible request stream.
+// One in-process driver, fed from one of two request sources:
+//   * default: generate a random workload (queries, plus --updates U
+//     live-object update lines) and submit it through the async
+//     engine::Service front-end — resident workers, multi-venue routing,
+//     optional per-request deadlines;
+//   * --serve: read the same requests one per line from stdin (or --input
+//     FILE) instead.
+// --emit-workload prints the generated workload in the --serve text format
+// instead of running it, so the default mode equals `viptree_query
+// --emit-workload | viptree_query --serve`. --connect drives the same
+// lines against a remote shard or router; --listen runs this process as
+// that shard.
 //
 // Serve-mode line format (engine/workload_text.h is the single
 // emitter/parser; blank lines and '#' comments ignored; the leading
@@ -37,12 +40,15 @@
 
 #include <signal.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <deque>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -51,7 +57,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "core/distance_cache.h"
-#include "engine/query_engine.h"
 #include "engine/service.h"
 #include "engine/venue_registry.h"
 #include "engine/workload_text.h"
@@ -76,10 +81,10 @@ struct Args {
   int listen_port = -1;  // --listen PORT: shard-server mode (0 = ephemeral)
   std::string connect;   // --connect HOST:PORT: drive a remote shard/router
   std::string input;          // --serve source; empty = stdin
-  double deadline_ms = 0.0;   // --serve per-request budget; 0 = none
+  double deadline_ms = 0.0;   // per-request budget; 0 = none
   size_t queue_capacity = 1024;
   size_t queries = 500;
-  size_t updates = 0;  // --emit-workload: update lines to interleave
+  size_t updates = 0;  // update lines interleaved into the generated workload
   size_t threads = 1;
   uint64_t seed = 0xC0FFEE;
   std::string mix = "mixed";  // mixed | distance | path | knn | range
@@ -87,8 +92,8 @@ struct Args {
   // the cache only pays off on workloads that repeat door pairs.
   bool cache = false;
   size_t cache_capacity = DistanceCacheOptions{}.capacity;
-  // Execution-planner coalescing (engine/exec_plan.h). Off by default:
-  // batch mode forwards it to RunBatch, serve mode to the Service workers.
+  // Execution-planner coalescing (engine/exec_plan.h), forwarded to the
+  // Service workers. Off by default.
   bool coalesce = false;
   size_t coalesce_window = eng::CoalesceOptions{}.window;
 };
@@ -97,11 +102,11 @@ void Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s (--snapshot PATH | --registry MANIFEST --venue ID)\n"
-      "          [--queries N] [--threads T] [--seed S]\n"
+      "          [--queries N] [--updates U] [--seed S]\n"
       "          [--mix mixed|distance|path|knn|range]\n"
+      "          [--threads T] [--deadline-ms D] [--queue-capacity C]\n"
       "          [--cache] [--cache-capacity N]\n"
-      "          [--coalesce] [--coalesce-window K]\n"
-      "          [--emit-workload [--updates U]]\n"
+      "          [--coalesce] [--coalesce-window K] [--emit-workload]\n"
       "       %s (--snapshot PATH | --registry MANIFEST) --serve\n"
       "          [--input FILE] [--threads T] [--deadline-ms D]\n"
       "          [--queue-capacity C] [--cache] [--cache-capacity N]\n"
@@ -119,121 +124,51 @@ void Usage(const char* argv0) {
       "\n"
       "Loads a VIP-Tree snapshot — directly, or by venue id through a\n"
       "multi-venue registry manifest (zero-copy mmap for v2 snapshots) —\n"
-      "and runs a random query batch against it; --serve instead reads\n"
-      "requests line-by-line (queries plus move/add/remove live-object\n"
-      "update lines) and submits them through the async engine::Service\n"
-      "front-end (--emit-workload prints the random workload in that\n"
-      "line format; --updates U interleaves U update lines). The mixed\n"
-      "workload is 40%% distance, 20%% path, 20%% kNN, 10%% range and\n"
-      "10%% boolean keyword kNN (keyword queries fall back to kNN when\n"
-      "the snapshot has no keyword index). --cache turns on the exact\n"
-      "cross-request door-pair distance cache (results are bit-identical\n"
-      "with and without it; LRU eviction); --cache-capacity 0 (default)\n"
-      "sizes the cache from the venue's door count. --coalesce turns on\n"
-      "the execution planner: workers pull up to --coalesce-window K\n"
-      "(default %zu) queued same-venue queries into one group and share\n"
-      "their source ascents through the multi-target kernels — results\n"
-      "stay bit-identical to sequential execution.\n",
+      "generates a random workload for it (--updates U interleaves U\n"
+      "live-object update lines) and submits it through the async\n"
+      "engine::Service front-end; --serve instead reads the requests\n"
+      "line-by-line (queries plus move/add/remove update lines), and\n"
+      "--emit-workload prints the generated workload in that line format\n"
+      "instead of running it. The mixed workload is 40%% distance, 20%%\n"
+      "path, 20%% kNN, 10%% range and 10%% boolean keyword kNN (keyword\n"
+      "queries fall back to kNN when the snapshot has no keyword index).\n"
+      "--cache turns on the exact cross-request door-pair distance cache\n"
+      "(results are bit-identical with and without it; LRU eviction);\n"
+      "--cache-capacity 0 (default) sizes the cache from the venue's door\n"
+      "count. --coalesce turns on the execution planner: workers pull up\n"
+      "to --coalesce-window K (default %zu) queued same-venue queries into\n"
+      "one group and share their source ascents through the multi-target\n"
+      "kernels — results stay bit-identical to sequential execution.\n",
       argv0, argv0, argv0, argv0, argv0, eng::CoalesceOptions{}.window);
 }
 
 bool Parse(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
-                     flag.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (flag == "--snapshot") {
-      if ((v = value()) == nullptr) return false;
-      args->snapshot = v;
-    } else if (flag == "--registry") {
-      if ((v = value()) == nullptr) return false;
-      args->registry = v;
-    } else if (flag == "--venue") {
-      if ((v = value()) == nullptr) return false;
-      args->venue = v;
-    } else if (flag == "--list-venues") {
-      args->list_venues = true;
-    } else if (flag == "--serve") {
-      args->serve = true;
-    } else if (flag == "--emit-workload") {
-      args->emit_workload = true;
-    } else if (flag == "--listen") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->listen_port,
-                                    65535)) {
-        return false;
-      }
-    } else if (flag == "--connect") {
-      if ((v = value()) == nullptr) return false;
-      args->connect = v;
-    } else if (flag == "--input") {
-      if ((v = value()) == nullptr) return false;
-      args->input = v;
-    } else if (flag == "--deadline-ms") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseNonNegativeFlag(argv[0], flag, v, &args->deadline_ms)) {
-        return false;
-      }
-    } else if (flag == "--queue-capacity") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->queue_capacity)) {
-        return false;
-      }
-    } else if (flag == "--queries") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->queries)) {
-        return false;
-      }
-    } else if (flag == "--updates") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->updates)) {
-        return false;
-      }
-    } else if (flag == "--threads") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->threads)) {
-        return false;
-      }
-    } else if (flag == "--seed") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->seed)) {
-        return false;
-      }
-    } else if (flag == "--mix") {
-      if ((v = value()) == nullptr) return false;
-      args->mix = v;
-    } else if (flag == "--cache") {
-      args->cache = true;
-    } else if (flag == "--cache-capacity") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->cache_capacity)) {
-        return false;
-      }
-      args->cache = true;
-    } else if (flag == "--coalesce") {
-      args->coalesce = true;
-    } else if (flag == "--coalesce-window") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->coalesce_window)) {
-        return false;
-      }
-      args->coalesce = true;  // naming a window implies --coalesce
-    } else if (flag == "--help" || flag == "-h") {
-      Usage(argv[0]);
-      return false;
-    } else {
-      std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], flag.c_str());
-      Usage(argv[0]);
-      return false;
-    }
-  }
+  const std::vector<tools::Flag> flags = {
+      tools::StringFlag("--snapshot", &args->snapshot),
+      tools::StringFlag("--registry", &args->registry),
+      tools::StringFlag("--venue", &args->venue),
+      tools::SwitchFlag("--list-venues", &args->list_venues),
+      tools::SwitchFlag("--serve", &args->serve),
+      tools::SwitchFlag("--emit-workload", &args->emit_workload),
+      tools::UnsignedFlag("--listen", &args->listen_port, 65535),
+      tools::StringFlag("--connect", &args->connect),
+      tools::StringFlag("--input", &args->input),
+      tools::NonNegativeFlag("--deadline-ms", &args->deadline_ms),
+      tools::UnsignedFlag("--queue-capacity", &args->queue_capacity),
+      tools::UnsignedFlag("--queries", &args->queries),
+      tools::UnsignedFlag("--updates", &args->updates),
+      tools::UnsignedFlag("--threads", &args->threads),
+      tools::UnsignedFlag("--seed", &args->seed),
+      tools::StringFlag("--mix", &args->mix),
+      tools::SwitchFlag("--cache", &args->cache),
+      tools::UnsignedFlag("--cache-capacity", &args->cache_capacity,
+                          std::numeric_limits<size_t>::max(), &args->cache),
+      tools::SwitchFlag("--coalesce", &args->coalesce),
+      tools::UnsignedFlag("--coalesce-window", &args->coalesce_window,
+                          std::numeric_limits<size_t>::max(),
+                          &args->coalesce),
+  };
+  if (!tools::ParseFlags(argc, argv, flags, Usage)) return false;
   if (args->list_venues) {
     if (args->registry.empty()) {
       std::fprintf(stderr, "%s: --list-venues needs --registry\n", argv[0]);
@@ -270,20 +205,16 @@ bool Parse(int argc, char** argv, Args* args) {
     return false;
   }
   // --serve and --listen route per request, so they do not need --venue;
-  // the batch and emit-workload modes generate a per-venue workload and do.
-  if (!args->serve && args->listen_port < 0 && !args->registry.empty() &&
-      args->venue.empty()) {
+  // the generated workload is per venue and does.
+  const bool generated = !args->serve && args->listen_port < 0;
+  if (generated && !args->registry.empty() && args->venue.empty()) {
     std::fprintf(stderr, "%s: --registry needs --venue (or --list-venues)\n",
                  argv[0]);
     return false;
   }
-  if (args->serve && args->emit_workload) {
-    std::fprintf(stderr, "%s: --serve and --emit-workload are exclusive\n",
-                 argv[0]);
-    return false;
-  }
-  if (args->updates > 0 && !args->emit_workload) {
-    std::fprintf(stderr, "%s: --updates only applies to --emit-workload\n",
+  if (args->updates > 0 && !generated) {
+    std::fprintf(stderr,
+                 "%s: --updates only applies to the generated workload\n",
                  argv[0]);
     return false;
   }
@@ -296,28 +227,36 @@ bool Parse(int argc, char** argv, Args* args) {
   return true;
 }
 
-DistanceCacheOptions CacheOptionsFrom(const Args& args) {
-  DistanceCacheOptions options;
-  options.enabled = args.cache;
-  options.capacity = args.cache_capacity;
+eng::ServiceOptions ServiceOptionsFrom(const Args& args) {
+  eng::ServiceOptions options;
+  options.num_threads = args.threads;
+  options.queue_capacity = args.queue_capacity;
+  options.cache.enabled = args.cache;
+  options.cache.capacity = args.cache_capacity;
+  options.coalesce.enabled = args.coalesce;
+  options.coalesce.window = args.coalesce_window;
   return options;
 }
 
-eng::CoalesceOptions CoalesceOptionsFrom(const Args& args) {
-  eng::CoalesceOptions options;
-  options.enabled = args.coalesce;
-  options.window = args.coalesce_window;
-  return options;
+std::shared_ptr<const eng::VenueBundle> LoadSnapshot(const std::string& path) {
+  std::string error;
+  std::optional<eng::VenueBundle> bundle =
+      eng::VenueBundle::TryLoad(path, &error);
+  if (!bundle.has_value()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return nullptr;
+  }
+  return std::make_shared<const eng::VenueBundle>(std::move(*bundle));
 }
 
 // ---------------------------------------------------------------------------
-// Signal handling (the --serve / --listen lifecycles). SIGINT/SIGTERM ask
-// for a graceful drain: the serve loop stops reading and drains the
-// Service; the shard server runs its two-phase drain. Handlers are
-// installed without SA_RESTART so a blocked stdin read returns EINTR and
-// the serve loop gets to notice the flag. SIGPIPE is ignored process-wide:
-// a peer hanging up mid-write is a per-connection condition (EPIPE), not a
-// process killer.
+// Signal handling (the in-process driver and --listen lifecycles).
+// SIGINT/SIGTERM ask for a graceful drain: the driver stops submitting and
+// waits for what it already submitted; the shard server runs its two-phase
+// drain. Handlers are installed without SA_RESTART so a blocked stdin read
+// returns EINTR and the driver gets to notice the flag. SIGPIPE is ignored
+// process-wide: a peer hanging up mid-write is a per-connection condition
+// (EPIPE), not a process killer.
 // ---------------------------------------------------------------------------
 
 std::atomic<bool> g_interrupted{false};
@@ -336,6 +275,257 @@ void InstallDrainSignalHandlers() {
   action.sa_flags = 0;  // no SA_RESTART: let blocked reads return EINTR
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// The generated workload: `args.queries` queries in the --mix, with
+// `args.updates` live-object update lines interleaved at an even stride.
+// Updates are moves of existing object ids (and, on keyword venues, adds)
+// only: with >1 serve worker, updates to one venue may execute out of
+// submission order, and moves/adds stay valid under any reordering —
+// removes would invalidate later moves of the same id. Queries and updates
+// draw from separate seeded streams, so adding updates leaves the queries
+// unchanged.
+// ---------------------------------------------------------------------------
+
+eng::Query MakeQuery(const Args& args, size_t i, const IndoorPoint& a,
+                     const IndoorPoint& b, bool has_keywords) {
+  if (args.mix == "distance") return eng::Query::Distance(a, b);
+  if (args.mix == "path") return eng::Query::Path(a, b);
+  if (args.mix == "knn") return eng::Query::Knn(a, 5);
+  if (args.mix == "range") return eng::Query::Range(a, 100.0);
+  switch (i % 10) {
+    case 0: case 1: case 2: case 3:
+      return eng::Query::Distance(a, b);
+    case 4: case 5:
+      return eng::Query::Path(a, b);
+    case 6: case 7:
+      return eng::Query::Knn(a, 5);
+    case 8:
+      return eng::Query::Range(a, 100.0);
+    default:
+      return has_keywords ? eng::Query::BooleanKnn(a, 3, {"tag-0"})
+                          : eng::Query::Knn(a, 3);
+  }
+}
+
+std::vector<eng::Request> MakeRequests(const eng::VenueBundle& bundle,
+                                       const Args& args,
+                                       const std::string& venue_id) {
+  const Venue& venue = bundle.venue();
+  const bool has_keywords = bundle.has_keywords();
+  const size_t num_objects = bundle.objects().NumObjects();
+  Rng query_rng(args.seed);
+  Rng update_rng(args.seed ^ 0x0BDE17A);
+  const auto random_move = [&] {
+    ObjectDelta delta;
+    delta.moves.push_back(
+        {static_cast<ObjectId>(update_rng.UniformIndex(num_objects)),
+         synth::RandomIndoorPoint(venue, update_rng)});
+    return eng::Request::Update(venue_id, std::move(delta));
+  };
+
+  std::vector<eng::Request> requests;
+  requests.reserve(args.queries + args.updates);
+  const size_t stride =
+      args.updates == 0 ? args.queries + 1
+                        : std::max<size_t>(1, args.queries / args.updates);
+  size_t emitted_updates = 0;
+  for (size_t i = 0; i < args.queries; ++i) {
+    const IndoorPoint a = synth::RandomIndoorPoint(venue, query_rng);
+    const IndoorPoint b = synth::RandomIndoorPoint(venue, query_rng);
+    eng::Request request;
+    request.venue_id = venue_id;
+    request.query = MakeQuery(args, i, a, b, has_keywords);
+    requests.push_back(std::move(request));
+    if (emitted_updates < args.updates && (i + 1) % stride == 0) {
+      if (num_objects > 0 && (!has_keywords || !update_rng.Chance(0.3))) {
+        requests.push_back(random_move());
+      } else {
+        ObjectDelta delta;
+        ObjectDelta::Add add;
+        add.at = synth::RandomIndoorPoint(venue, update_rng);
+        if (has_keywords) add.keywords = {"tag-0"};
+        delta.adds.push_back(std::move(add));
+        requests.push_back(eng::Request::Update(venue_id, std::move(delta)));
+      }
+      ++emitted_updates;
+    }
+  }
+  // A short query list can leave stride budget unused; top up at the end.
+  for (; emitted_updates < args.updates && num_objects > 0;
+       ++emitted_updates) {
+    requests.push_back(random_move());
+  }
+  return requests;
+}
+
+// ---------------------------------------------------------------------------
+// One request stream, one tally, one summary — shared by the in-process
+// driver and --connect.
+// ---------------------------------------------------------------------------
+
+// Where a driven stream's requests come from: workload lines, one request
+// each — read from --input or stdin, or the generated workload's emitted
+// text (so the default mode runs exactly what `--emit-workload | --serve`
+// would).
+class RequestSource {
+ public:
+  // kEither accepts the registry (venue-column) and the single-snapshot
+  // (bare) format alike, for a remote driver.
+  enum class Format { kBare, kVenue, kEither };
+
+  // Reads `in`, or stdin when it is null.
+  RequestSource(std::unique_ptr<std::istream> in, Format format)
+      : in_(std::move(in)), format_(format) {}
+
+  // The next request; false at the end of the stream. Blank lines and '#'
+  // comments are skipped; malformed lines are reported and counted.
+  bool Next(eng::Request* request) {
+    std::istream& lines = in_ != nullptr ? *in_ : std::cin;
+    std::string line;
+    std::string error;
+    while (std::getline(lines, line)) {
+      ++line_number_;
+      const size_t start = line.find_first_not_of(" \t\r");
+      if (start == std::string::npos || line[start] == '#') continue;
+      if (ParseLine(line, request, &error)) return true;
+      std::fprintf(stderr, "warning: skipping line %zu: %s\n", line_number_,
+                   error.c_str());
+      ++malformed_;
+    }
+    return false;
+  }
+
+  size_t malformed() const { return malformed_; }
+
+ private:
+  // In kEither the venue column is tried first — its first token is a
+  // venue id, never a parsable operation — so the two formats cannot be
+  // confused, and its error is the one reported (the likelier intent).
+  bool ParseLine(const std::string& line, eng::Request* request,
+                 std::string* error) const {
+    if (format_ != Format::kBare &&
+        eng::workload::ParseLine(line, /*with_venue=*/true, request, error)) {
+      return true;
+    }
+    std::string bare_error;
+    return format_ != Format::kVenue &&
+           eng::workload::ParseLine(
+               line, /*with_venue=*/false, request,
+               format_ == Format::kBare ? error : &bare_error);
+  }
+
+  std::unique_ptr<std::istream> in_;
+  Format format_;
+  size_t line_number_ = 0;
+  size_t malformed_ = 0;
+};
+
+// The --input file as a line stream (null, meaning stdin, when no file is
+// named); false after reporting a file that cannot be opened.
+bool OpenInput(const std::string& input, std::unique_ptr<std::istream>* in) {
+  if (input.empty()) return true;
+  auto file = std::make_unique<std::ifstream>(input);
+  if (!*file) {
+    std::fprintf(stderr, "error: cannot open workload file '%s'\n",
+                 input.c_str());
+    return false;
+  }
+  *in = std::move(file);
+  return true;
+}
+
+// Terminal outcomes of one driven stream.
+struct Tally {
+  size_t submitted = 0;
+  uint64_t ok = 0, updates = 0, expired = 0, rejected = 0, failed = 0;
+
+  void Count(eng::RequestStatus status, eng::RequestKind kind) {
+    switch (status) {
+      case eng::RequestStatus::kOk:
+        ++(kind == eng::RequestKind::kUpdateObjects ? updates : ok);
+        break;
+      case eng::RequestStatus::kDeadlineExceeded:
+        ++expired;
+        break;
+      case eng::RequestStatus::kRejected:
+        ++rejected;
+        break;
+      default:
+        ++failed;
+        break;
+    }
+  }
+};
+
+// Sends every request `source` yields, keeping at most `window` of them
+// outstanding, and returns once all are answered. `send` submits one
+// request; `receive` waits for one response and counts it. Either returns
+// false on a fatal transport error, already reported, which ends the
+// drive. SIGINT/SIGTERM stop the sending; what was sent is still awaited.
+bool Drive(RequestSource* source, size_t window,
+           const std::function<bool(eng::Request)>& send,
+           const std::function<bool(Tally*)>& receive, Tally* tally) {
+  size_t outstanding = 0;
+  eng::Request request;
+  while (!g_interrupted.load(std::memory_order_acquire) &&
+         source->Next(&request)) {
+    if (outstanding >= window) {
+      if (!receive(tally)) return false;
+      --outstanding;
+    }
+    request.tag = ++tally->submitted;
+    if (!send(std::move(request))) return false;
+    ++outstanding;
+  }
+  if (g_interrupted.load(std::memory_order_acquire)) {
+    std::fprintf(stderr,
+                 "signal received: draining %zu submitted request(s)\n",
+                 tally->submitted);
+  }
+  for (; outstanding > 0; --outstanding) {
+    if (!receive(tally)) return false;
+  }
+  return true;
+}
+
+// "<verb> N requests<where> (… ok, … failed) in T ms<suffix>" and the
+// throughput line under it.
+void PrintSummary(const char* verb, const std::string& where,
+                  const std::string& suffix, const Tally& tally,
+                  double wall_ms) {
+  std::printf(
+      "%s %zu requests%s (%llu ok, %llu updates, %llu expired, "
+      "%llu rejected, %llu failed) in %.2f ms%s\n",
+      verb, tally.submitted, where.c_str(),
+      static_cast<unsigned long long>(tally.ok),
+      static_cast<unsigned long long>(tally.updates),
+      static_cast<unsigned long long>(tally.expired),
+      static_cast<unsigned long long>(tally.rejected),
+      static_cast<unsigned long long>(tally.failed), wall_ms, suffix.c_str());
+  if (wall_ms > 0.0 && tally.submitted > 0) {
+    std::printf("  throughput    %10.0f requests/s\n",
+                tally.submitted / (wall_ms / 1000.0));
+  }
+}
+
+// Exit status mirrors request outcomes so scripts can gate on it:
+// malformed input, venue failures and queue rejections are errors;
+// deadline expiry is the shedding the caller asked for and is not.
+int ExitStatus(const RequestSource& source, const Tally& tally) {
+  if (source.malformed() > 0) {
+    std::fprintf(stderr, "error: %zu malformed workload line(s)\n",
+                 source.malformed());
+    return 1;
+  }
+  if (tally.failed > 0 || tally.rejected > 0) {
+    std::fprintf(stderr, "error: %llu request(s) failed, %llu rejected\n",
+                 static_cast<unsigned long long>(tally.failed),
+                 static_cast<unsigned long long>(tally.rejected));
+    return 1;
+  }
+  return 0;
 }
 
 void PrintPlanStats(const eng::PlanStats& plan) {
@@ -359,212 +549,45 @@ void PrintPlanStats(const eng::PlanStats& plan) {
   std::printf("\n");
 }
 
-void PrintCacheStats(const CacheCounters& cache) {
-  std::printf("  cache          %llu hits, %llu misses (%.1f%% hit rate), "
-              "%llu evictions\n",
-              static_cast<unsigned long long>(cache.hits),
-              static_cast<unsigned long long>(cache.misses),
-              100.0 * cache.hit_rate(),
-              static_cast<unsigned long long>(cache.evictions));
-}
-
-std::vector<eng::Query> MakeWorkload(const eng::QueryEngine& engine,
-                                     const Args& args) {
-  const Venue& venue = engine.venue();
-  Rng rng(args.seed);
-  std::vector<eng::Query> queries;
-  queries.reserve(args.queries);
-  for (size_t i = 0; i < args.queries; ++i) {
-    const IndoorPoint a = synth::RandomIndoorPoint(venue, rng);
-    const IndoorPoint b = synth::RandomIndoorPoint(venue, rng);
-    if (args.mix == "distance") {
-      queries.push_back(eng::Query::Distance(a, b));
-    } else if (args.mix == "path") {
-      queries.push_back(eng::Query::Path(a, b));
-    } else if (args.mix == "knn") {
-      queries.push_back(eng::Query::Knn(a, 5));
-    } else if (args.mix == "range") {
-      queries.push_back(eng::Query::Range(a, 100.0));
-    } else {
-      switch (i % 10) {
-        case 0: case 1: case 2: case 3:
-          queries.push_back(eng::Query::Distance(a, b));
-          break;
-        case 4: case 5:
-          queries.push_back(eng::Query::Path(a, b));
-          break;
-        case 6: case 7:
-          queries.push_back(eng::Query::Knn(a, 5));
-          break;
-        case 8:
-          queries.push_back(eng::Query::Range(a, 100.0));
-          break;
-        default:
-          if (engine.has_keywords()) {
-            queries.push_back(eng::Query::BooleanKnn(a, 3, {"tag-0"}));
-          } else {
-            queries.push_back(eng::Query::Knn(a, 3));
-          }
-          break;
-      }
-    }
-  }
-  return queries;
-}
-
-// ---------------------------------------------------------------------------
-// Serve-mode text protocol (shared emitter/parser: engine/workload_text.h).
-// ---------------------------------------------------------------------------
-
-// The emitted request stream: `queries` in order, with `args.updates`
-// live-object update lines interleaved at an even stride. Updates are
-// moves of existing object ids (and, on keyword venues, adds) only:
-// with >1 serve worker, updates to one venue may execute out of
-// submission order, and moves/adds stay valid under any reordering —
-// removes would invalidate later moves of the same id.
-std::vector<eng::Request> MakeRequests(const eng::QueryEngine& engine,
-                                       const Args& args,
-                                       const std::string& venue) {
-  const std::vector<eng::Query> queries = MakeWorkload(engine, args);
-  Rng rng(args.seed ^ 0x0BDE17A);
-  const size_t num_objects = engine.objects().NumObjects();
-  std::vector<eng::Request> requests;
-  requests.reserve(queries.size() + args.updates);
-  const size_t stride =
-      args.updates == 0 ? queries.size() + 1
-                        : std::max<size_t>(1, queries.size() / args.updates);
-  size_t emitted_updates = 0;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    eng::Request request;
-    request.venue_id = venue;
-    request.query = queries[i];
-    requests.push_back(std::move(request));
-    if (emitted_updates < args.updates && (i + 1) % stride == 0) {
-      ObjectDelta delta;
-      if (num_objects > 0 && (!engine.has_keywords() || !rng.Chance(0.3))) {
-        delta.moves.push_back(
-            {static_cast<ObjectId>(rng.UniformIndex(num_objects)),
-             synth::RandomIndoorPoint(engine.venue(), rng)});
-      } else {
-        ObjectDelta::Add add;
-        add.at = synth::RandomIndoorPoint(engine.venue(), rng);
-        if (engine.has_keywords()) add.keywords = {"tag-0"};
-        delta.adds.push_back(std::move(add));
-      }
-      requests.push_back(eng::Request::Update(venue, std::move(delta)));
-      ++emitted_updates;
-    }
-  }
-  // A short query list can leave stride budget unused; top up at the end.
-  for (; emitted_updates < args.updates && num_objects > 0;
-       ++emitted_updates) {
-    ObjectDelta delta;
-    delta.moves.push_back(
-        {static_cast<ObjectId>(rng.UniformIndex(num_objects)),
-         synth::RandomIndoorPoint(engine.venue(), rng)});
-    requests.push_back(eng::Request::Update(venue, std::move(delta)));
-  }
-  return requests;
-}
-
-// The --serve loop: submit every line through the service, drain, report.
-int ServeMain(const Args& args, std::optional<eng::VenueRegistry> registry) {
-  eng::ServiceOptions options;
-  options.num_threads = args.threads;
-  options.queue_capacity = args.queue_capacity;
-  options.cache = CacheOptionsFrom(args);
-  options.coalesce = CoalesceOptionsFrom(args);
-
-  std::unique_ptr<eng::Service> service;
-  const bool with_venue = registry.has_value();
-  std::string error;
-  if (with_venue) {
-    service =
-        std::make_unique<eng::Service>(std::move(*registry), options);
-  } else {
-    std::optional<eng::VenueBundle> bundle =
-        eng::VenueBundle::TryLoad(args.snapshot, &error);
-    if (!bundle.has_value()) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    service = std::make_unique<eng::Service>(
-        std::make_shared<const eng::VenueBundle>(std::move(*bundle)),
-        options);
-  }
+// The in-process driver: submit every request `source` yields through
+// `service`, drain, report.
+int ServeMain(const Args& args, eng::Service* service,
+              RequestSource* source) {
   service->Start();
-
-  std::ifstream file;
-  if (!args.input.empty()) {
-    file.open(args.input);
-    if (!file) {
-      std::fprintf(stderr, "error: cannot open workload file '%s'\n",
-                   args.input.c_str());
-      return 1;
-    }
-  }
-  std::istream& in = args.input.empty() ? std::cin : file;
-
-  // SIGINT/SIGTERM stop reading input; the drain below still runs, so
-  // every request already submitted is answered and the summary prints.
+  // SIGINT/SIGTERM stop the submitting; every request already submitted
+  // is still answered and the summary prints.
   InstallDrainSignalHandlers();
 
   const Timer wall;
-  size_t submitted = 0;
-  size_t malformed = 0;
-  size_t line_number = 0;
-  // Backpressure: cap requests outstanding (queued + in-flight) below the
-  // service's queue capacity by waiting on the oldest ticket before
-  // submitting past the window — a fast producer blocks here instead of
-  // overflowing the bounded queue into rejections.
-  std::deque<eng::Ticket> window;
-  const size_t max_outstanding = std::max<size_t>(1, args.queue_capacity);
-  std::string line;
-  while (!g_interrupted.load(std::memory_order_acquire) &&
-         std::getline(in, line)) {
-    ++line_number;
-    const size_t start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos || line[start] == '#') continue;
-    eng::Request request;
-    if (!eng::workload::ParseLine(line, with_venue, &request, &error)) {
-      std::fprintf(stderr, "warning: skipping line %zu: %s\n", line_number,
-                   error.c_str());
-      ++malformed;
-      continue;
-    }
-    request.tag = submitted;
-    if (args.deadline_ms > 0.0) {
-      request.deadline = eng::DeadlineAfterMillis(args.deadline_ms);
-    }
-    if (window.size() >= max_outstanding) {
-      window.front().Wait();
-      window.pop_front();
-    }
-    window.push_back(service->Submit(std::move(request)));
-    ++submitted;
-  }
-  if (g_interrupted.load(std::memory_order_acquire)) {
-    std::fprintf(stderr,
-                 "signal received: draining %zu submitted request(s)\n",
-                 submitted);
-  }
+  // Backpressure: the window stays within the service's queue capacity,
+  // so a fast producer waits on its oldest ticket instead of overflowing
+  // the bounded queue into rejections.
+  std::deque<eng::Ticket> tickets;
+  Tally tally;
+  // In-process sends and waits cannot fail, so neither can the drive.
+  Drive(
+      source, std::max<size_t>(1, args.queue_capacity),
+      [&](eng::Request request) {
+        if (args.deadline_ms > 0.0) {
+          request.deadline = eng::DeadlineAfterMillis(args.deadline_ms);
+        }
+        tickets.push_back(service->Submit(std::move(request)));
+        return true;
+      },
+      [&](Tally* counts) {
+        const eng::Response& response = tickets.front().Wait();
+        counts->Count(response.status, response.kind);
+        tickets.pop_front();
+        return true;
+      },
+      &tally);
   service->Drain();
   const double wall_ms = wall.ElapsedMillis();
 
   const eng::ServiceStats stats = service->Stats();
-  std::printf(
-      "served %zu requests (%llu ok, %llu updates, %llu expired, "
-      "%llu rejected, %llu failed) in %.2f ms on %zu worker(s)\n",
-      submitted, static_cast<unsigned long long>(stats.num_queries),
-      static_cast<unsigned long long>(stats.updates),
-      static_cast<unsigned long long>(stats.expired),
-      static_cast<unsigned long long>(stats.rejected),
-      static_cast<unsigned long long>(stats.failed), wall_ms,
-      stats.num_threads);
-  if (wall_ms > 0.0) {
-    std::printf("  throughput    %10.0f queries/s\n",
-                submitted / (wall_ms / 1000.0));
-  }
+  PrintSummary("served", "",
+               " on " + std::to_string(stats.num_threads) + " worker(s)",
+               tally, wall_ms);
   std::printf("  queue p50     %10.2f us\n", stats.queue_micros.p50);
   std::printf("  queue p99     %10.2f us\n", stats.queue_micros.p99);
   std::printf("  latency p50   %10.2f us\n", stats.latency_micros.p50);
@@ -572,7 +595,14 @@ int ServeMain(const Args& args, std::optional<eng::VenueRegistry> registry) {
   if (stats.updates > 0) {
     std::printf("  update p99    %10.2f us\n", stats.update_micros.p99);
   }
-  if (args.cache) PrintCacheStats(stats.cache);
+  if (args.cache) {
+    std::printf("  cache          %llu hits, %llu misses (%.1f%% hit rate), "
+                "%llu evictions\n",
+                static_cast<unsigned long long>(stats.cache.hits),
+                static_cast<unsigned long long>(stats.cache.misses),
+                100.0 * stats.cache.hit_rate(),
+                static_cast<unsigned long long>(stats.cache.evictions));
+  }
   if (args.coalesce) PrintPlanStats(stats.plan);
   for (const auto& [venue_id, counters] : stats.per_venue) {
     std::printf("  venue %-12s %llu ok, %llu updates, %llu expired, "
@@ -584,22 +614,63 @@ int ServeMain(const Args& args, std::optional<eng::VenueRegistry> registry) {
                 static_cast<unsigned long long>(counters.failed));
   }
   service->Stop();
-  // Exit status mirrors request outcomes so scripts can gate on it:
-  // malformed input, venue failures and queue rejections are errors;
-  // deadline expiry is the shedding the caller asked for and is not.
-  if (malformed > 0) {
-    std::fprintf(stderr, "error: %zu malformed workload line(s)\n",
-                 malformed);
+  return ExitStatus(*source, tally);
+}
+
+// The --connect loop: the same workload lines as --serve, submitted to a
+// remote shard or router through net::Client with a pipelined window.
+int ConnectMain(const Args& args) {
+  std::string error;
+  std::unique_ptr<net::Client> client = net::Client::Connect(
+      args.connect, &error);
+  if (client == nullptr) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-  if (stats.failed > 0 || stats.rejected > 0) {
-    std::fprintf(stderr,
-                 "error: %llu request(s) failed, %llu rejected\n",
-                 static_cast<unsigned long long>(stats.failed),
-                 static_cast<unsigned long long>(stats.rejected));
-    return 1;
+  std::unique_ptr<std::istream> in;
+  if (!OpenInput(args.input, &in)) return 1;
+  RequestSource source(std::move(in), RequestSource::Format::kEither);
+
+  const Timer wall;
+  Tally tally;
+  // Pipelining window: enough to keep the wire and the remote queue busy,
+  // small enough never to overflow a default-capacity shard queue.
+  const bool drove = Drive(
+      &source,
+      std::max<size_t>(1, std::min<size_t>(args.queue_capacity, 128)),
+      [&](eng::Request request) {
+        const io::Status status = client->Send(
+            net::WireRequest::FromRequest(request, args.deadline_ms),
+            request.tag);
+        if (!status.ok()) {
+          std::fprintf(stderr, "error: %s\n", status.error.c_str());
+        }
+        return status.ok();
+      },
+      [&](Tally* counts) {
+        net::WireResponse response;
+        uint64_t tag = 0;
+        const io::Status status = client->Receive(&response, &tag, 30000.0);
+        if (!status.ok()) {
+          std::fprintf(stderr, "error: %s\n", status.error.c_str());
+          return false;
+        }
+        counts->Count(response.status, response.kind);
+        return true;
+      },
+      &tally);
+  if (!drove) return 1;
+  const double wall_ms = wall.ElapsedMillis();
+
+  PrintSummary("sent", " to " + args.connect, "", tally, wall_ms);
+  net::WireStats stats;
+  if (client->Stats(&stats).ok()) {
+    std::printf("  server latency p50 %.2f us, p99 %.2f us "
+                "(%llu submitted fleet-wide)\n",
+                stats.latency_p50, stats.latency_p99,
+                static_cast<unsigned long long>(stats.submitted));
   }
-  return 0;
+  return ExitStatus(source, tally);
 }
 
 // The --listen loop: run this process as a network shard until a
@@ -607,26 +678,18 @@ int ServeMain(const Args& args, std::optional<eng::VenueRegistry> registry) {
 int ListenMain(const Args& args, std::optional<eng::VenueRegistry> registry) {
   net::ShardServerOptions options;
   options.port = static_cast<uint16_t>(args.listen_port);
-  options.service.num_threads = args.threads;
-  options.service.queue_capacity = args.queue_capacity;
-  options.service.cache = CacheOptionsFrom(args);
-  options.service.coalesce = CoalesceOptionsFrom(args);
+  options.service = ServiceOptionsFrom(args);
 
   std::unique_ptr<net::ShardServer> server;
-  std::string error;
   if (registry.has_value()) {
     server = std::make_unique<net::ShardServer>(std::move(*registry),
                                                 std::move(options));
   } else {
-    std::optional<eng::VenueBundle> bundle =
-        eng::VenueBundle::TryLoad(args.snapshot, &error);
-    if (!bundle.has_value()) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    server = std::make_unique<net::ShardServer>(
-        std::make_shared<const eng::VenueBundle>(std::move(*bundle)),
-        std::move(options));
+    std::shared_ptr<const eng::VenueBundle> bundle =
+        LoadSnapshot(args.snapshot);
+    if (bundle == nullptr) return 1;
+    server = std::make_unique<net::ShardServer>(std::move(bundle),
+                                                std::move(options));
   }
   if (io::Status status = server->Start(); !status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.error.c_str());
@@ -657,149 +720,6 @@ int ListenMain(const Args& args, std::optional<eng::VenueRegistry> registry) {
       static_cast<unsigned long long>(server->protocol_errors()));
   std::printf("  latency p50   %10.2f us\n", stats.latency_micros.p50);
   std::printf("  latency p99   %10.2f us\n", stats.latency_micros.p99);
-  return 0;
-}
-
-// Workload lines arrive in the registry (venue-column) or single-snapshot
-// (bare) format; a remote driver accepts either. The venue column is tried
-// first — its first token is a venue id, never a parsable operation — so
-// the two formats cannot be confused.
-bool ParseLineAnyFormat(const std::string& line, eng::Request* request,
-                        std::string* error) {
-  if (eng::workload::ParseLine(line, /*with_venue=*/true, request, error)) {
-    return true;
-  }
-  std::string bare_error;
-  if (eng::workload::ParseLine(line, /*with_venue=*/false, request,
-                               &bare_error)) {
-    error->clear();
-    return true;
-  }
-  return false;  // report the venue-format error (the likelier intent)
-}
-
-// The --connect loop: same workload lines as --serve, but submitted to a
-// remote shard or router through net::Client with a pipelined window.
-int ConnectMain(const Args& args) {
-  std::string error;
-  std::unique_ptr<net::Client> client = net::Client::Connect(
-      args.connect, &error);
-  if (client == nullptr) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 1;
-  }
-
-  std::ifstream file;
-  if (!args.input.empty()) {
-    file.open(args.input);
-    if (!file) {
-      std::fprintf(stderr, "error: cannot open workload file '%s'\n",
-                   args.input.c_str());
-      return 1;
-    }
-  }
-  std::istream& in = args.input.empty() ? std::cin : file;
-
-  const Timer wall;
-  size_t submitted = 0;
-  size_t malformed = 0;
-  size_t line_number = 0;
-  size_t outstanding = 0;
-  uint64_t ok = 0, updates = 0, expired = 0, rejected = 0, failed = 0;
-  // Pipelining window: enough to keep the wire and the remote queue busy,
-  // small enough never to overflow a default-capacity shard queue.
-  const size_t window =
-      std::max<size_t>(1, std::min<size_t>(args.queue_capacity, 128));
-
-  auto receive_one = [&]() -> bool {
-    net::WireResponse response;
-    uint64_t tag = 0;
-    if (io::Status status = client->Receive(&response, &tag, 30000.0);
-        !status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.error.c_str());
-      return false;
-    }
-    --outstanding;
-    switch (response.status) {
-      case eng::RequestStatus::kOk:
-        if (response.kind == eng::RequestKind::kUpdateObjects) {
-          ++updates;
-        } else {
-          ++ok;
-        }
-        break;
-      case eng::RequestStatus::kDeadlineExceeded:
-        ++expired;
-        break;
-      case eng::RequestStatus::kRejected:
-        ++rejected;
-        break;
-      default:
-        ++failed;
-        break;
-    }
-    return true;
-  };
-
-  std::string line;
-  while (std::getline(in, line)) {
-    ++line_number;
-    const size_t start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos || line[start] == '#') continue;
-    eng::Request request;
-    if (!ParseLineAnyFormat(line, &request, &error)) {
-      std::fprintf(stderr, "warning: skipping line %zu: %s\n", line_number,
-                   error.c_str());
-      ++malformed;
-      continue;
-    }
-    const net::WireRequest wire =
-        net::WireRequest::FromRequest(request, args.deadline_ms);
-    while (outstanding >= window) {
-      if (!receive_one()) return 1;
-    }
-    ++submitted;
-    if (io::Status status = client->Send(wire, submitted); !status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.error.c_str());
-      return 1;
-    }
-    ++outstanding;
-  }
-  while (outstanding > 0) {
-    if (!receive_one()) return 1;
-  }
-  const double wall_ms = wall.ElapsedMillis();
-
-  std::printf(
-      "sent %zu requests to %s (%llu ok, %llu updates, %llu expired, "
-      "%llu rejected, %llu failed) in %.2f ms\n",
-      submitted, args.connect.c_str(), static_cast<unsigned long long>(ok),
-      static_cast<unsigned long long>(updates),
-      static_cast<unsigned long long>(expired),
-      static_cast<unsigned long long>(rejected),
-      static_cast<unsigned long long>(failed), wall_ms);
-  if (wall_ms > 0.0 && submitted > 0) {
-    std::printf("  throughput    %10.0f requests/s\n",
-                submitted / (wall_ms / 1000.0));
-  }
-  net::WireStats stats;
-  if (client->Stats(&stats).ok()) {
-    std::printf("  server latency p50 %.2f us, p99 %.2f us "
-                "(%llu submitted fleet-wide)\n",
-                stats.latency_p50, stats.latency_p99,
-                static_cast<unsigned long long>(stats.submitted));
-  }
-  if (malformed > 0) {
-    std::fprintf(stderr, "error: %zu malformed workload line(s)\n",
-                 malformed);
-    return 1;
-  }
-  if (failed > 0 || rejected > 0) {
-    std::fprintf(stderr, "error: %llu request(s) failed, %llu rejected\n",
-                 static_cast<unsigned long long>(failed),
-                 static_cast<unsigned long long>(rejected));
-    return 1;
-  }
   return 0;
 }
 
@@ -834,71 +754,57 @@ int main(int argc, char** argv) {
   }
 
   if (args.listen_port >= 0) return ListenMain(args, std::move(registry));
-  if (args.serve) return ServeMain(args, std::move(registry));
 
-  Timer load_timer;
-  std::unique_ptr<eng::QueryEngine> engine;
-  bool zero_copy = false;
-  if (registry.has_value()) {
-    const std::shared_ptr<const eng::VenueBundle> bundle =
-        registry->Acquire(args.venue, &error);
+  // The single snapshot, or (for the generated workload) the --venue it
+  // targets, loaded up front; a --serve registry loads venues lazily.
+  const Timer load_timer;
+  std::shared_ptr<const eng::VenueBundle> bundle;
+  if (!registry.has_value()) {
+    bundle = LoadSnapshot(args.snapshot);
+    if (bundle == nullptr) return 1;
+  } else if (!args.serve) {
+    bundle = registry->Acquire(args.venue, &error);
     if (bundle == nullptr) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
     }
-    zero_copy = bundle->zero_copy();
-    engine = std::make_unique<eng::QueryEngine>(bundle);
+  }
+
+  std::unique_ptr<std::istream> in;
+  if (args.serve) {
+    if (!OpenInput(args.input, &in)) return 1;
   } else {
-    engine = eng::QueryEngine::TryLoad(args.snapshot, &error);
-    if (engine == nullptr) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
+    if (!args.emit_workload) {
+      std::printf(
+          "snapshot loaded in %.1f ms (%s): %zu partitions, %zu doors, "
+          "%zu objects, %s index%s\n",
+          load_timer.ElapsedMillis(),
+          bundle->zero_copy() ? "zero-copy mmap" : "copied",
+          bundle->venue().NumPartitions(), bundle->venue().NumDoors(),
+          bundle->objects().NumObjects(),
+          HumanBytes(bundle->IndexMemoryBytes()).c_str(),
+          bundle->has_keywords() ? " (with keywords)" : "");
     }
-    zero_copy = engine->bundle().zero_copy();
-  }
-  if (args.cache) engine->EnableDistanceCache(CacheOptionsFrom(args));
-
-  if (args.emit_workload) {
     // Registry-mode lines carry the venue column --serve expects.
-    const std::string venue_column =
-        registry.has_value() ? args.venue : std::string();
-    for (const eng::Request& request :
-         MakeRequests(*engine, args, venue_column)) {
-      std::printf("%s\n", eng::workload::EmitLine(request).c_str());
+    std::string text;
+    for (const eng::Request& request : MakeRequests(
+             *bundle, args, registry.has_value() ? args.venue : "")) {
+      text += eng::workload::EmitLine(request) + "\n";
     }
-    return 0;
+    if (args.emit_workload) {
+      std::fputs(text.c_str(), stdout);
+      return 0;
+    }
+    in = std::make_unique<std::istringstream>(std::move(text));
   }
+  RequestSource source(std::move(in), registry.has_value()
+                                          ? RequestSource::Format::kVenue
+                                          : RequestSource::Format::kBare);
 
-  std::printf(
-      "snapshot loaded in %.1f ms (%s): %zu partitions, %zu doors, "
-      "%zu objects, %s index%s\n",
-      load_timer.ElapsedMillis(), zero_copy ? "zero-copy mmap" : "copied",
-      engine->venue().NumPartitions(), engine->venue().NumDoors(),
-      engine->objects().NumObjects(),
-      HumanBytes(engine->IndexMemoryBytes()).c_str(),
-      engine->has_keywords() ? " (with keywords)" : "");
-
-  const std::vector<eng::Query> queries = MakeWorkload(*engine, args);
-  eng::BatchOptions batch;
-  batch.num_threads = args.threads;
-  batch.coalesce = CoalesceOptionsFrom(args);
-  const eng::BatchResult run = engine->RunBatch(queries, batch);
-
-  const eng::BatchStats& stats = run.stats;
-  std::printf("batch: %zu %s queries on %zu thread(s)\n", stats.num_queries,
-              args.mix.c_str(), stats.num_threads);
-  std::printf("  wall          %10.2f ms\n", stats.wall_millis);
-  std::printf("  throughput    %10.0f queries/s\n",
-              stats.queries_per_second);
-  std::printf("  latency p50   %10.2f us\n", stats.latency_micros.p50);
-  std::printf("  latency p95   %10.2f us\n", stats.latency_micros.p95);
-  std::printf("  latency p99   %10.2f us\n", stats.latency_micros.p99);
-  std::printf("  latency max   %10.2f us\n", stats.latency_micros.max);
-  std::printf("  visited nodes %10llu\n",
-              static_cast<unsigned long long>(stats.visited_nodes));
-  if (args.coalesce) PrintPlanStats(stats.plan);
-  if (args.cache) {
-    PrintCacheStats(engine->distance_cache()->Counters());
-  }
-  return 0;
+  const eng::ServiceOptions options = ServiceOptionsFrom(args);
+  std::unique_ptr<eng::Service> service =
+      registry.has_value()
+          ? std::make_unique<eng::Service>(std::move(*registry), options)
+          : std::make_unique<eng::Service>(std::move(bundle), options);
+  return ServeMain(args, service.get(), &source);
 }

@@ -39,16 +39,13 @@ struct Args {
   std::string manifest;  // optional: venue ids for the assignment banner
   int listen_port = 0;   // 0 = ephemeral (the bound port is printed)
   net::RouterOptions options;
-  bool print_assignments = false;
 };
 
 void Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --shards HOST:PORT[,HOST:PORT...] [--manifest PATH]\n"
-      "          [--listen PORT] [--pool N] [--probe-interval-ms D]\n"
-      "          [--probe-miss-limit N] [--max-attempts N]\n"
-      "          [--print-assignments]\n"
+      "          [--listen PORT] [--probe-interval-ms D]\n"
       "\n"
       "Routes wire-protocol requests across a fixed shard fleet by\n"
       "consistent venue assignment, with health probing and failover.\n"
@@ -59,73 +56,23 @@ void Usage(const char* argv0) {
 }
 
 bool Parse(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
-                     flag.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (flag == "--shards") {
-      if ((v = value()) == nullptr) return false;
-      std::string list = v;
-      size_t start = 0;
-      while (start <= list.size()) {
-        const size_t comma = list.find(',', start);
-        const std::string endpoint =
-            list.substr(start, comma == std::string::npos ? std::string::npos
-                                                          : comma - start);
-        if (!endpoint.empty()) args->shards.push_back(endpoint);
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-    } else if (flag == "--manifest") {
-      if ((v = value()) == nullptr) return false;
-      args->manifest = v;
-    } else if (flag == "--listen") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v, &args->listen_port,
-                                    65535)) {
-        return false;
-      }
-    } else if (flag == "--pool") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v,
-                                    &args->options.pool_size)) {
-        return false;
-      }
-    } else if (flag == "--probe-interval-ms") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseNonNegativeFlag(argv[0], flag, v,
-                                       &args->options.probe_interval_ms)) {
-        return false;
-      }
-    } else if (flag == "--probe-miss-limit") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v,
-                                    &args->options.probe_miss_limit)) {
-        return false;
-      }
-    } else if (flag == "--max-attempts") {
-      if ((v = value()) == nullptr) return false;
-      if (!tools::ParseUnsignedFlag(argv[0], flag, v,
-                                    &args->options.max_attempts)) {
-        return false;
-      }
-    } else if (flag == "--print-assignments") {
-      args->print_assignments = true;
-    } else if (flag == "--help" || flag == "-h") {
-      Usage(argv[0]);
-      return false;
-    } else {
-      std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], flag.c_str());
-      Usage(argv[0]);
-      return false;
-    }
+  std::string shard_list;
+  const std::vector<tools::Flag> flags = {
+      tools::StringFlag("--shards", &shard_list),
+      tools::StringFlag("--manifest", &args->manifest),
+      tools::UnsignedFlag("--listen", &args->listen_port, 65535),
+      tools::NonNegativeFlag("--probe-interval-ms",
+                             &args->options.probe_interval_ms),
+  };
+  if (!tools::ParseFlags(argc, argv, flags, Usage)) return false;
+  size_t start = 0;
+  while (start <= shard_list.size()) {
+    const size_t comma = shard_list.find(',', start);
+    const std::string endpoint = shard_list.substr(
+        start, comma == std::string::npos ? std::string::npos : comma - start);
+    if (!endpoint.empty()) args->shards.push_back(endpoint);
+    if (comma == std::string::npos) break;
+    start = comma + 1;
   }
   if (args->shards.empty()) {
     std::fprintf(stderr, "%s: --shards is required\n", argv[0]);
@@ -182,11 +129,9 @@ int main(int argc, char** argv) {
 
   std::printf("router listening on 127.0.0.1:%u over %zu shard(s)\n",
               router.port(), args.shards.size());
-  if (args.print_assignments || !venue_ids.empty()) {
-    for (const auto& [venue, shard] : router.Assignments()) {
-      std::printf("  venue %-16s -> shard %zu (%s)\n", venue.c_str(), shard,
-                  args.shards[shard].c_str());
-    }
+  for (const auto& [venue, shard] : router.Assignments()) {
+    std::printf("  venue %-16s -> shard %zu (%s)\n", venue.c_str(), shard,
+                args.shards[shard].c_str());
   }
   std::fflush(stdout);
 
