@@ -1,24 +1,27 @@
 // A/B benchmark for the execution planner (engine/exec_plan.h): coalesced
-// RunBatch vs sequential RunBatch vs the cross-request distance cache on
+// vs sequential execution vs the cross-request distance cache on
 // source-skewed batches — the access pattern coalescing exists for (many
 // concurrent queries leaving the same entrance/lobby/POI, a zipfian
 // distribution over a small hot source pool).
 //
-// Three configurations per workload, all single-threaded so the ratio
-// isolates the planner (not parallelism):
-//   sequential  RunBatch, coalescing off, cache off — the baseline;
-//   coalesced   RunBatch, coalescing on (window 64), cache off;
-//   cache       RunBatch, coalescing off, LRU distance cache on — the
-//               PR-8 alternative way to exploit repetition, for context.
+// Three configurations per workload, all on the calling thread through
+// QueryEngine directly, so the ratio isolates the planner (no Service
+// queue, no parallelism):
+//   sequential  RunSequential, cache off — the baseline;
+//   coalesced   RunCoalesced over kWindow-sized spans, cache off;
+//   cache       RunSequential with the LRU distance cache on — the
+//               alternative way to exploit repetition, for context.
 //
 // Results are bit-identical across all configurations (the planner's
 // contract); the bench CHECKs coalesced against sequential as it runs and
 // prints the planner's group/ascent accounting. Respects VIPTREE_SCALE /
 // VIPTREE_QUERIES like every other bench.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -31,8 +34,8 @@ namespace bench {
 namespace {
 
 constexpr size_t kHotSources = 16;  // distinct sources in the zipfian pool
-// Whole-batch window: RunBatch hands the planner the full batch at once,
-// so the ratio measures the planner's grouping, not how a latency-bounded
+// Whole-batch window: the planner gets the full batch as one span, so the
+// ratio measures the planner's grouping, not how a latency-bounded
 // serving window happens to fragment it (the Service default stays 64).
 constexpr size_t kWindow = 4096;
 
@@ -109,19 +112,26 @@ bool BitIdentical(const engine::Result& a, const engine::Result& b) {
 struct RunResult {
   double wall_ms = 0.0;
   double qps = 0.0;
-  engine::BatchResult batch;
+  std::vector<engine::Result> results;
+  engine::PlanStats plan;  // zero unless coalesced
 };
 
 RunResult RunOnce(const engine::QueryEngine& engine,
                   const std::vector<engine::Query>& queries, bool coalesce) {
-  engine::BatchOptions options;
-  options.num_threads = 1;
-  options.coalesce.enabled = coalesce;
-  options.coalesce.window = kWindow;
   RunResult run;
   const Timer wall;
-  run.batch = engine.RunBatch(
-      Span<const engine::Query>(queries.data(), queries.size()), options);
+  if (coalesce) {
+    run.results.reserve(queries.size());
+    for (size_t begin = 0; begin < queries.size(); begin += kWindow) {
+      const Span<const engine::Query> span(
+          queries.data() + begin, std::min(kWindow, queries.size() - begin));
+      for (engine::Result& r : engine.RunCoalesced(span, &run.plan)) {
+        run.results.push_back(std::move(r));
+      }
+    }
+  } else {
+    run.results = engine.RunSequential(queries);
+  }
   run.wall_ms = wall.ElapsedMillis();
   run.qps = queries.size() / (run.wall_ms / 1000.0);
   return run;
@@ -136,8 +146,8 @@ void RunWorkload(engine::QueryEngine& engine, const char* label,
   const RunResult coalesced = RunOnce(engine, queries, /*coalesce=*/true);
   for (size_t i = 0; i < queries.size(); ++i) {
     VIPTREE_CHECK_MSG(
-        BitIdentical(sequential.batch.results[i], coalesced.batch.results[i]),
-        "coalesced RunBatch diverged from sequential");
+        BitIdentical(sequential.results[i], coalesced.results[i]),
+        "coalesced execution diverged from sequential");
   }
 
   // The caching alternative: same sequential execution, exact memoization.
@@ -147,7 +157,7 @@ void RunWorkload(engine::QueryEngine& engine, const char* label,
   const RunResult cached = RunOnce(engine, queries, /*coalesce=*/false);
   engine.SetDistanceCache(nullptr);
 
-  const engine::PlanStats& plan = coalesced.batch.stats.plan;
+  const engine::PlanStats& plan = coalesced.plan;
   std::printf("%s: %zu queries\n", label, queries.size());
   std::printf("  %-10s %10.2f ms %12.0f q/s\n", "sequential",
               sequential.wall_ms, sequential.qps);

@@ -134,8 +134,8 @@ inline std::vector<IndoorPoint> Objects(synth::Dataset dataset,
 
 // The serving-layer mixed workload: 40% distance, 20% path, 20% kNN, 10%
 // range, 10% boolean keyword (falling back to kNN when the engine has no
-// keyword index). One generator shared by bench_batch_throughput and
-// bench_service_throughput, so their throughput numbers stay comparable.
+// keyword index). One generator shared by bench_service_throughput and
+// bench_net_throughput, so their throughput numbers stay comparable.
 inline std::vector<engine::Query> MixedEngineWorkload(const Venue& venue,
                                                       uint64_t seed, size_t n,
                                                       bool keywords) {

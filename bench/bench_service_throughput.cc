@@ -2,11 +2,12 @@
 //
 // Not a paper figure — this measures the serving layer. Two phases:
 //
-//   1. Closed-loop parity, single venue: the bench_batch_throughput mixed
-//      workload over Men-2, answered (a) through QueryEngine::RunBatch at
-//      one thread and (b) through a resident one-worker Service via
-//      SubmitBatch + Drain. The resident pool must not regress the
-//      closed-loop path (>= parity target, modulo run-to-run noise).
+//   1. Closed-loop thread scaling, single venue: a mixed workload
+//      (shortest distance / path / kNN / range / boolean keyword) over
+//      Men-2, fed to a fresh resident Service at 1 / 2 / 4 / 8 workers
+//      via SubmitBatch + Drain. Prints wall time, queries/sec, speedup
+//      over one worker, and the per-query execution latency (p50/p95)
+//      from Stats().
 //
 //   2. Open-loop arrival across 1 / 2 / 4 venues: snapshots are written to
 //      a temp registry, a multi-venue Service routes a paced request
@@ -61,13 +62,14 @@ double ServiceClosedLoopQps(eng::Service& service,
 
 int Main() {
   // -------------------------------------------------------------------
-  // Phase 1: closed-loop parity on the Men-2 venue, one thread.
+  // Phase 1: closed-loop thread scaling on the Men-2 venue.
   // -------------------------------------------------------------------
   const synth::Dataset dataset = synth::Dataset::kMen2;
   DatasetBundle& data = GetDataset(dataset);
-  std::printf("venue %s: %zu partitions, %zu doors\n",
+  const size_t cores = std::thread::hardware_concurrency();
+  std::printf("venue %s: %zu partitions, %zu doors (%zu hardware threads)\n",
               data.info.name.c_str(), data.venue.NumPartitions(),
-              data.venue.NumDoors());
+              data.venue.NumDoors(), cores);
 
   const std::vector<IndoorPoint> facilities = Objects(dataset, 50);
   std::vector<std::vector<std::string>> keywords(facilities.size());
@@ -81,37 +83,36 @@ int Main() {
                                   options));
   const std::vector<eng::Query> workload =
       MixedEngineWorkload(data.venue, 0xBA7C4, NumQueries() * 8, true);
-  std::printf("workload: %zu mixed queries\n\n", workload.size());
+  std::printf("workload: %zu mixed queries (40%% SD, 20%% SP, 20%% kNN, "
+              "10%% range, 10%% boolean kNN)\n\n",
+              workload.size());
 
-  const eng::QueryEngine engine(bundle);
-  double batch_qps = 0.0;
-  for (int round = 0; round < 3; ++round) {  // best-of-3 for stability
-    const eng::BatchResult run =
-        engine.RunBatch(workload, {/*num_threads=*/1});
-    batch_qps = std::max(batch_qps, run.stats.queries_per_second);
-  }
-
-  double service_qps = 0.0;
-  {
+  std::printf("%8s %12s %12s %9s %10s %10s\n", "workers", "wall ms",
+              "queries/s", "speedup", "p50 us", "p95 us");
+  const std::vector<std::string> single{std::string()};
+  double base_qps = 0.0;
+  double speedup4 = 0.0;
+  for (const size_t threads : {1u, 2u, 4u, 8u}) {
     eng::ServiceOptions service_options;
-    service_options.num_threads = 1;
+    service_options.num_threads = threads;
     service_options.queue_capacity = workload.size();
     eng::Service service(bundle, service_options);
     service.Start();
-    const std::vector<std::string> single{std::string()};
-    for (int round = 0; round < 3; ++round) {
-      service_qps = std::max(
-          service_qps, ServiceClosedLoopQps(service, workload, single));
-    }
+    const double qps = ServiceClosedLoopQps(service, workload, single);
+    const eng::ServiceStats stats = service.Stats();
     service.Stop();
+    if (threads == 1) base_qps = qps;
+    const double speedup = base_qps > 0.0 ? qps / base_qps : 0.0;
+    if (threads == 4) speedup4 = speedup;
+    std::printf("%8zu %12.2f %12.0f %8.2fx %10.2f %10.2f\n", threads,
+                qps > 0.0 ? 1000.0 * workload.size() / qps : 0.0, qps,
+                speedup, stats.latency_micros.p50, stats.latency_micros.p95);
   }
-  const double parity = batch_qps > 0.0 ? service_qps / batch_qps : 0.0;
-  std::printf("closed loop, 1 thread, single venue:\n");
-  std::printf("  RunBatch          %10.0f queries/s\n", batch_qps);
-  std::printf("  resident Service  %10.0f queries/s  (%.2fx, %s)\n\n",
-              service_qps, parity,
-              parity >= 0.9 ? "parity target met"
-                            : "below parity target");
+  // Wall-clock scaling needs more than one hardware thread; on a 1-core
+  // host only the per-query overhead above is meaningful.
+  std::printf("\n4-worker speedup: %.2fx on %zu hardware thread(s) %s\n\n",
+              speedup4, cores,
+              speedup4 > 1.5 ? "(>1.5x target met)" : "(below 1.5x target)");
 
   // -------------------------------------------------------------------
   // Phase 2: open-loop arrival across 1 / 2 / 4 venues via a registry.
@@ -212,7 +213,7 @@ int Main() {
     const eng::ServiceStats stats = service.Stats();
     const Summary sojourn = Summarize(sojourn_micros);
     std::printf("%8zu %10zu %12.0f %12.0f %10.1f %10.1f %9llu\n",
-                num_venues, stats.num_threads, rate,
+                num_venues, service.num_threads(), rate,
                 elapsed_s > 0.0 ? n / elapsed_s : 0.0, sojourn.p50,
                 sojourn.p99,
                 static_cast<unsigned long long>(stats.expired));

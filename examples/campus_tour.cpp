@@ -3,14 +3,16 @@
 // walkways, then answers cross-building queries — "a student may issue a
 // query to find the nearest photocopier in a university campus" — comparing
 // IP-Tree against the VIP-Tree engine façade on long-range shortest
-// distances, sequentially and as a multi-threaded batch.
+// distances, sequentially and through a 4-worker engine::Service.
 
 #include <cstdio>
+#include <memory>
 
 #include "common/stats.h"
 #include "core/distance_query.h"
 #include "core/ip_tree.h"
 #include "engine/query_engine.h"
+#include "engine/service.h"
 #include "graph/d2d_graph.h"
 #include "synth/campus_generator.h"
 #include "synth/objects.h"
@@ -32,7 +34,9 @@ int main() {
   const IPTree ip = IPTree::Build(venue, graph);
   const double ip_ms = build_timer.ElapsedMillis();
   build_timer.Reset();
-  const engine::QueryEngine engine(venue, graph, copiers);
+  const auto bundle = std::make_shared<const engine::VenueBundle>(
+      engine::VenueBundle::BuildFrom(venue, graph, copiers));
+  const engine::QueryEngine engine(bundle);
   const double vip_ms = build_timer.ElapsedMillis();
   std::printf(
       "IP-Tree built in %.1f ms (%.1f MB), VIP engine in %.1f ms (%.1f MB)\n",
@@ -63,23 +67,36 @@ int main() {
   for (const IndoorPoint& t : targets) sum_ip += ip_query.Distance(student, t);
   const double ip_query_us = timer.ElapsedMicros() / targets.size();
 
-  const std::vector<engine::Result> seq = engine.RunSequential(batch);
-  const engine::BatchStats seq_stats =
-      engine::QueryEngine::Aggregate(seq, 0.0, 1);
+  std::vector<double> latencies;
   double sum_vip = 0.0;
-  for (const engine::Result& r : seq) sum_vip += r.distance;
+  for (const engine::Result& r : engine.RunSequential(batch)) {
+    latencies.push_back(r.latency_micros);
+    sum_vip += r.distance;
+  }
   std::printf(
       "avg SD query: IP-Tree %.2f us, VIP engine %.2f us (checksums %.0f / "
       "%.0f)\n",
-      ip_query_us, seq_stats.latency_micros.mean, sum_ip, sum_vip);
+      ip_query_us, Summarize(latencies).mean, sum_ip, sum_vip);
 
-  // The same 2000 queries as one batch over 4 worker threads.
-  engine::BatchOptions batch_options;
-  batch_options.num_threads = 4;
-  const engine::BatchResult parallel = engine.RunBatch(batch, batch_options);
-  std::printf("batched on %zu threads: %.1f ms wall, %.0f queries/s\n",
-              parallel.stats.num_threads, parallel.stats.wall_millis,
-              parallel.stats.queries_per_second);
+  // The same 2000 queries served by 4 resident workers.
+  std::vector<engine::Request> requests(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) requests[i].query = batch[i];
+  engine::ServiceOptions service_options;
+  service_options.num_threads = 4;
+  service_options.queue_capacity = requests.size();
+  engine::Service service(bundle, service_options);
+  const Timer wall;
+  service.Start();
+  for (engine::Ticket& ticket : service.SubmitBatch(std::move(requests))) {
+    ticket.Take();
+  }
+  const double wall_ms = wall.ElapsedMillis();
+  const engine::ServiceStats served = service.Stats();
+  std::printf(
+      "served %zu queries on %zu workers: %.1f ms wall, %.0f queries/s, "
+      "p95 %.1f us\n",
+      served.num_queries, service.num_threads(), wall_ms,
+      served.num_queries / (wall_ms / 1000.0), served.latency_micros.p95);
 
   // Nearest photocopier across the campus.
   const auto nearest = engine.Run(engine::Query::Knn(student, 3)).objects;

@@ -1,9 +1,10 @@
 // Quickstart: build a small office building, stand up the QueryEngine
 // façade over a VIP-Tree, and answer the four query types of the paper
 // (shortest distance, shortest path, kNN, range) — single queries through
-// Run() and a concurrent batch through RunBatch(). Finishes with the
-// snapshot workflow: Save() the engine's self-contained bundle, Load() it
-// back (as a serving process would), and check both answer identically.
+// Run() and a concurrent batch through a 4-worker engine::Service over the
+// same shared bundle. Finishes with the snapshot workflow: Save() the
+// engine's self-contained bundle, Load() it back (as a serving process
+// would), and check both answer identically.
 //
 //   ./build/quickstart
 
@@ -13,6 +14,7 @@
 #include <string>
 
 #include "engine/query_engine.h"
+#include "engine/service.h"
 #include "synth/building_generator.h"
 #include "synth/objects.h"
 
@@ -30,13 +32,16 @@ int main() {
   std::printf("venue: %zu partitions, %zu doors\n",
               built_venue.NumPartitions(), built_venue.NumDoors());
 
-  // 2. Index some objects (printers, say) and build the engine: the engine
+  // 2. Index some objects (printers, say) and build the serving bundle: it
   // takes ownership of the venue, derives the door-to-door graph, and owns
-  // one VIP-Tree plus an object index behind a typed query API.
+  // one VIP-Tree plus an object index. The engine puts a typed query API
+  // over the shared, immutable bundle.
   Rng rng(42);
   const std::vector<IndoorPoint> printers =
       synth::PlaceObjects(built_venue, 8, rng);
-  const engine::QueryEngine engine(std::move(built_venue), printers);
+  const auto bundle = std::make_shared<const engine::VenueBundle>(
+      engine::VenueBundle::Build(std::move(built_venue), printers));
+  const engine::QueryEngine engine(bundle);
   const Venue& venue = engine.venue();
   const IPTree::Stats stats = engine.tree().base().ComputeStats();
   std::printf(
@@ -68,24 +73,31 @@ int main() {
   const engine::Result in_range = engine.Run(engine::Query::Range(a, 50.0));
   std::printf("%zu printers within 50 m\n", in_range.objects.size());
 
-  // 5. Batch mode: fan 400 mixed queries across 4 worker threads over the
-  // same read-only index.
-  std::vector<engine::Query> batch;
-  for (int i = 0; i < 400; ++i) {
+  // 5. Concurrent serving: queue 400 mixed queries on a 4-worker Service
+  // over the same shared, read-only bundle; tickets[i] answers requests[i].
+  std::vector<engine::Request> requests(400);
+  for (size_t i = 0; i < requests.size(); ++i) {
     const IndoorPoint s = synth::RandomIndoorPoint(venue, rng);
     const IndoorPoint t = synth::RandomIndoorPoint(venue, rng);
-    batch.push_back(i % 2 == 0 ? engine::Query::Distance(s, t)
-                               : engine::Query::Knn(s, 3));
+    requests[i].query = i % 2 == 0 ? engine::Query::Distance(s, t)
+                                   : engine::Query::Knn(s, 3);
   }
-  engine::BatchOptions batch_options;
-  batch_options.num_threads = 4;
-  const engine::BatchResult result = engine.RunBatch(batch, batch_options);
+  engine::ServiceOptions service_options;
+  service_options.num_threads = 4;
+  service_options.queue_capacity = requests.size();
+  engine::Service service(bundle, service_options);
+  const Timer wall;
+  service.Start();
+  for (engine::Ticket& ticket : service.SubmitBatch(std::move(requests))) {
+    ticket.Take();
+  }
+  const double wall_ms = wall.ElapsedMillis();
+  const engine::ServiceStats served = service.Stats();
   std::printf(
-      "batch: %zu queries on %zu threads in %.2f ms (%.0f queries/s, "
+      "service: %zu queries on %zu workers in %.2f ms (%.0f queries/s, "
       "p95 %.1f us)\n",
-      result.stats.num_queries, result.stats.num_threads,
-      result.stats.wall_millis, result.stats.queries_per_second,
-      result.stats.latency_micros.p95);
+      served.num_queries, service.num_threads(), wall_ms,
+      served.num_queries / (wall_ms / 1000.0), served.latency_micros.p95);
 
   // 6. Snapshot persistence: save the whole serving state, load it back
   // the way a fresh serving process would, and answer the same query.

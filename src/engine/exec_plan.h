@@ -29,9 +29,7 @@
 // CoalesceOptions::window contiguous same-venue queries from the queue
 // into one group (deadline-aware: grouping only takes already-queued
 // work, so a group never waits for more arrivals, and each member is
-// still shed individually if its deadline passed at pickup);
-// QueryEngine::RunBatch forwards its coalesce options to the transient
-// service behind it.
+// still shed individually if its deadline passed at pickup).
 
 #ifndef VIPTREE_ENGINE_EXEC_PLAN_H_
 #define VIPTREE_ENGINE_EXEC_PLAN_H_
@@ -52,7 +50,7 @@ struct Query;
 struct Result;
 
 // Tuning of the coalesced execution path. Off by default: coalescing is
-// opt-in at every layer (BatchOptions, ServiceOptions, --coalesce).
+// opt-in at every layer (ServiceOptions, --coalesce).
 struct CoalesceOptions {
   bool enabled = false;
   // Most queue entries a Service worker pulls into one group (clamped to
@@ -63,7 +61,7 @@ struct CoalesceOptions {
 
 // What the planner did with a batch: groups formed, ascent/descent work
 // shared, and a power-of-two histogram of group sizes. Aggregated into
-// BatchStats/ServiceStats and printed by the serve summary.
+// ServiceStats and printed by the serve summary.
 struct PlanStats {
   static constexpr size_t kHistogramBuckets = 8;
 

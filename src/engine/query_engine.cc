@@ -1,12 +1,11 @@
 #include "engine/query_engine.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/stats.h"
 #include "engine/exec_plan.h"
-#include "engine/service.h"
 
 namespace viptree {
 namespace engine {
@@ -269,84 +268,6 @@ std::vector<Result> QueryEngine::RunCoalesced(Span<const Query> queries,
       ExecutePlan(queries, worker.distance, objects, fallback, results);
   if (stats != nullptr) stats->Merge(plan);
   return results;
-}
-
-BatchResult QueryEngine::RunBatch(Span<const Query> queries,
-                                  const BatchOptions& options) const {
-  const size_t n = queries.size();
-  size_t threads = ResolveThreadCount(options.num_threads);
-  threads = std::min(threads, std::max<size_t>(1, n));
-
-  BatchResult out;
-  out.results.resize(n);
-  const Timer wall;
-
-  // Compatibility shim over the async front-end (engine/service.h): a
-  // transient single-venue Service with `threads` workers answers the
-  // whole batch. Each Service worker builds its own QueryEngine over the
-  // shared bundle, so this never touches the resident worker and
-  // concurrent RunBatch calls on one engine stay safe, exactly as before.
-  if (n > 0) {
-    ServiceOptions service_options;
-    service_options.num_threads = threads;
-    service_options.queue_capacity = n;  // nothing is ever rejected
-    // The transient workers share this engine's cache (single venue, so
-    // the venue-local door ids cannot alias).
-    service_options.shared_cache = cache_;
-    // Coalescing rides the same wiring: the whole batch is queued before
-    // Start(), so workers pull full windows and the planner groups within
-    // each pull.
-    service_options.coalesce = options.coalesce;
-    Service service(bundle_, service_options);
-    std::vector<Request> requests;
-    requests.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      Request request;
-      request.query = queries[i];
-      request.tag = i;
-      requests.push_back(std::move(request));
-    }
-    std::vector<Ticket> tickets = service.SubmitBatch(std::move(requests));
-    service.Start();
-    service.Drain();
-    for (size_t i = 0; i < n; ++i) {
-      Response response = tickets[i].Take();
-      VIPTREE_CHECK_MSG(response.ok(),
-                        ("batch query " + std::to_string(i) + " failed (" +
-                         std::string(RequestStatusName(response.status)) +
-                         "): " + response.error)
-                            .c_str());
-      // results[i] answers queries[i], independent of which worker ran it.
-      out.results[i] = std::move(response.result);
-    }
-    const PlanStats plan = service.Stats().plan;
-    service.Stop();
-    out.stats = Aggregate(out.results, wall.ElapsedMillis(), threads);
-    out.stats.plan = plan;
-    return out;
-  }
-
-  out.stats = Aggregate(out.results, wall.ElapsedMillis(), threads);
-  return out;
-}
-
-BatchStats QueryEngine::Aggregate(const std::vector<Result>& results,
-                                  double wall_millis, size_t num_threads) {
-  BatchStats stats;
-  stats.num_queries = results.size();
-  stats.num_threads = num_threads;
-  stats.wall_millis = wall_millis;
-  if (wall_millis > 0.0) {
-    stats.queries_per_second = results.size() / (wall_millis / 1000.0);
-  }
-  std::vector<double> latencies;
-  latencies.reserve(results.size());
-  for (const Result& r : results) {
-    latencies.push_back(r.latency_micros);
-    stats.visited_nodes += r.visited_nodes;
-  }
-  stats.latency_micros = Summarize(latencies);
-  return stats;
 }
 
 }  // namespace engine

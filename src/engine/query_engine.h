@@ -19,15 +19,13 @@
 // entirely the old object set or entirely the new one, never a mix. All
 // remaining per-query mutable state lives in small per-thread Worker
 // bundles (the core query engines with their Dijkstra scratch — see the
-// thread-safety contract in core/distance_query.h). RunBatch is a
-// compatibility shim over the async serving front-end (engine/service.h):
-// it stands up a transient single-venue Service whose resident workers
-// answer the batch, then folds the responses back into the original
-// results[i]-answers-queries[i] contract.
+// thread-safety contract in core/distance_query.h). Concurrency is the
+// serving front-end's job (engine/service.h): each Service worker builds
+// its own QueryEngine over the shared bundle.
 //
-// Every Result carries its own latency and visited-node counters;
-// RunBatch aggregates them into a BatchStats (common/stats Summary), the
-// FESTIval-style "uniform query façade that also collects statistics".
+// Every Result carries its own latency and visited-node counters, the
+// FESTIval-style "uniform query façade that also collects statistics";
+// Service aggregates them into its ServiceStats.
 
 #ifndef VIPTREE_ENGINE_QUERY_ENGINE_H_
 #define VIPTREE_ENGINE_QUERY_ENGINE_H_
@@ -38,7 +36,6 @@
 #include <vector>
 
 #include "common/span.h"
-#include "common/stats.h"
 #include "core/keyword_query.h"
 #include "engine/exec_plan.h"
 #include "core/knn_query.h"
@@ -98,37 +95,6 @@ struct Result {
   size_t visited_nodes = 0;
 };
 
-struct BatchOptions {
-  // Worker threads. 0 means std::thread::hardware_concurrency(), clamped
-  // to at least 1 — hardware_concurrency() is allowed to return 0, and
-  // 1-core CI hosts must still run the batch (engine::ResolveThreadCount
-  // is the single implementation of this rule, shared with Service).
-  // Thread count is additionally clamped to the batch size.
-  size_t num_threads = 1;
-  // Execution-planner coalescing (engine/exec_plan.h): the transient
-  // service's workers pull up to `coalesce.window` queries into one group
-  // and answer it through the multi-target kernels — identical results,
-  // shared ascents. Off by default.
-  CoalesceOptions coalesce;
-};
-
-struct BatchStats {
-  size_t num_queries = 0;
-  size_t num_threads = 1;
-  double wall_millis = 0.0;
-  double queries_per_second = 0.0;
-  Summary latency_micros;        // distribution of per-query latencies
-  uint64_t visited_nodes = 0;    // summed across the batch
-  // Execution-planner accounting (all zero when coalescing is off).
-  PlanStats plan;
-};
-
-struct BatchResult {
-  // results[i] answers queries[i].
-  std::vector<Result> results;
-  BatchStats stats;
-};
-
 // Owns the full index stack for one venue (through a VenueBundle).
 class QueryEngine {
  public:
@@ -176,9 +142,9 @@ class QueryEngine {
 
   // Replaces the object set (and keyword lists) without rebuilding the
   // tree. Publishes one new epoch through the bundle's live object store;
-  // safe to call while queries (Run / RunBatch, here or through other
-  // engines over the same bundle) are in flight — in-flight queries keep
-  // the snapshot they pinned, later queries see the new set.
+  // safe to call while queries (here or through other engines over the
+  // same bundle, e.g. a Service's workers) are in flight — in-flight
+  // queries keep the snapshot they pinned, later queries see the new set.
   void SetObjects(std::vector<IndoorPoint> objects,
                   std::vector<std::vector<std::string>> object_keywords = {});
 
@@ -199,7 +165,7 @@ class QueryEngine {
   // SetDistanceCache shares an existing one (e.g. one cache per venue
   // across many engines — engine::Service does this). Both rebuild the
   // resident worker, so call them between queries, not concurrently with
-  // Run. RunBatch workers share the engine's cache.
+  // Run.
   void EnableDistanceCache(const DistanceCacheOptions& options = {});
   void SetDistanceCache(std::shared_ptr<DistanceCache> cache);
   const std::shared_ptr<DistanceCache>& distance_cache() const {
@@ -207,12 +173,12 @@ class QueryEngine {
   }
 
   // Answers one query on the engine's resident worker. Const but not
-  // re-entrant: serialize Run/RunSequential calls, or use RunBatch for
-  // concurrency.
+  // re-entrant: serialize Run/RunSequential calls, or serve through
+  // engine::Service (one engine per worker) for concurrency.
   Result Run(const Query& query) const;
 
   // The batch on the calling thread, in order (the single-threaded
-  // reference RunBatch is compared against).
+  // reference Service answers are compared against).
   std::vector<Result> RunSequential(Span<const Query> queries) const;
 
   // Answers one group of queries on the resident worker through the
@@ -225,19 +191,6 @@ class QueryEngine {
   std::vector<Result> RunCoalesced(Span<const Query> queries,
                                    PlanStats* stats = nullptr) const;
 
-  // Fans the batch across a worker pool over the shared read-only index —
-  // a compatibility shim over a transient single-venue engine::Service.
-  // results[i] always answers queries[i], independent of scheduling. Every
-  // service worker builds its own engine state (never the resident
-  // worker), so concurrent RunBatch calls on one engine are safe.
-  BatchResult RunBatch(Span<const Query> queries,
-                       const BatchOptions& options = {}) const;
-
-  // Folds per-query stats into a batch summary (exposed for callers that
-  // time their own loops around Run).
-  static BatchStats Aggregate(const std::vector<Result>& results,
-                              double wall_millis, size_t num_threads);
-
  private:
   struct Worker;
 
@@ -248,14 +201,13 @@ class QueryEngine {
   // through bundle_->live_objects(), which is internally synchronized, so
   // no separate mutable alias is needed.
   std::shared_ptr<const VenueBundle> bundle_;
-  // Shared, thread-safe memoization attached to every worker (resident
-  // and RunBatch-transient). Never null-checked on the hot path — the core
-  // engines handle nullptr themselves.
+  // Shared, thread-safe memoization attached to the resident worker. Never
+  // null-checked on the hot path — the core engines handle nullptr
+  // themselves.
   std::shared_ptr<DistanceCache> cache_;
-  // Resident worker backing Run / RunSequential (RunBatch threads build
-  // their own). Run re-pins the worker's object snapshot per query, which
-  // is why Execute takes it non-const; Run stays const-but-not-reentrant,
-  // exactly as before.
+  // Resident worker backing Run / RunSequential / RunCoalesced. Run re-pins
+  // the worker's object snapshot per query, which is why Execute takes it
+  // non-const; Run stays const-but-not-reentrant.
   std::unique_ptr<Worker> main_worker_;
 };
 

@@ -1,6 +1,7 @@
 #include "engine/service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -23,9 +24,17 @@ double MicrosBetween(ServiceClock::time_point from,
 }  // namespace
 
 RequestDeadline DeadlineAfterMillis(double millis) {
-  return ServiceClock::now() +
-         std::chrono::duration_cast<ServiceClock::duration>(
-             std::chrono::duration<double, std::milli>(millis));
+  const RequestDeadline now = ServiceClock::now();
+  // The budget in fractional clock ticks. Converting a double that does
+  // not fit the integer tick count is undefined, so saturate first.
+  const std::chrono::duration<double, ServiceClock::period> budget =
+      std::chrono::duration<double, std::milli>(millis);
+  if (!std::isfinite(budget.count()) ||
+      budget.count() >= static_cast<double>((kNoDeadline - now).count())) {
+    return kNoDeadline;
+  }
+  if (budget.count() <= 0.0) return now;
+  return now + std::chrono::duration_cast<ServiceClock::duration>(budget);
 }
 
 size_t ResolveThreadCount(size_t requested) {
@@ -103,11 +112,6 @@ Service::Service(VenueRegistry registry, ServiceOptions options)
       options_(options),
       num_threads_(ResolveThreadCount(options.num_threads)) {
   options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
-  // A shared cache cannot span venues: door/node ids are venue-local
-  // dense integers, so one cache would alias unrelated keys. Multi-venue
-  // services get per-venue caches via ServiceOptions::cache instead.
-  VIPTREE_CHECK_MSG(options_.shared_cache == nullptr,
-                    "shared_cache is only valid on a single-venue Service");
 }
 
 Service::~Service() { Stop(); }
@@ -130,7 +134,6 @@ void Service::Start() {
     VIPTREE_CHECK_MSG(!started_, "Service::Start() called twice");
     VIPTREE_CHECK_MSG(!stopped_, "Service::Start() after Stop()");
     started_ = true;
-    start_time_ = ServiceClock::now();
   }
   workers_.reserve(num_threads_);
   for (size_t i = 0; i < num_threads_; ++i) {
@@ -360,15 +363,6 @@ void Service::ProcessRun(
   }
 }
 
-size_t Service::WaitAll(const std::vector<Ticket>& tickets) {
-  size_t ok = 0;
-  for (const Ticket& ticket : tickets) {
-    if (!ticket.valid()) continue;
-    if (ticket.Wait().ok()) ++ok;
-  }
-  return ok;
-}
-
 void Service::RunUpdate(const ObjectDelta& delta, QueryEngine* engine,
                         Response* response) {
   const Timer timer;
@@ -460,7 +454,6 @@ QueryEngine* Service::ResolveEngine(
 std::shared_ptr<DistanceCache> Service::CacheFor(
     const std::string& venue_id,
     const std::shared_ptr<const VenueBundle>& bundle) {
-  if (options_.shared_cache != nullptr) return options_.shared_cache;
   if (!options_.cache.enabled) return nullptr;
   DistanceCacheOptions resolved = options_.cache;
   if (resolved.capacity == 0) {
@@ -542,14 +535,7 @@ size_t Service::QueueDepth() const {
 
 ServiceStats Service::Stats() const {
   ServiceStats stats;
-  bool started = false;
-  ServiceClock::time_point start_time{};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats.queue_depth = queue_.size();
-    started = started_;
-    start_time = start_time_;
-  }
+  stats.queue_depth = QueueDepth();
   // Copy under the lock, summarize (sort) after releasing it: workers
   // record every response under stats_mu_.
   std::vector<double> latency_samples, update_samples, queue_samples;
@@ -569,23 +555,11 @@ ServiceStats Service::Stats() const {
     update_samples = update_samples_;
     queue_samples = queue_samples_;
   }
-  stats.num_threads = num_threads_;
-  if (started) {
-    stats.wall_millis =
-        MicrosBetween(start_time, ServiceClock::now()) / 1000.0;
-    if (stats.wall_millis > 0.0) {
-      stats.queries_per_second = static_cast<double>(stats.num_queries) /
-                                 (stats.wall_millis / 1000.0);
-    }
-  }
   stats.latency_micros = Summarize(latency_samples);
   stats.update_micros = Summarize(update_samples);
   stats.queue_micros = Summarize(queue_samples);
   {
     std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    if (options_.shared_cache != nullptr) {
-      stats.cache += options_.shared_cache->Counters();
-    }
     for (const auto& [venue, entry] : venue_caches_) {
       (void)venue;
       stats.cache += entry.cache->Counters();

@@ -1,9 +1,8 @@
-// The async request/response serving front-end the ROADMAP's "production
-// server" north star calls for. Where QueryEngine::RunBatch makes the
-// caller pre-assemble a whole Span<const Query> and block until the last
-// answer, engine::Service admits work the way a real indoor LBS receives
-// it: one request at a time, tagged with a venue id and a latency budget,
-// answered whenever a worker gets to it.
+// The async request/response serving front-end: the one way to answer
+// queries concurrently. engine::Service admits work the way a real indoor
+// LBS receives it — one request at a time (or a SubmitBatch of them),
+// tagged with a venue id and a latency budget, answered whenever a worker
+// gets to it. QueryEngine below it answers on the calling thread only.
 //
 // Lifecycle:
 //
@@ -73,12 +72,13 @@ using RequestDeadline = ServiceClock::time_point;
 inline constexpr RequestDeadline kNoDeadline = RequestDeadline::max();
 
 // The deadline `millis` from now (what a "50 ms budget" request passes).
+// A budget that is not finite, or reaches past RequestDeadline::max(),
+// saturates to kNoDeadline; a budget <= 0 is already due.
 RequestDeadline DeadlineAfterMillis(double millis);
 
 // How many worker threads `requested` resolves to: 0 means
 // std::thread::hardware_concurrency(), clamped to at least 1 (some
-// CI hosts report 0 or 1 cores). Shared by Service and
-// QueryEngine::RunBatch so the two APIs agree on the meaning of 0.
+// CI hosts report 0 or 1 cores).
 size_t ResolveThreadCount(size_t requested);
 
 // Terminal state of a submitted request.
@@ -178,7 +178,7 @@ using ResultCallback = std::function<void(const Response&)>;
 
 struct ServiceOptions {
   // Resident worker threads; 0 means hardware_concurrency(), clamped ≥ 1
-  // (same rule as BatchOptions::num_threads — see ResolveThreadCount).
+  // (see ResolveThreadCount).
   size_t num_threads = 1;
   // Bound of the MPMC request queue: submissions beyond it complete
   // immediately with kRejected instead of growing memory without limit.
@@ -189,14 +189,9 @@ struct ServiceOptions {
   // worker serving it, and replaced whenever the registry hands out a fresh
   // bundle instance for the venue (so a re-loaded snapshot can never be
   // answered from the old file's entries); Stats() aggregates their
-  // hit/miss/evict counters.
+  // hit/miss/evict counters. With it off, workers still adopt a cache the
+  // bundle itself owns (EngineOptions::cache), shared by every worker.
   DistanceCacheOptions cache;
-  // A pre-existing cache every worker shares, taking precedence over
-  // `cache`. Single-venue services only (door ids are venue-local dense
-  // ints — one cache across venues would alias unrelated doors);
-  // QueryEngine::RunBatch uses this to hand its own cache to the
-  // transient service's workers.
-  std::shared_ptr<DistanceCache> shared_cache;
 
   // Execution-planner coalescing (engine/exec_plan.h): with
   // coalesce.enabled a worker pulls up to coalesce.window contiguous
@@ -217,10 +212,16 @@ struct VenueCounters {
   uint64_t failed = 0;     // venue resolution / validation failures
 };
 
-// BatchStats (completed-query count, execution-latency Summary, visited
-// nodes, throughput over the service's uptime) extended with the queueing
-// picture a resident service adds.
-struct ServiceStats : BatchStats {
+// What the service has done since construction: the queries it answered
+// with their execution cost, the planner's accounting, and the queueing
+// picture.
+struct ServiceStats {
+  size_t num_queries = 0;      // queries answered (kOk)
+  Summary latency_micros;      // their execution latencies
+  uint64_t visited_nodes = 0;  // summed across them
+  // Execution-planner accounting, aggregated across every coalesced group
+  // any worker ran (all zero when coalescing is off).
+  PlanStats plan;
   size_t queue_depth = 0;  // requests waiting right now
   uint64_t submitted = 0;  // every Submit/SubmitBatch call, any outcome
   uint64_t rejected = 0;
@@ -236,10 +237,8 @@ struct ServiceStats : BatchStats {
   Summary queue_micros;
   std::map<std::string, VenueCounters> per_venue;
   // Distance-cache counters summed over every cache this service created
-  // or was handed (all zero when caching is off).
+  // (all zero when ServiceOptions::cache is off).
   CacheCounters cache;
-  // BatchStats::plan (the execution planner's accounting) is inherited;
-  // it aggregates across every coalesced group any worker ran.
 };
 
 class Service {
@@ -272,14 +271,6 @@ class Service {
   void Submit(Request request, ResultCallback callback);
   // Bulk admission under one queue lock; tickets[i] answers requests[i].
   std::vector<Ticket> SubmitBatch(std::vector<Request> requests);
-
-  // Blocks until every ticket in `tickets` is terminal (invalid
-  // default-constructed tickets are skipped) and returns how many
-  // completed kOk. The per-ticket Wait order is fixed but irrelevant:
-  // every ticket is waited on regardless of outcome, so the call returns
-  // only once all listed requests are settled — the batch analogue of
-  // Ticket::Wait for callers holding a mixed bag of outcomes.
-  static size_t WaitAll(const std::vector<Ticket>& tickets);
 
   // Blocks until every accepted request has reached a terminal state and
   // its callback (if any) has returned. Requires Start() when work is
@@ -361,7 +352,6 @@ class Service {
   bool stopping_ = false;
   bool started_ = false;
   bool stopped_ = false;
-  ServiceClock::time_point start_time_{};
   std::vector<std::thread> workers_;
 
   // Aggregate counters and latency samples, off the queue lock so stats

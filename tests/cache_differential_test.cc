@@ -11,12 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/distance_cache.h"
 #include "engine/query_engine.h"
+#include "engine/service.h"
 #include "ground_truth.h"
 #include "synth/objects.h"
 
@@ -112,29 +115,6 @@ std::vector<eng::Result> Replay(eng::QueryEngine& engine,
   return results;
 }
 
-void ExpectBitIdentical(const std::vector<eng::Result>& actual,
-                        const std::vector<eng::Result>& expected,
-                        const char* what, uint64_t seed) {
-  ASSERT_EQ(actual.size(), expected.size()) << what << " seed " << seed;
-  for (size_t i = 0; i < actual.size(); ++i) {
-    // Exact comparisons throughout: the cache must be invisible in the
-    // output down to the last ulp.
-    EXPECT_EQ(actual[i].distance, expected[i].distance)
-        << what << " seed " << seed << " step " << i;
-    EXPECT_EQ(actual[i].doors, expected[i].doors)
-        << what << " seed " << seed << " step " << i;
-    ASSERT_EQ(actual[i].objects.size(), expected[i].objects.size())
-        << what << " seed " << seed << " step " << i;
-    for (size_t j = 0; j < actual[i].objects.size(); ++j) {
-      EXPECT_EQ(actual[i].objects[j].object, expected[i].objects[j].object)
-          << what << " seed " << seed << " step " << i << " j=" << j;
-      EXPECT_EQ(actual[i].objects[j].distance,
-                expected[i].objects[j].distance)
-          << what << " seed " << seed << " step " << i << " j=" << j;
-    }
-  }
-}
-
 class CacheDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CacheDifferentialTest, AllPoliciesBitIdenticalToCacheOff) {
@@ -164,7 +144,11 @@ TEST_P(CacheDifferentialTest, AllPoliciesBitIdenticalToCacheOff) {
   ASSERT_NE(engine.distance_cache(), nullptr);
 
   const std::vector<eng::Result> actual = Replay(engine, steps, 2);
-  ExpectBitIdentical(actual, expected, "lru", seed);
+  // Exact comparisons throughout: the cache must be invisible in the
+  // output down to the last ulp.
+  testing::ExpectSameResults(expected, actual,
+                             "lru seed " + std::to_string(seed),
+                             /*compare_visited=*/false);
   // The workload repeats its query stream, so on a multi-leaf venue the
   // cache must have served real hits while producing identical answers.
   // (A single-leaf venue never leaves the Dijkstra fast path, so there is
@@ -174,8 +158,9 @@ TEST_P(CacheDifferentialTest, AllPoliciesBitIdenticalToCacheOff) {
   }
 }
 
-// RunBatch shares the resident cache across its transient service workers;
-// the batch answers must match the sequential cache-off reference exactly.
+// A Service over a bundle that owns a cache: every worker engine adopts
+// that one cache, and the served answers must match the sequential
+// cache-off reference exactly.
 TEST_P(CacheDifferentialTest, SharedCacheBatchMatchesSequential) {
   const uint64_t seed = GetParam();
   if (seed % 4 != 0) GTEST_SKIP() << "batch sweep runs on every 4th seed";
@@ -203,14 +188,19 @@ TEST_P(CacheDifferentialTest, SharedCacheBatchMatchesSequential) {
   eng::EngineOptions cached_options;
   cached_options.cache.enabled = true;
   cached_options.cache.capacity = 256;
-  eng::QueryEngine cached(venue, graph, objects, cached_options);
-  eng::BatchOptions batch;
-  batch.num_threads = 4;
-  const eng::BatchResult run = cached.RunBatch(queries, batch);
+  const auto cached = std::make_shared<const eng::VenueBundle>(
+      eng::VenueBundle::BuildFrom(venue, graph, objects,
+                                  std::move(cached_options)));
+  eng::ServiceOptions service_options;
+  service_options.num_threads = 4;
+  const std::vector<eng::Result> served =
+      testing::ServeInOrder(cached, service_options, queries);
 
-  ExpectBitIdentical(run.results, expected, "batch", seed);
-  if (cached.tree().base().num_leaves() > 1) {
-    EXPECT_GT(cached.distance_cache()->Counters().lookups(), 0u);
+  testing::ExpectSameResults(expected, served,
+                             "service seed " + std::to_string(seed),
+                             /*compare_visited=*/false);
+  if (cached->tree().base().num_leaves() > 1) {
+    EXPECT_GT(cached->distance_cache()->Counters().lookups(), 0u);
   }
 }
 

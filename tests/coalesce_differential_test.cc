@@ -5,8 +5,8 @@
 // search per duplicated kNN), it never changes a single answer.
 //
 // Three layers are swept:
-//   1. QueryEngine::RunBatch with BatchOptions::coalesce, single- and
-//      multi-threaded, against RunSequential;
+//   1. a coalescing Service with a whole-batch window, one and three
+//      workers, against RunSequential;
 //   2. a one-worker coalescing Service fed queries with interleaved live
 //      object updates, against a twin engine applying the same stream
 //      sequentially (updates are group barriers, so epoch visibility must
@@ -36,26 +36,6 @@ namespace viptree {
 namespace {
 
 namespace eng = ::viptree::engine;
-
-// Exact equality on every answer field: identical deterministic code on
-// identical inputs, so nothing weaker than == is acceptable. Latency is
-// attribution, not an answer, and is not compared.
-void ExpectSameResult(const eng::Result& want, const eng::Result& got,
-                      uint64_t seed, size_t i) {
-  EXPECT_EQ(want.type, got.type) << "seed " << seed << " query " << i;
-  EXPECT_EQ(want.distance, got.distance) << "seed " << seed << " query " << i;
-  EXPECT_EQ(want.doors, got.doors) << "seed " << seed << " query " << i;
-  ASSERT_EQ(want.objects.size(), got.objects.size())
-      << "seed " << seed << " query " << i;
-  for (size_t j = 0; j < want.objects.size(); ++j) {
-    EXPECT_EQ(want.objects[j].object, got.objects[j].object)
-        << "seed " << seed << " query " << i << " j=" << j;
-    EXPECT_EQ(want.objects[j].distance, got.objects[j].distance)
-        << "seed " << seed << " query " << i << " j=" << j;
-  }
-  EXPECT_EQ(want.visited_nodes, got.visited_nodes)
-      << "seed " << seed << " query " << i;
-}
 
 // Source-skewed workload over a hot pool of 3 points: the traffic shape
 // the planner exists for. Heavy on distance + kNN (the grouped types) with
@@ -104,12 +84,14 @@ std::vector<eng::Query> SkewedQueries(const Venue& venue, size_t n,
 
 class CoalesceDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(CoalesceDifferentialTest, CoalescedRunBatchMatchesSequential) {
+TEST_P(CoalesceDifferentialTest, CoalescedServiceMatchesSequential) {
   const uint64_t seed = GetParam();
   Venue venue = testing::RandomSynthVenue(seed);
   Rng rng(seed ^ 0xC0A7E5CE);
   std::vector<IndoorPoint> objects = synth::PlaceObjects(venue, 8, rng);
-  const eng::QueryEngine engine(std::move(venue), std::move(objects));
+  const auto bundle = std::make_shared<const eng::VenueBundle>(
+      eng::VenueBundle::Build(std::move(venue), std::move(objects)));
+  const eng::QueryEngine engine(bundle);
 
   const std::vector<eng::Query> queries =
       SkewedQueries(engine.venue(), 48, rng);
@@ -117,20 +99,19 @@ TEST_P(CoalesceDifferentialTest, CoalescedRunBatchMatchesSequential) {
       Span<const eng::Query>(queries.data(), queries.size()));
 
   for (const size_t threads : {size_t{1}, size_t{3}}) {
-    eng::BatchOptions options;
+    eng::ServiceOptions options;
     options.num_threads = threads;
     options.coalesce.enabled = true;
     options.coalesce.window = queries.size();  // whole-batch windows
-    const eng::BatchResult batch = engine.RunBatch(
-        Span<const eng::Query>(queries.data(), queries.size()), options);
-    ASSERT_EQ(batch.results.size(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      ExpectSameResult(expected[i], batch.results[i], seed, i);
-    }
+    eng::ServiceStats stats;
+    const std::vector<eng::Result> served =
+        testing::ServeInOrder(bundle, options, queries, &stats);
+    testing::ExpectSameResults(expected, served,
+                               "seed " + std::to_string(seed));
     if (threads == 1) {
       // One worker pulled the whole batch: on a 3-source skew the planner
       // must actually form groups and share source expansions.
-      const eng::PlanStats& plan = batch.stats.plan;
+      const eng::PlanStats& plan = stats.plan;
       EXPECT_GT(plan.groups, 0u) << "seed " << seed;
       EXPECT_GT(plan.coalesced_queries, plan.groups) << "seed " << seed;
       EXPECT_GT(plan.ascents_reused, 0u) << "seed " << seed;
@@ -218,7 +199,9 @@ TEST_P(CoalesceDifferentialTest, CoalescingServiceMatchesSequentialUpdates) {
     ASSERT_TRUE(response.ok())
         << "seed " << seed << " step " << i << ": " << response.error;
     if (!steps[i].is_update) {
-      ExpectSameResult(expected[i], response.result, seed, i);
+      testing::ExpectSameResult(
+          expected[i], response.result,
+          "seed " + std::to_string(seed) + " step " + std::to_string(i));
     }
   }
   const eng::ServiceStats stats = service.Stats();

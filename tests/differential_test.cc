@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/distance_query.h"
 #include "core/path_query.h"
 #include "engine/query_engine.h"
+#include "engine/service.h"
 #include "graph/d2d_graph.h"
 #include "ground_truth.h"
 #include "synth/objects.h"
@@ -148,7 +150,9 @@ TEST_P(DifferentialTest, BatchMatchesSequential) {
   const std::vector<IndoorPoint> objects = synth::PlaceObjects(venue_, 8, rng);
   eng::EngineOptions options;
   options.object_keywords = TagObjects(objects.size());
-  const eng::QueryEngine engine(venue_, graph_, objects, options);
+  const auto bundle = std::make_shared<const eng::VenueBundle>(
+      eng::VenueBundle::BuildFrom(venue_, graph_, objects, options));
+  const eng::QueryEngine engine(bundle);
 
   std::vector<eng::Query> batch;
   for (int i = 0; i < 60; ++i) {
@@ -174,30 +178,17 @@ TEST_P(DifferentialTest, BatchMatchesSequential) {
   }
 
   const std::vector<eng::Result> sequential = engine.RunSequential(batch);
-  const eng::BatchResult batched =
-      engine.RunBatch(batch, {/*num_threads=*/4});
+  eng::ServiceOptions service_options;
+  service_options.num_threads = 4;
+  eng::ServiceStats stats;
+  const std::vector<eng::Result> served =
+      testing::ServeInOrder(bundle, service_options, batch, &stats);
 
-  ASSERT_EQ(batched.results.size(), sequential.size());
-  EXPECT_EQ(batched.stats.num_queries, batch.size());
-  for (size_t i = 0; i < sequential.size(); ++i) {
-    const eng::Result& a = sequential[i];
-    const eng::Result& b = batched.results[i];
-    EXPECT_EQ(a.type, b.type);
-    // Identical deterministic code on identical inputs: results must agree
-    // exactly, regardless of which worker ran the query.
-    EXPECT_EQ(a.distance, b.distance) << "seed " << seed << " query " << i;
-    EXPECT_EQ(a.doors, b.doors) << "seed " << seed << " query " << i;
-    ASSERT_EQ(a.objects.size(), b.objects.size())
-        << "seed " << seed << " query " << i;
-    for (size_t j = 0; j < a.objects.size(); ++j) {
-      EXPECT_EQ(a.objects[j].object, b.objects[j].object)
-          << "seed " << seed << " query " << i;
-      EXPECT_EQ(a.objects[j].distance, b.objects[j].distance)
-          << "seed " << seed << " query " << i;
-    }
-    EXPECT_EQ(a.visited_nodes, b.visited_nodes)
-        << "seed " << seed << " query " << i;
-  }
+  EXPECT_EQ(stats.num_queries, batch.size());
+  // Identical deterministic code on identical inputs: results must agree
+  // exactly, regardless of which worker ran the query.
+  testing::ExpectSameResults(sequential, served,
+                             "seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,

@@ -1,15 +1,13 @@
-// Unit tests for the engine façade: typed Query/Result dispatch, batch
-// scheduling (thread counts, shard sizes, empty/small batches), statistics
-// aggregation, and object-set swapping.
+// Unit tests for the engine façade: typed Query/Result dispatch, engine
+// ownership, and object-set swapping. Concurrent serving is tested through
+// engine::Service (service_test).
 
 #include "engine/query_engine.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "graph/d2d_graph.h"
@@ -93,94 +91,6 @@ TEST_F(EngineTest, TypedResultsCarryTheRightFields) {
           .empty());
 }
 
-TEST_F(EngineTest, BatchSchedulingIsIndependentOfThreadCount) {
-  const eng::QueryEngine engine = MakeEngine(6);
-  Rng rng(11);
-  std::vector<eng::Query> batch;
-  for (int i = 0; i < 37; ++i) {  // deliberately prime: uneven splits
-    const IndoorPoint a = synth::RandomIndoorPoint(venue_, rng);
-    const IndoorPoint b = synth::RandomIndoorPoint(venue_, rng);
-    batch.push_back(i % 2 == 0 ? eng::Query::Distance(a, b)
-                               : eng::Query::Knn(a, 2));
-  }
-  const std::vector<eng::Result> reference = engine.RunSequential(batch);
-
-  for (const size_t threads : {1u, 2u, 3u, 8u, 64u}) {
-    eng::BatchOptions options;
-    options.num_threads = threads;
-    const eng::BatchResult run = engine.RunBatch(batch, options);
-    ASSERT_EQ(run.results.size(), reference.size());
-    for (size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(run.results[i].distance, reference[i].distance)
-          << "threads=" << threads << " i=" << i;
-      ASSERT_EQ(run.results[i].objects.size(), reference[i].objects.size());
-    }
-  }
-}
-
-TEST_F(EngineTest, EmptyAndTinyBatches) {
-  const eng::QueryEngine engine = MakeEngine(4);
-  const eng::BatchResult empty =
-      engine.RunBatch(Span<const eng::Query>(), {/*num_threads=*/4});
-  EXPECT_TRUE(empty.results.empty());
-  EXPECT_EQ(empty.stats.num_queries, 0u);
-  EXPECT_EQ(empty.stats.latency_micros.count, 0u);
-
-  Rng rng(3);
-  const IndoorPoint a = synth::RandomIndoorPoint(venue_, rng);
-  const std::vector<eng::Query> one{eng::Query::Knn(a, 1)};
-  // More threads than queries must clamp, not spawn idle workers.
-  const eng::BatchResult single = engine.RunBatch(one, {/*num_threads=*/16});
-  ASSERT_EQ(single.results.size(), 1u);
-  EXPECT_EQ(single.stats.num_threads, 1u);
-}
-
-TEST_F(EngineTest, ZeroThreadsMeansHardwareConcurrencyClampedToOne) {
-  // BatchOptions::num_threads == 0 resolves to hardware_concurrency(),
-  // clamped to >= 1 — the documented contract, which must hold even on
-  // hosts where hardware_concurrency() reports 0 or 1 (single-core CI).
-  const eng::QueryEngine engine = MakeEngine(5);
-  Rng rng(17);
-  std::vector<eng::Query> batch;
-  for (int i = 0; i < 8; ++i) {
-    batch.push_back(eng::Query::Distance(
-        synth::RandomIndoorPoint(venue_, rng),
-        synth::RandomIndoorPoint(venue_, rng)));
-  }
-  const std::vector<eng::Result> reference = engine.RunSequential(batch);
-
-  const eng::BatchResult run = engine.RunBatch(batch, {/*num_threads=*/0});
-  const size_t expected_threads = std::min(
-      batch.size(),
-      std::max<size_t>(1, std::thread::hardware_concurrency()));
-  EXPECT_EQ(run.stats.num_threads, expected_threads);
-  EXPECT_GE(run.stats.num_threads, 1u);
-  ASSERT_EQ(run.results.size(), reference.size());
-  for (size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(run.results[i].distance, reference[i].distance) << "i=" << i;
-  }
-}
-
-TEST_F(EngineTest, AggregateStatsAreConsistent) {
-  const eng::QueryEngine engine = MakeEngine(8);
-  Rng rng(21);
-  std::vector<eng::Query> batch;
-  for (int i = 0; i < 50; ++i) {
-    batch.push_back(eng::Query::Distance(
-        synth::RandomIndoorPoint(venue_, rng),
-        synth::RandomIndoorPoint(venue_, rng)));
-  }
-  const eng::BatchResult run = engine.RunBatch(batch, {/*num_threads=*/2});
-  EXPECT_EQ(run.stats.num_queries, 50u);
-  EXPECT_EQ(run.stats.latency_micros.count, 50u);
-  EXPECT_GT(run.stats.wall_millis, 0.0);
-  EXPECT_GT(run.stats.queries_per_second, 0.0);
-  EXPECT_GT(run.stats.visited_nodes, 0u);
-  EXPECT_LE(run.stats.latency_micros.min, run.stats.latency_micros.p50);
-  EXPECT_LE(run.stats.latency_micros.p50, run.stats.latency_micros.p95);
-  EXPECT_LE(run.stats.latency_micros.p95, run.stats.latency_micros.max);
-}
-
 TEST_F(EngineTest, SetObjectsSwapsTheWorkloadWithoutRebuildingTheTree) {
   eng::QueryEngine engine = MakeEngine(4);
   const VIPTree* tree_before = &engine.tree();
@@ -253,25 +163,6 @@ TEST_F(EngineTest, ObjectReplacementThroughTheBundle) {
   // Replacement also drops the keyword index when none is supplied.
   engine.SetObjects(objects);
   EXPECT_FALSE(engine.has_keywords());
-}
-
-TEST_F(EngineTest, SetObjectsBetweenBatchesIsWellDefined) {
-  // The documented contract: SetObjects must never overlap RunBatch (the
-  // engine CHECK-aborts on that misuse — an in-flight batch counter guards
-  // it). The well-defined sequence batch -> swap -> batch must keep
-  // working, with the second batch seeing exactly the new object set.
-  eng::QueryEngine engine = MakeEngine(6);
-  Rng rng(41);
-  const IndoorPoint a = synth::RandomIndoorPoint(venue_, rng);
-  const std::vector<eng::Query> batch{eng::Query::Knn(a, 100)};
-
-  const eng::BatchResult before = engine.RunBatch(batch, {/*threads=*/2});
-  ASSERT_EQ(before.results[0].objects.size(), 6u);
-
-  engine.SetObjects({a});
-  const eng::BatchResult after = engine.RunBatch(batch, {/*threads=*/2});
-  ASSERT_EQ(after.results[0].objects.size(), 1u);
-  EXPECT_NEAR(after.results[0].objects[0].distance, 0.0, 1e-9);
 }
 
 TEST_F(EngineTest, QueryTypeNames) {

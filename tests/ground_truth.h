@@ -1,15 +1,23 @@
 // Brute-force reference implementations used by property tests: exact
 // point-to-point distances via multi-source Dijkstra on the D2D graph,
-// brute-force kNN / range, door-path validation, and the randomized
-// synthetic venues the differential / invariant sweeps run against.
+// brute-force kNN / range, door-path validation, the randomized synthetic
+// venues the differential / invariant sweeps run against, the exact
+// answer comparison every bit-identity sweep shares, and the in-order
+// Service helper the batch sweeps compare against RunSequential.
 
 #ifndef VIPTREE_TESTS_GROUND_TRUTH_H_
 #define VIPTREE_TESTS_GROUND_TRUTH_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "engine/service.h"
 #include "graph/d2d_graph.h"
 #include "graph/dijkstra.h"
 #include "model/venue.h"
@@ -118,6 +126,73 @@ inline double PointPathLength(const Venue& venue, const D2DGraph& graph,
   }
   return venue.DistanceToDoor(s, doors.front()) +
          DoorPathLength(graph, doors) + venue.DistanceToDoor(t, doors.back());
+}
+
+// Exact equality on every answer field: identical deterministic code on
+// identical inputs, so nothing weaker than == is acceptable. Latency is
+// attribution, not an answer, and is never compared; visited_nodes only
+// when `compare_visited`.
+inline void ExpectSameResult(const engine::Result& want,
+                             const engine::Result& got,
+                             const std::string& where,
+                             bool compare_visited = true) {
+  EXPECT_EQ(want.type, got.type) << where;
+  EXPECT_EQ(want.distance, got.distance) << where;
+  EXPECT_EQ(want.doors, got.doors) << where;
+  ASSERT_EQ(want.objects.size(), got.objects.size()) << where;
+  for (size_t j = 0; j < want.objects.size(); ++j) {
+    EXPECT_EQ(want.objects[j].object, got.objects[j].object)
+        << where << " j=" << j;
+    EXPECT_EQ(want.objects[j].distance, got.objects[j].distance)
+        << where << " j=" << j;
+  }
+  if (compare_visited) {
+    EXPECT_EQ(want.visited_nodes, got.visited_nodes) << where;
+  }
+}
+
+// ExpectSameResult over two answer lists of equal length.
+inline void ExpectSameResults(const std::vector<engine::Result>& want,
+                              const std::vector<engine::Result>& got,
+                              const std::string& where,
+                              bool compare_visited = true) {
+  ASSERT_EQ(want.size(), got.size()) << where;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ExpectSameResult(want[i], got[i], where + " query " + std::to_string(i),
+                     compare_visited);
+  }
+}
+
+// Answers `queries` through a fresh Service over `bundle`: every request
+// is queued before Start() (so workers pull full coalescing windows), then
+// the tickets are taken in order, so results[i] answers queries[i]. Each
+// response must be kOk. `stats`, when non-null, receives the service's
+// Stats() once everything has completed.
+inline std::vector<engine::Result> ServeInOrder(
+    std::shared_ptr<const engine::VenueBundle> bundle,
+    engine::ServiceOptions options,
+    const std::vector<engine::Query>& queries,
+    engine::ServiceStats* stats = nullptr) {
+  options.queue_capacity = std::max<size_t>(1, queries.size());
+  engine::Service service(std::move(bundle), options);
+  std::vector<engine::Request> requests(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    requests[i].query = queries[i];
+    requests[i].tag = i;
+  }
+  std::vector<engine::Ticket> tickets =
+      service.SubmitBatch(std::move(requests));
+  service.Start();
+  std::vector<engine::Result> results;
+  results.reserve(tickets.size());
+  for (engine::Ticket& ticket : tickets) {
+    engine::Response response = ticket.Take();
+    EXPECT_TRUE(response.ok()) << engine::RequestStatusName(response.status)
+                               << ": " << response.error;
+    results.push_back(std::move(response.result));
+  }
+  if (stats != nullptr) *stats = service.Stats();
+  return results;
 }
 
 }  // namespace testing

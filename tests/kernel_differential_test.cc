@@ -126,27 +126,6 @@ std::vector<eng::Result> Replay(eng::QueryEngine& engine,
   return results;
 }
 
-void ExpectBitIdentical(const std::vector<eng::Result>& actual,
-                        const std::vector<eng::Result>& expected,
-                        const char* what, uint64_t seed) {
-  ASSERT_EQ(actual.size(), expected.size()) << what << " seed " << seed;
-  for (size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i].distance, expected[i].distance)
-        << what << " seed " << seed << " step " << i;
-    EXPECT_EQ(actual[i].doors, expected[i].doors)
-        << what << " seed " << seed << " step " << i;
-    ASSERT_EQ(actual[i].objects.size(), expected[i].objects.size())
-        << what << " seed " << seed << " step " << i;
-    for (size_t j = 0; j < actual[i].objects.size(); ++j) {
-      EXPECT_EQ(actual[i].objects[j].object, expected[i].objects[j].object)
-          << what << " seed " << seed << " step " << i << " j=" << j;
-      EXPECT_EQ(actual[i].objects[j].distance,
-                expected[i].objects[j].distance)
-          << what << " seed " << seed << " step " << i << " j=" << j;
-    }
-  }
-}
-
 class KernelDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(KernelDifferentialTest, ScalarAndDispatchBitIdenticalWithUpdates) {
@@ -173,8 +152,9 @@ TEST_P(KernelDifferentialTest, ScalarAndDispatchBitIdenticalWithUpdates) {
     eng::QueryEngine engine(venue, graph, objects, options);
     dispatch_results = Replay(engine, steps);
   }
-  ExpectBitIdentical(dispatch_results, scalar_results, "simd-vs-scalar",
-                     seed);
+  testing::ExpectSameResults(scalar_results, dispatch_results,
+                             "simd-vs-scalar seed " + std::to_string(seed),
+                             /*compare_visited=*/false);
 }
 
 // Snapshot round trip with and without the mapped pages dropped, each
@@ -214,8 +194,11 @@ TEST_P(KernelDifferentialTest, MadvisePoliciesBitIdenticalOnBothPaths) {
       eng::QueryEngine engine(eng::VenueBundle::Load(path));
       if (drop_pages) engine.bundle().ReleaseResidentPages();
       const std::vector<eng::Result> results = Replay(engine, steps);
-      ExpectBitIdentical(results, reference,
-                         force ? "mmap-scalar" : "mmap-dispatch", seed);
+      testing::ExpectSameResults(
+          reference, results,
+          std::string(force ? "mmap-scalar" : "mmap-dispatch") + " seed " +
+              std::to_string(seed),
+          /*compare_visited=*/false);
     }
   }
   std::remove(path.c_str());

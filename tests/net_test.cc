@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -117,6 +118,16 @@ TEST(WireCodecTest, ToRequestReanchorsTheDeadlineLocally) {
   EXPECT_GT(with.deadline, eng::ServiceClock::now());
 
   wire.deadline_ms = 0.0;
+  EXPECT_EQ(wire.ToRequest().deadline, eng::kNoDeadline);
+}
+
+TEST(WireCodecTest, UnboundedDeadlineBudgetMeansNoDeadline) {
+  // A peer may send any double: an infinite or clock-overflowing budget
+  // must saturate to "no deadline", never wrap into the past.
+  net::WireRequest wire;
+  wire.deadline_ms = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(wire.ToRequest().deadline, eng::kNoDeadline);
+  wire.deadline_ms = 1e300;
   EXPECT_EQ(wire.ToRequest().deadline, eng::kNoDeadline);
 }
 

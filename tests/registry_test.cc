@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "engine/query_engine.h"
+#include "ground_truth.h"
 #include "synth/objects.h"
 #include "synth/random_venue.h"
 
@@ -248,16 +249,8 @@ TEST_F(RegistryTest, RegistryBundleAnswersIdenticallyToDirectLoad) {
   }
   const std::vector<eng::Result> lhs = via_registry.RunSequential(queries);
   const std::vector<eng::Result> rhs = direct->RunSequential(queries);
-  ASSERT_EQ(lhs.size(), rhs.size());
-  for (size_t i = 0; i < lhs.size(); ++i) {
-    EXPECT_EQ(lhs[i].distance, rhs[i].distance) << "query " << i;
-    EXPECT_EQ(lhs[i].doors, rhs[i].doors) << "query " << i;
-    ASSERT_EQ(lhs[i].objects.size(), rhs[i].objects.size()) << "query " << i;
-    for (size_t j = 0; j < lhs[i].objects.size(); ++j) {
-      EXPECT_EQ(lhs[i].objects[j].object, rhs[i].objects[j].object);
-      EXPECT_EQ(lhs[i].objects[j].distance, rhs[i].objects[j].distance);
-    }
-  }
+  testing::ExpectSameResults(rhs, lhs, "registry vs direct",
+                             /*compare_visited=*/false);
 }
 
 TEST_F(RegistryTest, UnknownVenueAndBrokenSnapshotReportErrors) {

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -105,6 +106,7 @@ TEST_F(ServiceTest, TicketsCompleteAndCarryResults) {
   EXPECT_EQ(stats.rejected + stats.expired + stats.cancelled + stats.failed,
             0u);
   EXPECT_EQ(stats.latency_micros.count, queries.size());
+  EXPECT_GT(stats.visited_nodes, 0u);
   EXPECT_EQ(stats.queue_micros.count, queries.size());
   ASSERT_EQ(stats.per_venue.count(""), 1u);
   EXPECT_EQ(stats.per_venue.at("").completed, queries.size());
@@ -122,11 +124,17 @@ TEST_F(ServiceTest, ExpiredInQueueRequestsAreShedWithoutRunning) {
     request.deadline = eng::ServiceClock::now() - std::chrono::milliseconds(1);
     expired.push_back(service.Submit(std::move(request)));
   }
+  // Budgets too large for the clock's integer ticks (or infinite) mean no
+  // deadline; they must never wrap into the past and be shed.
+  const std::vector<double> budgets_ms{
+      60'000.0, 1e13, std::numeric_limits<double>::infinity()};
+  const std::vector<eng::Query> live_queries =
+      SomeQueries(budgets_ms.size(), 3);
   std::vector<eng::Ticket> live;
-  for (const eng::Query& query : SomeQueries(3, 3)) {
+  for (size_t i = 0; i < budgets_ms.size(); ++i) {
     eng::Request request;
-    request.query = query;
-    request.deadline = eng::DeadlineAfterMillis(60'000.0);
+    request.query = live_queries[i];
+    request.deadline = eng::DeadlineAfterMillis(budgets_ms[i]);
     live.push_back(service.Submit(std::move(request)));
   }
   service.Start();
@@ -141,46 +149,13 @@ TEST_F(ServiceTest, ExpiredInQueueRequestsAreShedWithoutRunning) {
     EXPECT_FALSE(response.error.empty());
   }
   for (eng::Ticket& ticket : live) {
-    EXPECT_TRUE(ticket.Wait().ok());
+    EXPECT_EQ(ticket.Wait().status, eng::RequestStatus::kOk)
+        << ticket.Wait().error;
   }
   const eng::ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.expired, 5u);
   EXPECT_EQ(stats.num_queries, 3u);
   EXPECT_EQ(stats.per_venue.at("").expired, 5u);
-  service.Stop();
-}
-
-TEST_F(ServiceTest, WaitAllCountsOnlyOkOverMixedOutcomes) {
-  eng::Service service(Bundle(), {});
-  std::vector<eng::Ticket> tickets;
-  // Four requests doomed to expire: submitted before Start with a deadline
-  // already in the past.
-  for (const eng::Query& query : SomeQueries(4, 11)) {
-    eng::Request request;
-    request.query = query;
-    request.deadline = eng::ServiceClock::now() - std::chrono::milliseconds(1);
-    tickets.push_back(service.Submit(std::move(request)));
-  }
-  // Six that must complete.
-  for (const eng::Query& query : SomeQueries(6, 12)) {
-    eng::Request request;
-    request.query = query;
-    request.deadline = eng::DeadlineAfterMillis(60'000.0);
-    tickets.push_back(service.Submit(std::move(request)));
-  }
-  // Default-constructed (never submitted) tickets are skipped, not waited
-  // on — a batch assembled with gaps must not hang.
-  tickets.insert(tickets.begin() + 2, eng::Ticket());
-  tickets.push_back(eng::Ticket());
-
-  service.Start();
-  EXPECT_EQ(eng::Service::WaitAll(tickets), 6u);
-  // WaitAll is a barrier: every valid ticket is terminal afterwards.
-  for (const eng::Ticket& ticket : tickets) {
-    if (ticket.valid()) {
-      EXPECT_TRUE(ticket.Done());
-    }
-  }
   service.Stop();
 }
 
@@ -344,8 +319,21 @@ TEST_F(ServiceTest, ZeroThreadsMeansHardwareConcurrencyClampedToOne) {
   eng::Request request;
   request.query = SomeQueries(1, 11)[0];
   EXPECT_TRUE(service.Submit(std::move(request)).Wait().ok());
-  EXPECT_EQ(service.Stats().num_threads, resolved);
   service.Stop();
+}
+
+TEST_F(ServiceTest, BatchSchedulingIsIndependentOfThreadCount) {
+  // Deliberately prime: uneven splits across the workers.
+  const std::vector<eng::Query> batch = SomeQueries(37, 11);
+  const std::vector<eng::Result> reference =
+      eng::QueryEngine(Bundle()).RunSequential(batch);
+  for (const size_t threads : {1u, 2u, 3u, 8u}) {
+    eng::ServiceOptions options;
+    options.num_threads = threads;
+    testing::ExpectSameResults(reference,
+                               testing::ServeInOrder(Bundle(), options, batch),
+                               "threads=" + std::to_string(threads));
+  }
 }
 
 TEST_F(ServiceTest, InvalidRequestsFailCleanlyInsteadOfAborting) {
@@ -755,37 +743,11 @@ TEST_P(ServiceDifferentialTest, SubmitMatchesRunSequential) {
 
   eng::ServiceOptions service_options;
   service_options.num_threads = 3;
-  service_options.queue_capacity = queries.size();
-  eng::Service service(bundle, service_options);
-  service.Start();
-  std::vector<eng::Request> requests;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    eng::Request request;
-    request.query = queries[i];
-    request.tag = i;
-    requests.push_back(std::move(request));
-  }
-  std::vector<eng::Ticket> tickets = service.SubmitBatch(std::move(requests));
-  for (size_t i = 0; i < tickets.size(); ++i) {
-    const eng::Response& response = tickets[i].Wait();
-    ASSERT_TRUE(response.ok()) << response.error;
-    const eng::Result& a = expected[i];
-    const eng::Result& b = response.result;
-    EXPECT_EQ(a.type, b.type);
-    // Identical deterministic code on identical inputs: exact equality,
-    // regardless of which worker ran the query.
-    EXPECT_EQ(a.distance, b.distance) << "seed " << seed << " query " << i;
-    EXPECT_EQ(a.doors, b.doors) << "seed " << seed << " query " << i;
-    ASSERT_EQ(a.objects.size(), b.objects.size())
-        << "seed " << seed << " query " << i;
-    for (size_t j = 0; j < a.objects.size(); ++j) {
-      EXPECT_EQ(a.objects[j].object, b.objects[j].object);
-      EXPECT_EQ(a.objects[j].distance, b.objects[j].distance);
-    }
-    EXPECT_EQ(a.visited_nodes, b.visited_nodes)
-        << "seed " << seed << " query " << i;
-  }
-  service.Stop();
+  // Identical deterministic code on identical inputs: exact equality,
+  // regardless of which worker ran the query.
+  testing::ExpectSameResults(
+      expected, testing::ServeInOrder(bundle, service_options, queries),
+      "seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ServiceDifferentialTest,

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "engine/query_engine.h"
+#include "ground_truth.h"
 #include "synth/objects.h"
 #include "synth/random_venue.h"
 
@@ -65,30 +66,6 @@ std::vector<eng::Query> MixedWorkload(const Venue& venue, uint64_t seed,
     }
   }
   return queries;
-}
-
-void ExpectIdenticalResults(const std::vector<eng::Result>& built,
-                            const std::vector<eng::Result>& loaded,
-                            uint64_t seed) {
-  ASSERT_EQ(built.size(), loaded.size());
-  for (size_t i = 0; i < built.size(); ++i) {
-    SCOPED_TRACE("seed " + std::to_string(seed) + " query " +
-                 std::to_string(i));
-    const eng::Result& b = built[i];
-    const eng::Result& l = loaded[i];
-    EXPECT_EQ(b.type, l.type);
-    // Bit-identical distances: the snapshot stores the built index's
-    // numbers verbatim and the same-leaf Dijkstra fallback runs on a
-    // bit-identical graph, so EXPECT_EQ (not NEAR) is the contract.
-    EXPECT_EQ(b.distance, l.distance);
-    EXPECT_EQ(b.doors, l.doors);
-    ASSERT_EQ(b.objects.size(), l.objects.size());
-    for (size_t j = 0; j < b.objects.size(); ++j) {
-      EXPECT_EQ(b.objects[j].object, l.objects[j].object);
-      EXPECT_EQ(b.objects[j].distance, l.objects[j].distance);
-    }
-    EXPECT_EQ(b.visited_nodes, l.visited_nodes);
-  }
 }
 
 class SnapshotRoundTripTest : public ::testing::TestWithParam<uint64_t> {};
@@ -154,9 +131,15 @@ TEST_P(SnapshotRoundTripTest, LoadedEngineAnswersIdentically) {
   const std::vector<eng::Query> queries =
       MixedWorkload(built.venue(), seed, with_keywords);
   const std::vector<eng::Result> built_results = built.RunSequential(queries);
-  ExpectIdenticalResults(built_results, loaded->RunSequential(queries), seed);
-  ExpectIdenticalResults(built_results, heap_loaded.RunSequential(queries),
-                         seed);
+  // Bit-identical answers: the snapshot stores the built index's numbers
+  // verbatim and the same-leaf Dijkstra fallback runs on a bit-identical
+  // graph, so exact equality (not NEAR) is the contract.
+  const std::string where = "seed " + std::to_string(seed);
+  testing::ExpectSameResults(built_results, loaded->RunSequential(queries),
+                             "mmap " + where);
+  testing::ExpectSameResults(built_results,
+                             heap_loaded.RunSequential(queries),
+                             "heap " + where);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotRoundTripTest,
@@ -185,8 +168,8 @@ TEST(SnapshotTest, SetObjectsAfterLoadMatchesSetObjectsAfterBuild) {
 
   const std::vector<eng::Query> queries =
       MixedWorkload(built.venue(), 999, /*with_keywords=*/false);
-  ExpectIdenticalResults(built.RunSequential(queries),
-                         loaded->RunSequential(queries), 1000);
+  testing::ExpectSameResults(built.RunSequential(queries),
+                             loaded->RunSequential(queries), "seed 1000");
 }
 
 TEST(SnapshotTest, TamperedPartsAreRejectedByStructuralValidation) {

@@ -586,7 +586,7 @@ int ServeMain(const Args& args, eng::Service* service,
 
   const eng::ServiceStats stats = service->Stats();
   PrintSummary("served", "",
-               " on " + std::to_string(stats.num_threads) + " worker(s)",
+               " on " + std::to_string(service->num_threads()) + " worker(s)",
                tally, wall_ms);
   std::printf("  queue p50     %10.2f us\n", stats.queue_micros.p50);
   std::printf("  queue p99     %10.2f us\n", stats.queue_micros.p99);
