@@ -11,12 +11,15 @@
 //      a SetObjects full replacement for comparison — the "patch vs
 //      rebuild" gap is the point of the overlay.
 //   2. Watermark sweep: mean publish cost at merge watermarks 8..256 —
-//      small watermarks rebuild often, large ones tax every query with
-//      more overlay distance evaluations.
+//      small watermarks rebuild often, large ones copy a larger overlay
+//      into every published snapshot. Reads do not grow with it: the kNN
+//      search scores an overlay entry only when it scans the entry's
+//      leaf, exactly as it scores a packed object.
 //   3. Query p99 under churn: reader threads run a closed kNN loop over a
-//      shared bundle, quiescent vs with a writer publishing moves at full
-//      rate; reports reader p50/p99 both ways and the sustained update
-//      rate.
+//      shared bundle, quiescent with an empty overlay, quiescent with the
+//      overlay filled to the merge watermark (no merge), and with a writer
+//      publishing moves at full rate; reports reader p50/p99 each way and
+//      the sustained update rate. The two quiescent lines should match.
 //
 //   VIPTREE_SCALE= / VIPTREE_QUERIES= shrink or grow the workload as with
 //   the figure benchmarks.
@@ -154,7 +157,25 @@ int Main() {
   // -------------------------------------------------------------------
   const size_t num_readers = 2;
   const size_t reads_per_thread = 4 * NumQueries();
-  for (const bool churn : {false, true}) {
+  const size_t watermark = live.EffectiveMergeWatermark();
+  enum class Readers { kQuiescent, kFullOverlay, kChurn };
+  for (const Readers mode :
+       {Readers::kQuiescent, Readers::kFullOverlay, Readers::kChurn}) {
+    // Start from the packed set (empty overlay); the full-overlay line
+    // then moves `watermark` distinct objects, one publish each, which
+    // fills the overlay without crossing the merge threshold.
+    live.SetObjects(objects);
+    if (mode == Readers::kFullOverlay) {
+      Rng rng(0x0FE7);
+      for (size_t i = 0; i < watermark; ++i) {
+        ObjectDelta delta;
+        delta.moves.push_back({static_cast<ObjectId>(i),
+                               synth::RandomIndoorPoint(data.venue, rng)});
+        if (live.ApplyDelta(delta).has_value()) std::abort();  // impossible
+      }
+    }
+    const size_t overlay = live.Acquire()->overlay.size();
+    const bool churn = mode == Readers::kChurn;
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> published{0};
     std::thread writer;
@@ -199,10 +220,15 @@ int Main() {
       all.insert(all.end(), per_thread.begin(), per_thread.end());
     }
     const Summary s = Summarize(all);
-    std::printf("\nkNN x%zu readers, %s: p50 %7.1f us  p99 %7.1f us  "
-                "(%.0f reads/s",
-                num_readers, churn ? "writer at full rate" : "quiescent",
-                s.p50, s.p99, wall_s > 0.0 ? all.size() / wall_s : 0.0);
+    if (churn) {
+      std::printf("\nkNN x%zu readers, writer at full rate:", num_readers);
+    } else {
+      std::printf("%skNN x%zu readers, quiescent, overlay %3zu:",
+                  mode == Readers::kQuiescent ? "\n" : "", num_readers,
+                  overlay);
+    }
+    std::printf(" p50 %7.1f us  p99 %7.1f us  (%.0f reads/s", s.p50, s.p99,
+                wall_s > 0.0 ? all.size() / wall_s : 0.0);
     if (churn) {
       std::printf(", %.0f updates/s",
                   wall_s > 0.0 ? published.load() / wall_s : 0.0);

@@ -9,16 +9,38 @@
 
 namespace viptree {
 
+namespace {
+
+// The result order every search reports: ascending by (distance, id).
+bool Closer(const ObjectResult& a, const ObjectResult& b) {
+  return a.distance != b.distance ? a.distance < b.distance
+                                  : a.object < b.object;
+}
+
+// The run of `overlay` (ordered by leaf_dfs) whose leaves have DFS index
+// in [begin, end): the overlay objects of one subtree.
+Span<const OverlayObject> OverlayIn(Span<const OverlayObject> overlay,
+                                    uint32_t begin, uint32_t end) {
+  const auto before = [](const OverlayObject& o, uint32_t dfs) {
+    return o.leaf_dfs < dfs;
+  };
+  const OverlayObject* first =
+      std::lower_bound(overlay.begin(), overlay.end(), begin, before);
+  return {first, std::lower_bound(first, overlay.end(), end, before)};
+}
+
+}  // namespace
+
 KnnQuery::KnnQuery(const IPTree& tree, const ObjectIndex& objects,
                    const DistanceQueryOptions& options, DistanceCache* cache)
     : tree_(tree),
-      objects_(objects),
+      objects_(&objects),
       query_(tree, options, cache),
       local_dijkstra_(tree.graph()) {}
 
 std::vector<ObjectResult> KnnQuery::Knn(const IndoorPoint& q, size_t k,
                                         SearchStats* stats) const {
-  return Search(q, k, kInfDistance, nullptr, stats);
+  return Search(q, k, kInfDistance, nullptr, {}, stats);
 }
 
 AscentDistances KnnQuery::ComputeAscent(const IndoorPoint& q) const {
@@ -28,17 +50,25 @@ AscentDistances KnnQuery::ComputeAscent(const IndoorPoint& q) const {
 std::vector<ObjectResult> KnnQuery::WithinRange(const IndoorPoint& q,
                                                 double radius,
                                                 SearchStats* stats) const {
-  return Search(q, std::numeric_limits<size_t>::max(), radius, nullptr,
+  return Search(q, std::numeric_limits<size_t>::max(), radius, nullptr, {},
                 stats);
 }
 
-void KnnQuery::LocalObjectDistances(const IndoorPoint& q, NodeId leaf,
+void KnnQuery::LocalObjectDistances(const IndoorPoint& q,
+                                    Span<const ObjectId> objs,
+                                    Span<const OverlayObject> hot,
                                     std::vector<double>& out) const {
   const Venue& venue = tree_.venue();
-  const Span<const ObjectId> objs = objects_.ObjectsInLeaf(leaf);
-  out.assign(objs.size(), kInfDistance);
+  const auto point = [&](size_t i) -> const IndoorPoint& {
+    return i < objs.size() ? objects_->object(objs[i])
+                           : hot[i - objs.size()].point;
+  };
+  const size_t n = objs.size() + hot.size();
+  out.assign(n, kInfDistance);
   // One multi-source Dijkstra from q covers every object of the leaf; the
   // search runs on the full D2D graph so routes leaving the leaf are exact.
+  // A settled door's distance does not depend on the target set, so an
+  // object scores the same bits whichever other objects share its leaf.
   local_sources_.clear();
   for (DoorId u : venue.DoorsOf(q.partition)) {
     local_sources_.push_back({u, venue.DistanceToDoor(q, u)});
@@ -46,8 +76,8 @@ void KnnQuery::LocalObjectDistances(const IndoorPoint& q, NodeId leaf,
   DijkstraEngine& engine = local_dijkstra_;
   engine.Start(local_sources_);
   local_targets_.clear();
-  for (ObjectId o : objs) {
-    for (DoorId d : venue.DoorsOf(objects_.object(o).partition)) {
+  for (size_t i = 0; i < n; ++i) {
+    for (DoorId d : venue.DoorsOf(point(i).partition)) {
       local_targets_.push_back(d);
     }
   }
@@ -56,8 +86,8 @@ void KnnQuery::LocalObjectDistances(const IndoorPoint& q, NodeId leaf,
       std::unique(local_targets_.begin(), local_targets_.end()),
       local_targets_.end());
   engine.RunToTargets(local_targets_);
-  for (size_t i = 0; i < objs.size(); ++i) {
-    const IndoorPoint& obj = objects_.object(objs[i]);
+  for (size_t i = 0; i < n; ++i) {
+    const IndoorPoint& obj = point(i);
     if (obj.partition == q.partition) {
       out[i] = venue.IntraPartitionDistance(q.partition, q.position,
                                             obj.position);
@@ -72,15 +102,21 @@ void KnnQuery::LocalObjectDistances(const IndoorPoint& q, NodeId leaf,
 
 std::vector<ObjectResult> KnnQuery::Search(
     const IndoorPoint& q, size_t k, double radius, const Filters* filters,
-    SearchStats* stats, const AscentDistances* precomputed) const {
+    Span<const OverlayObject> overlay, SearchStats* stats,
+    const AscentDistances* precomputed) const {
   if (stats != nullptr) *stats = SearchStats{};
   std::vector<ObjectResult> results;
-  if (objects_.NumObjects() == 0 || k == 0) return results;
+  if ((objects_->NumObjects() == 0 && overlay.empty()) || k == 0) {
+    return results;
+  }
   auto node_allowed = [filters](NodeId n) {
     return filters == nullptr || !filters->node || filters->node(n);
   };
   auto object_allowed = [filters](ObjectId o) {
     return filters == nullptr || !filters->object || filters->object(o);
+  };
+  auto overlay_allowed = [filters](ObjectId o) {
+    return filters == nullptr || !filters->overlay || filters->overlay(o);
   };
 
   // Line 2 of Algorithm 5: distances from q to the access doors of every
@@ -105,30 +141,31 @@ std::vector<ObjectResult> KnnQuery::Search(
   // once at the end instead of paying O(log n) per insert.
   const bool collect_all = k == std::numeric_limits<size_t>::max();
 
-  // Results as a max-heap so dk (distance to the current kth NN) is O(1).
-  auto worse = [](const ObjectResult& a, const ObjectResult& b) {
-    return a.distance < b.distance;
-  };
+  // The k best so far as a max-heap under (distance, id), so dk (distance
+  // to the current kth NN) is O(1) and a tie at the kth place keeps the
+  // smaller id.
   std::priority_queue<ObjectResult, std::vector<ObjectResult>,
-                      decltype(worse)>
-      best(worse);
+                      decltype(&Closer)>
+      best(&Closer);
   auto dk = [&]() {
     if (radius != kInfDistance) {
       return best.size() >= k ? std::min(radius, best.top().distance) : radius;
     }
     return best.size() >= k ? best.top().distance : kInfDistance;
   };
-  auto offer = [&](ObjectId o, double dist) {
+  // `allowed` is the filter of the object's store (packed or overlay).
+  auto offer = [&](ObjectId o, double dist, const auto& allowed) {
     if (stats != nullptr) ++stats->objects_considered;
     if (dist > radius) return;
-    if (!object_allowed(o)) return;
+    if (!allowed(o)) return;
+    const ObjectResult candidate{o, dist};
     if (collect_all) {
-      results.push_back({o, dist});
+      results.push_back(candidate);
     } else if (best.size() < k) {
-      best.push({o, dist});
-    } else if (dist < best.top().distance) {
+      best.push(candidate);
+    } else if (Closer(candidate, best.top())) {
       best.pop();
-      best.push({o, dist});
+      best.push(candidate);
     }
   };
 
@@ -218,33 +255,58 @@ std::vector<ObjectResult> KnnQuery::Search(
         kernels::PrefetchRead(&tree_.node(child));
       }
       for (NodeId child : node.children) {
-        if (objects_.SubtreeCount(tree_.node(child)) == 0) continue;
+        const TreeNode& c = tree_.node(child);
+        if (objects_->SubtreeCount(c) == 0 &&
+            OverlayIn(overlay, c.leaf_begin, c.leaf_end).empty()) {
+          continue;
+        }
         if (!node_allowed(child)) continue;
         heap.emplace(mindist(child), child);
       }
       continue;
     }
-    // Leaf: exact object distances.
-    const Span<const ObjectId> objs = objects_.ObjectsInLeaf(n);
-    if (objs.empty()) continue;
+    // Leaf: exact object distances, packed objects first, then the overlay
+    // objects of this leaf (scored alike, so a merge moves no bits).
+    const Span<const ObjectId> objs = objects_->ObjectsInLeaf(n);
+    const Span<const OverlayObject> hot =
+        OverlayIn(overlay, node.leaf_begin, node.leaf_end);
+    if (objs.empty() && hot.empty()) continue;
     if (n == q_leaf) {
       std::vector<double> dists;
-      LocalObjectDistances(q, n, dists);
-      for (size_t i = 0; i < objs.size(); ++i) offer(objs[i], dists[i]);
+      LocalObjectDistances(q, objs, hot, dists);
+      for (size_t i = 0; i < objs.size(); ++i) {
+        offer(objs[i], dists[i], object_allowed);
+      }
+      for (size_t j = 0; j < hot.size(); ++j) {
+        offer(hot[j].id, dists[objs.size() + j], overlay_allowed);
+      }
       continue;
     }
+    const std::vector<double>& q_to_ad = ensure_ad_dist(n);
+    const size_t num_cols = node.access_doors.size();
+    // An overlay object's row folds exactly as a packed column does:
+    // columns in order, infinite ones skipped (MinPlusRow's scalar form).
+    for (const OverlayObject& o : hot) {
+      double dist = kInfDistance;
+      for (size_t col = 0; col < num_cols; ++col) {
+        if (q_to_ad[col] == kInfDistance) continue;
+        const double cand = q_to_ad[col] + o.row[col];
+        if (cand < dist) dist = cand;
+      }
+      offer(o.id, dist, overlay_allowed);
+    }
+    if (objs.empty()) continue;
     // One contiguous distance row per access door (see ObjectIndex layout):
     // column-outer order keeps the kernel scanning sequential rows.
-    const std::vector<double>& q_to_ad = ensure_ad_dist(n);
     leaf_best.assign(objs.size(), kInfDistance);
-    for (size_t col = 0; col < node.access_doors.size(); ++col) {
+    for (size_t col = 0; col < num_cols; ++col) {
       const double q_to_door = q_to_ad[col];
       if (q_to_door == kInfDistance) continue;  // inf row never improves
-      if (col + 1 < node.access_doors.size()) {
-        kernels::PrefetchRead(objects_.DoorDistances(n, col + 1).data());
+      if (col + 1 < num_cols) {
+        kernels::PrefetchRead(objects_->DoorDistances(n, col + 1).data());
       }
       kernels::MinPlusRow(leaf_best.data(),
-                          objects_.DoorDistances(n, col).data(), q_to_door,
+                          objects_->DoorDistances(n, col).data(), q_to_door,
                           objs.size());
     }
     if (collect_all) {
@@ -261,23 +323,20 @@ std::vector<ObjectResult> KnnQuery::Search(
       }
       continue;
     }
-    for (size_t i = 0; i < objs.size(); ++i) offer(objs[i], leaf_best[i]);
+    for (size_t i = 0; i < objs.size(); ++i) {
+      offer(objs[i], leaf_best[i], object_allowed);
+    }
   }
 
   if (collect_all) {
-    std::sort(results.begin(), results.end(),
-              [](const ObjectResult& a, const ObjectResult& b) {
-                return a.distance != b.distance ? a.distance < b.distance
-                                                : a.object < b.object;
-              });
+    std::sort(results.begin(), results.end(), Closer);
     return results;
   }
-  results.reserve(best.size());
-  while (!best.empty()) {
-    results.push_back(best.top());
+  results.resize(best.size());
+  for (size_t i = results.size(); i-- > 0;) {
+    results[i] = best.top();
     best.pop();
   }
-  std::reverse(results.begin(), results.end());
   return results;
 }
 

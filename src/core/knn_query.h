@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/span.h"
 #include "core/distance_query.h"
 #include "core/object_index.h"
 
@@ -27,6 +28,18 @@ namespace viptree {
 struct ObjectResult {
   ObjectId object = kInvalidId;
   double distance = kInfDistance;
+};
+
+// An object held beside the packed ObjectIndex (the live-object overlay,
+// core/live_objects.h) that the search scores exactly as it scores a packed
+// object of the same leaf. Searches take these as a span ordered by
+// (leaf_dfs, id), so the entries of one subtree are a contiguous run.
+struct OverlayObject {
+  ObjectId id = kInvalidId;
+  IndoorPoint point;
+  uint32_t leaf_dfs = 0;  // TreeNode::leaf_begin of the object's leaf
+  // One cell per access door of that leaf (ObjectIndex::FillDoorRow).
+  std::vector<double> row;
 };
 
 // Per-query work counters of the branch-and-bound search, filled when the
@@ -46,7 +59,12 @@ class KnnQuery {
            const DistanceQueryOptions& options = {},
            DistanceCache* cache = nullptr);
 
-  // The k nearest objects to q, ascending by distance.
+  // Points the engine at another object index over the same tree, keeping
+  // every piece of Dijkstra and bound scratch (the live-object reader
+  // re-pins a newer snapshot through this).
+  void Rebind(const ObjectIndex& objects) { objects_ = &objects; }
+
+  // The k nearest objects to q, ascending by (distance, id).
   std::vector<ObjectResult> Knn(const IndoorPoint& q, size_t k,
                                 SearchStats* stats = nullptr) const;
 
@@ -61,45 +79,54 @@ class KnnQuery {
   std::vector<ObjectResult> KnnWithAscent(const IndoorPoint& q, size_t k,
                                           const AscentDistances& ascent,
                                           SearchStats* stats = nullptr) const {
-    return Search(q, k, kInfDistance, nullptr, stats, &ascent);
+    return Search(q, k, kInfDistance, nullptr, {}, stats, &ascent);
   }
 
-  // All objects within `radius` of q, ascending by distance (the range
+  // All objects within `radius` of q, ascending by (distance, id) (the range
   // query of §3.4, reached through RangeQuery for API symmetry).
   std::vector<ObjectResult> WithinRange(const IndoorPoint& q, double radius,
                                         SearchStats* stats = nullptr) const;
 
   // Optional pruning hooks for derived query types (e.g. spatial keyword
-  // queries, §1.3): subtrees where node_filter returns false are skipped,
-  // objects where object_filter returns false are not reported.
+  // queries, §1.3): subtrees where `node` returns false are skipped; packed
+  // objects where `object` returns false and overlay objects where
+  // `overlay` returns false are not reported.
   struct Filters {
     std::function<bool(NodeId)> node;
     std::function<bool(ObjectId)> object;
+    std::function<bool(ObjectId)> overlay;
   };
 
+  // The searches below also score `overlay` (ordered by (leaf_dfs, id)) as
+  // if its objects were packed: an overlay object is read only when the
+  // search scans its leaf. Plain ObjectIndex callers pass none.
+
   // The k nearest objects passing the filters.
-  std::vector<ObjectResult> KnnFiltered(const IndoorPoint& q, size_t k,
-                                        const Filters& filters,
-                                        SearchStats* stats = nullptr) const {
-    return Search(q, k, kInfDistance, &filters, stats);
+  std::vector<ObjectResult> KnnFiltered(
+      const IndoorPoint& q, size_t k, const Filters& filters,
+      SearchStats* stats = nullptr,
+      Span<const OverlayObject> overlay = {}) const {
+    return Search(q, k, kInfDistance, &filters, overlay, stats);
   }
 
   // KnnFiltered with the root ascent precomputed (see KnnWithAscent); the
   // live-object snapshot reader routes coalesced kNN groups through this.
   std::vector<ObjectResult> KnnFilteredWithAscent(
       const IndoorPoint& q, size_t k, const Filters& filters,
-      const AscentDistances& ascent, SearchStats* stats = nullptr) const {
-    return Search(q, k, kInfDistance, &filters, stats, &ascent);
+      const AscentDistances& ascent, SearchStats* stats = nullptr,
+      Span<const OverlayObject> overlay = {}) const {
+    return Search(q, k, kInfDistance, &filters, overlay, stats, &ascent);
   }
 
   // All objects within `radius` passing the filters (the range analogue of
   // KnnFiltered; the live-object snapshot reader excludes overlay and
   // tombstoned ids through this).
-  std::vector<ObjectResult> RangeFiltered(const IndoorPoint& q, double radius,
-                                          const Filters& filters,
-                                          SearchStats* stats = nullptr) const {
+  std::vector<ObjectResult> RangeFiltered(
+      const IndoorPoint& q, double radius, const Filters& filters,
+      SearchStats* stats = nullptr,
+      Span<const OverlayObject> overlay = {}) const {
     return Search(q, std::numeric_limits<size_t>::max(), radius, &filters,
-                  stats);
+                  overlay, stats);
   }
 
  private:
@@ -108,15 +135,18 @@ class KnnQuery {
   // replaces the line-2 root ascent (must be ComputeAscent(q)'s output).
   std::vector<ObjectResult> Search(
       const IndoorPoint& q, size_t k, double radius,
-      const Filters* filters = nullptr, SearchStats* stats = nullptr,
+      const Filters* filters = nullptr,
+      Span<const OverlayObject> overlay = {}, SearchStats* stats = nullptr,
       const AscentDistances* precomputed = nullptr) const;
 
-  // Exact distances from q to the objects of q's own leaf (one Dijkstra).
-  void LocalObjectDistances(const IndoorPoint& q, NodeId leaf,
+  // Exact distances from q to the packed objects `objs` and then the
+  // overlay objects `hot` of q's own leaf (one Dijkstra).
+  void LocalObjectDistances(const IndoorPoint& q, Span<const ObjectId> objs,
+                            Span<const OverlayObject> hot,
                             std::vector<double>& out) const;
 
   const IPTree& tree_;
-  const ObjectIndex& objects_;
+  const ObjectIndex* objects_;
   IPDistanceQuery query_;
   // Reused by LocalObjectDistances so the kNN hot path does not rebuild a
   // Dijkstra engine (heap + per-door arrays) per leaf scan; mutable scratch

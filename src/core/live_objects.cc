@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -17,11 +16,6 @@ bool HasAllStrings(const std::vector<std::string>& have,
     if (std::find(have.begin(), have.end(), word) == have.end()) return false;
   }
   return true;
-}
-
-bool ResultLess(const ObjectResult& a, const ObjectResult& b) {
-  return a.distance != b.distance ? a.distance < b.distance
-                                  : a.object < b.object;
 }
 
 }  // namespace
@@ -153,40 +147,22 @@ std::optional<std::string> LiveObjectIndex::ApplyDelta(
   }
 
   // Apply to the canonical writer state and to the overlay.
-  const auto upsert_overlay = [this](ObjectId id) {
-    const auto it = std::lower_bound(
-        overlay_.begin(), overlay_.end(), id,
-        [](const ObjectSnapshot::OverlayEntry& e, ObjectId want) {
-          return e.id < want;
-        });
-    if (it != overlay_.end() && it->id == id) {
-      it->point = positions_[id];
-      it->keywords = keyword_strings_[id];
-    } else {
-      overlay_.insert(it, {id, positions_[id], keyword_strings_[id]});
-    }
-  };
   for (const ObjectDelta::Move& move : delta.moves) {
     positions_[move.id] = move.to;
-    upsert_overlay(move.id);
+    UpsertOverlayLocked(move.id);
   }
   for (const ObjectId id : delta.removes) {
     removed_flags_[id] = 1;
     removed_ids_.insert(
         std::lower_bound(removed_ids_.begin(), removed_ids_.end(), id), id);
-    const auto it = std::lower_bound(
-        overlay_.begin(), overlay_.end(), id,
-        [](const ObjectSnapshot::OverlayEntry& e, ObjectId want) {
-          return e.id < want;
-        });
-    if (it != overlay_.end() && it->id == id) overlay_.erase(it);
+    EraseOverlayLocked(id);
   }
   for (const ObjectDelta::Add& add : delta.adds) {
     const ObjectId id = static_cast<ObjectId>(positions_.size());
     positions_.push_back(add.at);
     keyword_strings_.push_back(add.keywords);
     removed_flags_.push_back(0);
-    upsert_overlay(id);
+    UpsertOverlayLocked(id);
   }
 
   // Velocity partitioning's cold path: once the hot overlay outgrows the
@@ -194,6 +170,39 @@ std::optional<std::string> LiveObjectIndex::ApplyDelta(
   if (overlay_.size() > options_.merge_watermark) MergeLocked();
   PublishLocked();
   return std::nullopt;
+}
+
+void LiveObjectIndex::UpsertOverlayLocked(ObjectId id) {
+  EraseOverlayLocked(id);
+  const IndoorPoint& point = positions_[id];
+  overlay_.insert(std::lower_bound(overlay_.begin(), overlay_.end(), id,
+                                   [](const ObjectSnapshot::OverlayEntry& e,
+                                      ObjectId want) { return e.id < want; }),
+                  {id, point, keyword_strings_[id]});
+  const TreeNode& leaf = tree_.node(tree_.LeafOfPartition(point.partition));
+  OverlayObject scored{id, point, leaf.leaf_begin,
+                       std::vector<double>(leaf.access_doors.size())};
+  ObjectIndex::FillDoorRow(tree_, leaf, point, scored.row.data(), 1);
+  const auto at = std::lower_bound(
+      overlay_by_leaf_.begin(), overlay_by_leaf_.end(), scored,
+      [](const OverlayObject& a, const OverlayObject& b) {
+        return a.leaf_dfs != b.leaf_dfs ? a.leaf_dfs < b.leaf_dfs
+                                        : a.id < b.id;
+      });
+  overlay_by_leaf_.insert(at, std::move(scored));
+}
+
+void LiveObjectIndex::EraseOverlayLocked(ObjectId id) {
+  const auto it = std::lower_bound(
+      overlay_.begin(), overlay_.end(), id,
+      [](const ObjectSnapshot::OverlayEntry& e, ObjectId want) {
+        return e.id < want;
+      });
+  if (it == overlay_.end() || it->id != id) return;
+  overlay_.erase(it);
+  overlay_by_leaf_.erase(
+      std::find_if(overlay_by_leaf_.begin(), overlay_by_leaf_.end(),
+                   [id](const OverlayObject& o) { return o.id == id; }));
 }
 
 void LiveObjectIndex::MergeLocked() {
@@ -204,6 +213,7 @@ void LiveObjectIndex::MergeLocked() {
                                                           keyword_strings_);
   }
   overlay_.clear();
+  overlay_by_leaf_.clear();
 }
 
 void LiveObjectIndex::PublishLocked() {
@@ -212,6 +222,7 @@ void LiveObjectIndex::PublishLocked() {
   next->base = base_;
   next->keywords = base_keywords_;
   next->overlay = overlay_;
+  next->overlay_by_leaf = overlay_by_leaf_;
   next->removed = removed_ids_;
   next->num_live = positions_.size() - removed_ids_.size();
   std::atomic_store(&snapshot_,
@@ -252,6 +263,9 @@ uint64_t LiveObjectIndex::MemoryBytes() const {
     bytes += sizeof(entry);
     for (const std::string& word : entry.keywords) bytes += word.size();
   }
+  for (const OverlayObject& scored : overlay_by_leaf_) {
+    bytes += sizeof(scored) + scored.row.size() * sizeof(double);
+  }
   bytes += removed_ids_.size() * sizeof(ObjectId);
   return bytes;
 }
@@ -260,55 +274,45 @@ SnapshotQuery::SnapshotQuery(const IPTree& tree,
                              std::shared_ptr<const ObjectSnapshot> snapshot,
                              const DistanceQueryOptions& options,
                              DistanceCache* cache)
-    : snapshot_(std::move(snapshot)),
-      knn_(tree, *snapshot_->base, options, cache),
-      exact_(tree, options, cache) {
+    : tree_(tree),
+      snapshot_(std::move(snapshot)),
+      knn_(tree, *snapshot_->base, options, cache) {
   VIPTREE_CHECK_MSG(snapshot_ != nullptr,
                     "SnapshotQuery over a null ObjectSnapshot");
 }
 
-std::vector<ObjectResult> SnapshotQuery::Knn(const IndoorPoint& q, size_t k,
-                                             SearchStats* stats) const {
-  SearchStats local;
+void SnapshotQuery::Repin(std::shared_ptr<const ObjectSnapshot> snapshot) {
+  VIPTREE_CHECK_MSG(snapshot != nullptr,
+                    "SnapshotQuery repinned to a null ObjectSnapshot");
+  snapshot_ = std::move(snapshot);
+  knn_.Rebind(*snapshot_->base);
+}
+
+KnnQuery::Filters SnapshotQuery::LiveFilters() const {
   KnnQuery::Filters filters;
   const ObjectSnapshot* snap = snapshot_.get();
   filters.object = [snap](ObjectId o) { return !snap->Diverged(o); };
-  std::vector<ObjectResult> base = knn_.KnnFiltered(q, k, filters, &local);
-  std::vector<ObjectResult> out = MergeOverlay(std::move(base), q, k,
-                                               kInfDistance, nullptr, &local);
-  if (stats != nullptr) *stats = local;
-  return out;
+  return filters;
+}
+
+std::vector<ObjectResult> SnapshotQuery::Knn(const IndoorPoint& q, size_t k,
+                                             SearchStats* stats) const {
+  return knn_.KnnFiltered(q, k, LiveFilters(), stats,
+                          snapshot_->overlay_by_leaf);
 }
 
 std::vector<ObjectResult> SnapshotQuery::KnnWithAscent(
     const IndoorPoint& q, size_t k, const AscentDistances& ascent,
     SearchStats* stats) const {
-  SearchStats local;
-  KnnQuery::Filters filters;
-  const ObjectSnapshot* snap = snapshot_.get();
-  filters.object = [snap](ObjectId o) { return !snap->Diverged(o); };
-  std::vector<ObjectResult> base =
-      knn_.KnnFilteredWithAscent(q, k, filters, ascent, &local);
-  std::vector<ObjectResult> out = MergeOverlay(std::move(base), q, k,
-                                               kInfDistance, nullptr, &local);
-  if (stats != nullptr) *stats = local;
-  return out;
+  return knn_.KnnFilteredWithAscent(q, k, LiveFilters(), ascent, stats,
+                                    snapshot_->overlay_by_leaf);
 }
 
 std::vector<ObjectResult> SnapshotQuery::Range(const IndoorPoint& q,
                                                double radius,
                                                SearchStats* stats) const {
-  SearchStats local;
-  KnnQuery::Filters filters;
-  const ObjectSnapshot* snap = snapshot_.get();
-  filters.object = [snap](ObjectId o) { return !snap->Diverged(o); };
-  std::vector<ObjectResult> base =
-      knn_.RangeFiltered(q, radius, filters, &local);
-  std::vector<ObjectResult> out =
-      MergeOverlay(std::move(base), q, std::numeric_limits<size_t>::max(),
-                   radius, nullptr, &local);
-  if (stats != nullptr) *stats = local;
-  return out;
+  return knn_.RangeFiltered(q, radius, LiveFilters(), stats,
+                            snapshot_->overlay_by_leaf);
 }
 
 std::vector<ObjectResult> SnapshotQuery::BooleanKnn(
@@ -316,54 +320,40 @@ std::vector<ObjectResult> SnapshotQuery::BooleanKnn(
     SearchStats* stats) const {
   if (stats != nullptr) *stats = SearchStats{};
   if (snapshot_->keywords == nullptr) return {};
-  SearchStats local;
-  std::vector<ObjectResult> base;
-  const std::optional<std::vector<KeywordIndex::KeywordId>> wanted =
-      snapshot_->keywords->ResolveKeywords(query);
+  const ObjectSnapshot* snap = snapshot_.get();
+  const KeywordIndex& kw = *snap->keywords;
   // A keyword missing from the base dictionary matches no *base* object,
-  // but overlay adds may have introduced it — so the overlay is still
-  // string-matched below.
-  if (wanted.has_value()) {
-    const KeywordIndex& kw = *snapshot_->keywords;
-    const ObjectSnapshot* snap = snapshot_.get();
-    KnnQuery::Filters filters;
-    filters.node = [&kw, &wanted](NodeId n) {
-      return kw.NodeHasAll(n, *wanted);
-    };
-    filters.object = [&kw, &wanted, snap](ObjectId o) {
-      return !snap->Diverged(o) && kw.ObjectHasAll(o, *wanted);
-    };
-    base = knn_.KnnFiltered(q, k, filters, &local);
-  }
-  std::vector<ObjectResult> out =
-      MergeOverlay(std::move(base), q, k, kInfDistance, &query, &local);
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
-std::vector<ObjectResult> SnapshotQuery::MergeOverlay(
-    std::vector<ObjectResult> base_results, const IndoorPoint& q, size_t k,
-    double radius, const std::vector<std::string>* required_keywords,
-    SearchStats* stats) const {
-  std::vector<ObjectResult> hot;
-  for (const ObjectSnapshot::OverlayEntry& entry : snapshot_->overlay) {
-    if (required_keywords != nullptr &&
-        !HasAllStrings(entry.keywords, *required_keywords)) {
-      continue;
+  // but overlay adds may have introduced it, so overlay entries are
+  // string-matched. The matching entries' leaf DFS indices (ascending, as
+  // overlay_by_leaf is) admit the subtrees that hold them.
+  const std::optional<std::vector<KeywordIndex::KeywordId>> wanted =
+      kw.ResolveKeywords(query);
+  std::vector<uint32_t> hot_dfs;
+  std::vector<ObjectId> hot_ids;
+  for (const OverlayObject& o : snap->overlay_by_leaf) {
+    if (HasAllStrings(snap->FindOverlay(o.id)->keywords, query)) {
+      hot_dfs.push_back(o.leaf_dfs);
+      hot_ids.push_back(o.id);
     }
-    ++stats->objects_considered;
-    const double distance = exact_.Distance(q, entry.point);
-    if (distance > radius) continue;
-    hot.push_back({entry.id, distance});
   }
-  if (hot.empty()) {
-    if (base_results.size() > k) base_results.resize(k);
-    return base_results;
-  }
-  base_results.insert(base_results.end(), hot.begin(), hot.end());
-  std::sort(base_results.begin(), base_results.end(), ResultLess);
-  if (base_results.size() > k) base_results.resize(k);
-  return base_results;
+  if (!wanted.has_value() && hot_ids.empty()) return {};
+  std::sort(hot_ids.begin(), hot_ids.end());
+  KnnQuery::Filters filters;
+  filters.node = [&](NodeId n) {
+    if (wanted.has_value() && kw.NodeHasAll(n, *wanted)) return true;
+    const TreeNode& node = tree_.node(n);
+    const auto it =
+        std::lower_bound(hot_dfs.begin(), hot_dfs.end(), node.leaf_begin);
+    return it != hot_dfs.end() && *it < node.leaf_end;
+  };
+  filters.object = [&](ObjectId o) {
+    return wanted.has_value() && !snap->Diverged(o) &&
+           kw.ObjectHasAll(o, *wanted);
+  };
+  filters.overlay = [&](ObjectId o) {
+    return std::binary_search(hot_ids.begin(), hot_ids.end(), o);
+  };
+  return knn_.KnnFiltered(q, k, filters, stats, snap->overlay_by_leaf);
 }
 
 }  // namespace viptree

@@ -2,9 +2,14 @@
 // RCU-style epoch-published view of the ObjectIndex, motivated by the
 // velocity-partitioning idea of "Boosting Moving Object Indexing through
 // Velocity Partitioning" — hot (recently moved/added) objects live in a
-// small exact overlay, cold objects stay in the packed CSR ObjectIndex,
-// and the overlay is merged back into a freshly built CSR once it crosses
-// a low watermark.
+// small overlay, cold objects stay in the packed CSR ObjectIndex, and the
+// overlay is merged back into a freshly built CSR once it crosses a low
+// watermark. As in that paper, the hot store is queried with the same
+// pruning as the cold one: each overlay entry carries its leaf and its
+// access-door row (ObjectIndex::FillDoorRow, computed once when the entry
+// is published), and the kNN/range branch-and-bound scores it only when
+// it scans that leaf. An entry in a pruned subtree costs a read nothing,
+// and an object's answer is the same bits whether or not it was merged.
 //
 // Concurrency model (the whole point of this file):
 //
@@ -94,6 +99,10 @@ struct ObjectSnapshot {
   // Hot objects diverging from `base` (moved since the last merge, or
   // added with id >= base->NumObjects()). Sorted by id.
   std::vector<OverlayEntry> overlay;
+  // The same entries as the kNN search scores them, each with its leaf
+  // and access-door row, ordered by (leaf DFS index, id): a subtree's
+  // entries are the run over its [leaf_begin, leaf_end).
+  std::vector<OverlayObject> overlay_by_leaf;
   // Tombstoned ids, sorted. Disjoint from overlay ids.
   std::vector<ObjectId> removed;
 
@@ -113,8 +122,9 @@ struct ObjectSnapshot {
 // complete where the constructors' default arguments need it.
 struct LiveObjectOptions {
   // Overlay size that triggers a merge (full CSR rebuild) on the next
-  // publish. Small by design: every overlay entry costs each query one
-  // exact distance evaluation.
+  // publish. An entry costs a read what a packed object does (it is
+  // scored only when the search scans its leaf), so the watermark bounds
+  // the overlay's copy-per-publish, not the read cost.
   size_t merge_watermark = 64;
 };
 
@@ -191,6 +201,10 @@ class LiveObjectIndex {
   // Rebuilds base_/base_keywords_ from the canonical writer state and
   // clears the overlay. Caller holds write_mu_.
   void MergeLocked();
+  // Inserts or refreshes id's overlay entry from the writer state (its
+  // access-door row included), or drops it. Caller holds write_mu_.
+  void UpsertOverlayLocked(ObjectId id);
+  void EraseOverlayLocked(ObjectId id);
   // Publishes the canonical writer state as the next epoch. Caller holds
   // write_mu_.
   void PublishLocked();
@@ -208,10 +222,11 @@ class LiveObjectIndex {
   std::vector<ObjectId> removed_ids_;  // sorted
   bool has_keywords_ = false;
   // The current packed pair (shared with published snapshots) and the
-  // overlay entries diverging from it, sorted by id.
+  // overlay entries diverging from it, in both published orders.
   std::shared_ptr<const ObjectIndex> base_;
   std::shared_ptr<const KeywordIndex> base_keywords_;
   std::vector<ObjectSnapshot::OverlayEntry> overlay_;
+  std::vector<OverlayObject> overlay_by_leaf_;
 
   // The published snapshot; accessed only through std::atomic_load /
   // std::atomic_store (C++17 shared_ptr atomics).
@@ -220,11 +235,10 @@ class LiveObjectIndex {
 
 // Read-side executor over one pinned ObjectSnapshot: the object-query
 // surface of KnnQuery/KeywordIndex, answering against base + overlay -
-// tombstones. One instance per (thread, snapshot); it owns the mutable
-// Dijkstra scratch (same contract as the core engines) and keeps its
-// snapshot alive. Rebuild on epoch change — construction costs one
-// Dijkstra-scratch allocation, so pin-and-reuse across queries of one
-// epoch.
+// tombstones in one branch-and-bound search. One instance per thread; it
+// owns the mutable Dijkstra scratch (same contract as the core engines)
+// and keeps its snapshot alive. On an epoch change, Repin to the new
+// snapshot: the scratch is kept, so only construction allocates it.
 class SnapshotQuery {
  public:
   // `cache` as in KnnQuery (object positions are per-snapshot state and
@@ -234,6 +248,10 @@ class SnapshotQuery {
                 std::shared_ptr<const ObjectSnapshot> snapshot,
                 const DistanceQueryOptions& options = {},
                 DistanceCache* cache = nullptr);
+
+  // Answers against `snapshot` from now on (a snapshot of the same tree),
+  // reusing every piece of scratch.
+  void Repin(std::shared_ptr<const ObjectSnapshot> snapshot);
 
   // The k nearest live objects, ascending by (distance, id).
   std::vector<ObjectResult> Knn(const IndoorPoint& q, size_t k,
@@ -257,10 +275,11 @@ class SnapshotQuery {
   std::vector<ObjectResult> Range(const IndoorPoint& q, double radius,
                                   SearchStats* stats = nullptr) const;
 
-  // The k nearest live objects holding all query keywords. Returns empty
-  // when the snapshot has no keyword index (the serving layer rejects
-  // such requests earlier; this keeps the race window between its check
-  // and execution benign instead of CHECK-fatal).
+  // The k nearest live objects holding all query keywords, ascending by
+  // (distance, id). Returns empty when the snapshot has no keyword index
+  // (the serving layer rejects such requests earlier; this keeps the race
+  // window between its check and execution benign instead of
+  // CHECK-fatal).
   std::vector<ObjectResult> BooleanKnn(const IndoorPoint& q, size_t k,
                                        const std::vector<std::string>& query,
                                        SearchStats* stats = nullptr) const;
@@ -271,16 +290,12 @@ class SnapshotQuery {
   }
 
  private:
-  // Scores the overlay (exact distances), merges with sorted base
-  // results, truncates to k within radius.
-  std::vector<ObjectResult> MergeOverlay(
-      std::vector<ObjectResult> base_results, const IndoorPoint& q, size_t k,
-      double radius, const std::vector<std::string>* required_keywords,
-      SearchStats* stats) const;
+  // Packed copies of overlay or tombstoned ids are stale: skip them.
+  KnnQuery::Filters LiveFilters() const;
 
+  const IPTree& tree_;
   std::shared_ptr<const ObjectSnapshot> snapshot_;
-  KnnQuery knn_;           // over snapshot_->base
-  IPDistanceQuery exact_;  // overlay distances
+  KnnQuery knn_;  // over snapshot_->base, scoring snapshot_'s overlay
 };
 
 }  // namespace viptree

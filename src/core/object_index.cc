@@ -11,7 +11,6 @@ namespace viptree {
 
 ObjectIndex::ObjectIndex(const IPTree& tree, std::vector<IndoorPoint> objects)
     : tree_(tree), objects_(std::move(objects)) {
-  const Venue& venue = tree.venue();
   const size_t num_nodes = tree.nodes().size();
 
   // CSR of leaf -> objects (counting sort by leaf id; objects of one leaf
@@ -47,24 +46,9 @@ ObjectIndex::ObjectIndex(const IPTree& tree, std::vector<IndoorPoint> objects)
   for (const TreeNode& node : tree.nodes()) {
     if (!node.is_leaf()) continue;
     const Span<const ObjectId> objs = ObjectsInLeaf(node.id);
-    if (objs.empty()) continue;
     double* base = door_dists_.mutable_data() + dist_offsets_[node.id];
-    for (size_t col = 0; col < node.access_doors.size(); ++col) {
-      const DoorId a = node.access_doors[col];
-      double* row = base + col * objs.size();
-      for (size_t i = 0; i < objs.size(); ++i) {
-        const IndoorPoint& obj = objects_[objs[i]];
-        double best = kInfDistance;
-        if (venue.DoorTouches(a, obj.partition)) {
-          best = venue.DistanceToDoor(obj, a);
-        }
-        for (DoorId u : venue.DoorsOf(obj.partition)) {
-          const double cand = tree.LeafMatrixDist(node, u, a) +
-                              venue.DistanceToDoor(obj, u);
-          best = std::min(best, cand);
-        }
-        row[i] = best;
-      }
+    for (size_t i = 0; i < objs.size(); ++i) {
+      FillDoorRow(tree, node, objects_[objs[i]], base + i, objs.size());
     }
   }
 
@@ -78,6 +62,30 @@ ObjectIndex::ObjectIndex(const IPTree& tree, std::vector<IndoorPoint> objects)
     dfs_prefix_[i + 1] = dfs_prefix_[i] + count_at_dfs[i];
   }
   VIPTREE_CHECK(dfs_prefix_.back() == objects_.size());
+}
+
+void ObjectIndex::FillDoorRow(const IPTree& tree, const TreeNode& leaf,
+                              const IndoorPoint& p, double* row,
+                              size_t stride) {
+  const Venue& venue = tree.venue();
+  const size_t num_cols = leaf.access_doors.size();
+  for (size_t col = 0; col < num_cols; ++col) {
+    const DoorId a = leaf.access_doors[col];
+    row[col * stride] = venue.DoorTouches(a, p.partition)
+                            ? venue.DistanceToDoor(p, a)
+                            : kInfDistance;
+  }
+  // Min over p's doors u of M[u][a] + |p u|, one leaf-matrix row per door
+  // (the matrix's columns are the leaf's access doors, in column order).
+  for (DoorId u : venue.DoorsOf(p.partition)) {
+    const int r = IPTree::IndexOf(leaf.doors, u);
+    VIPTREE_DCHECK(r >= 0);
+    const Span<const float> cells = leaf.dist.row(static_cast<size_t>(r));
+    const double to_u = venue.DistanceToDoor(p, u);
+    for (size_t col = 0; col < num_cols; ++col) {
+      row[col * stride] = std::min(row[col * stride], cells[col] + to_u);
+    }
+  }
 }
 
 ObjectIndex::ObjectIndex(FromPartsTag, const IPTree& tree, Parts parts)

@@ -61,6 +61,14 @@ class ObjectIndex {
 
   Parts ToParts() const;
 
+  // The exact network distance from each access door of `leaf` to `p`, a
+  // point inside the leaf, written to row[col * stride] in access-door
+  // column order. This is the one definition of a packed row cell; the
+  // live-object overlay scores its unmerged entries through it too, so an
+  // object's row holds the same bits before and after a merge.
+  static void FillDoorRow(const IPTree& tree, const TreeNode& leaf,
+                          const IndoorPoint& p, double* row, size_t stride);
+
   size_t NumObjects() const { return objects_.size(); }
   const IndoorPoint& object(ObjectId o) const { return objects_[o]; }
   const std::vector<IndoorPoint>& objects() const { return objects_; }

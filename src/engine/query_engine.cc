@@ -75,8 +75,8 @@ Query Query::BooleanKnn(const IndoorPoint& q_point, size_t k,
 struct QueryEngine::Worker {
   VIPDistanceQuery distance;
   VIPPathQuery path;
-  // The pinned epoch's reader. Rebuilt by Refresh only when a publish
-  // happened since the last query through this worker.
+  // The pinned epoch's reader, built on the first object query and
+  // re-pinned (scratch kept) when a publish happened since the last one.
   std::unique_ptr<SnapshotQuery> objects;
 
   explicit Worker(const QueryEngine& engine)
@@ -86,14 +86,16 @@ struct QueryEngine::Worker {
              engine.cache_.get()) {}
 
   // Pins the current object snapshot: one shared_ptr atomic load per
-  // query, a SnapshotQuery rebuild only on epoch change.
+  // query; an epoch change swaps the snapshot and allocates nothing.
   SnapshotQuery& Refresh(const QueryEngine& engine) {
     std::shared_ptr<const ObjectSnapshot> current =
         engine.bundle_->live_objects().Acquire();
-    if (objects == nullptr || objects->snapshot_ptr() != current) {
+    if (objects == nullptr) {
       objects = std::make_unique<SnapshotQuery>(
           engine.tree().base(), std::move(current),
           engine.bundle_->query_options(), engine.cache_.get());
+    } else if (objects->snapshot_ptr() != current) {
+      objects->Repin(std::move(current));
     }
     return *objects;
   }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
+#include "core/live_objects.h"
 #include "core/range_query.h"
 #include "ground_truth.h"
 #include "synth/building_generator.h"
@@ -162,6 +166,86 @@ TEST(ObjectIndexTest, SubtreeCountsAreConsistent) {
     }
   }
   EXPECT_EQ(leaf_total, 16u);
+}
+
+// The documented order is ascending by (distance, id), so co-located
+// objects (bit-equal distances) come back by ascending id, and a tie at the
+// kth place keeps the smaller ids: every Knn(q, k) is the k-prefix of the
+// full ranking.
+void ExpectRankedByDistanceThenId(const std::vector<ObjectResult>& full,
+                                  const std::function<std::vector<ObjectResult>(
+                                      size_t)>& knn,
+                                  const char* what) {
+  for (size_t j = 1; j < full.size(); ++j) {
+    const bool ordered =
+        full[j - 1].distance < full[j].distance ||
+        (full[j - 1].distance == full[j].distance &&
+         full[j - 1].object < full[j].object);
+    EXPECT_TRUE(ordered) << what << " j=" << j << ": " << full[j - 1].object
+                         << "@" << full[j - 1].distance << " before "
+                         << full[j].object << "@" << full[j].distance;
+  }
+  for (size_t k = 1; k <= full.size(); ++k) {
+    const std::vector<ObjectResult> got = knn(k);
+    ASSERT_EQ(got.size(), k) << what << " k=" << k;
+    for (size_t j = 0; j < k; ++j) {
+      EXPECT_EQ(got[j].object, full[j].object) << what << " k=" << k;
+      EXPECT_EQ(got[j].distance, full[j].distance) << what << " k=" << k;
+    }
+  }
+}
+
+TEST(KnnQueryTest, TiesRankByIdAcrossTwoLeaves) {
+  KnnEnv env = MakeBuildingSetup(40, 47);
+  // Two co-located groups in different leaves, with interleaved ids:
+  // even ids at a, odd ids at b (three each).
+  const IndoorPoint a = env.objects[0];
+  const NodeId leaf_a = env.tree.LeafOfPartition(a.partition);
+  IndoorPoint b = a;
+  for (const IndoorPoint& p : env.objects) {
+    if (env.tree.LeafOfPartition(p.partition) != leaf_a) {
+      b = p;
+      break;
+    }
+  }
+  ASSERT_NE(env.tree.LeafOfPartition(b.partition), leaf_a);
+  std::vector<IndoorPoint> objects;
+  for (int i = 0; i < 6; ++i) objects.push_back(i % 2 == 0 ? a : b);
+  ObjectIndex index(env.tree, objects);
+  KnnQuery knn(env.tree, index);
+  LiveObjectIndex live(env.tree, objects);
+  const SnapshotQuery snap(env.tree, live.Acquire());
+
+  Rng rng(905);
+  // The first two sources sit in each group's own leaf (the one-Dijkstra
+  // leaf scan), the rest anywhere (the packed-row scan).
+  std::vector<IndoorPoint> sources = {a, b};
+  for (int i = 0; i < 6; ++i) {
+    sources.push_back(synth::RandomIndoorPoint(env.venue, rng));
+  }
+  for (const IndoorPoint& q : sources) {
+    const std::vector<ObjectResult> full = knn.Knn(q, objects.size());
+    ASSERT_EQ(full.size(), objects.size());
+    ExpectRankedByDistanceThenId(
+        full, [&](size_t k) { return knn.Knn(q, k); }, "KnnQuery");
+    ExpectRankedByDistanceThenId(
+        full, [&](size_t k) { return snap.Knn(q, k); }, "SnapshotQuery");
+  }
+
+  // An overlay entry joining a packed group ranks among it by id.
+  ObjectDelta delta;
+  delta.moves.push_back({1, a});
+  ASSERT_FALSE(live.ApplyDelta(delta).has_value());
+  const SnapshotQuery moved(env.tree, live.Acquire());
+  ASSERT_EQ(moved.snapshot().overlay.size(), 1u);
+  objects[1] = a;
+  ObjectIndex merged_index(env.tree, objects);
+  KnnQuery merged(env.tree, merged_index);
+  for (const IndoorPoint& q : sources) {
+    const std::vector<ObjectResult> full = merged.Knn(q, objects.size());
+    ExpectRankedByDistanceThenId(
+        full, [&](size_t k) { return moved.Knn(q, k); }, "overlay");
+  }
 }
 
 }  // namespace

@@ -4,10 +4,10 @@
 // ground truth from a shadow object list after EVERY publish. The epoch
 // machinery (core/live_objects.h) must never change an answer: a query
 // against epoch E must match brute force over exactly the objects live at
-// E — overlay entries at exact distances, tombstoned ids never reported,
-// base CSR entries only while undiverged. Also sweeps the merge watermark
-// (overlay -> rebuilt CSR), SetObjects full replacement, the save path's
-// dense renumbering, and delta validation atomicity.
+// E — overlay entries scored like packed ones, tombstoned ids never
+// reported, base CSR entries only while undiverged. Also sweeps the merge
+// watermark (overlay -> rebuilt CSR), SetObjects full replacement, the
+// save path's dense renumbering, and delta validation atomicity.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 #include "core/live_objects.h"
 #include "engine/query_engine.h"
 #include "ground_truth.h"
+#include "synth/building_generator.h"
 #include "synth/objects.h"
 
 namespace viptree {
@@ -32,9 +33,9 @@ namespace {
 
 namespace eng = ::viptree::engine;
 
-// Absolute + relative tolerance: the packed CSR goes through float leaf /
-// extended matrices while brute force and the overlay accumulate in
-// double, so answers agree to matrix precision, not bit-exactly.
+// Absolute + relative tolerance: the packed CSR and the overlay go through
+// float leaf / extended matrices while brute force accumulates in double,
+// so answers agree to matrix precision, not bit-exactly.
 double Tol(double reference) {
   return 1e-2 + std::abs(reference) * 1e-4;
 }
@@ -346,6 +347,103 @@ TEST_P(UpdateDifferentialTest, MergeWatermarkRebuildKeepsAnswers) {
   EXPECT_TRUE(saw_merge || max_overlay <= 3) << "seed " << seed;
 }
 
+// Exact equality of two answers: same ids, same order, same distance bits.
+void ExpectIdentical(const std::vector<ObjectResult>& want,
+                     const std::vector<ObjectResult>& got, const char* what,
+                     uint64_t seed, int round) {
+  ASSERT_EQ(got.size(), want.size())
+      << what << " seed " << seed << " round " << round;
+  for (size_t j = 0; j < want.size(); ++j) {
+    EXPECT_EQ(got[j].object, want[j].object)
+        << what << " seed " << seed << " round " << round << " j=" << j;
+    EXPECT_EQ(got[j].distance, want[j].distance)
+        << what << " seed " << seed << " round " << round << " j=" << j;
+  }
+}
+
+// Whether an object is still in the overlay or already merged into the
+// packed CSR must not show in any answer: one index merges on every
+// publish (watermark 0), the other keeps the default overlay, and the same
+// deltas must leave every kNN, range and boolean-kNN answer bit-identical,
+// including from sources inside overlay entries' own partitions.
+TEST_P(UpdateDifferentialTest, MergeStateIsInvisible) {
+  const uint64_t seed = GetParam();
+  Rng rng(seed ^ 0x1A71B1E);
+  const std::vector<IndoorPoint> initial =
+      synth::PlaceObjects(venue_, 12, rng);
+  const std::vector<std::vector<std::string>> keywords =
+      TagObjects(initial.size());
+  const eng::QueryEngine engine(venue_, graph_, {});  // tree donor
+  const IPTree& tree = engine.tree().base();
+
+  LiveObjectIndex::Options eager;
+  eager.merge_watermark = 0;
+  LiveObjectIndex merged(tree, initial, keywords, eager);
+  LiveObjectIndex overlaid(tree, initial, keywords);
+  SnapshotQuery merged_reader(tree, merged.Acquire());
+  SnapshotQuery overlaid_reader(tree, overlaid.Acquire());
+
+  Shadow shadow;
+  for (size_t i = 0; i < initial.size(); ++i) {
+    shadow.slots.push_back(Shadow::Entry{initial[i], keywords[i]});
+  }
+  for (int round = 0; round < 12; ++round) {
+    const ObjectDelta delta = RandomDelta(shadow, rng, /*with_keywords=*/true);
+    ASSERT_FALSE(merged.ApplyDelta(delta).has_value()) << "seed " << seed;
+    ASSERT_FALSE(overlaid.ApplyDelta(delta).has_value()) << "seed " << seed;
+    ApplyToShadow(delta, &shadow);
+    merged_reader.Repin(merged.Acquire());
+    overlaid_reader.Repin(overlaid.Acquire());
+    ASSERT_TRUE(merged_reader.snapshot().overlay.empty()) << "seed " << seed;
+    // A freshly built reader answers like the repinned one.
+    const SnapshotQuery fresh(tree, overlaid.Acquire());
+
+    std::vector<IndoorPoint> sources;
+    for (const auto& entry : overlaid_reader.snapshot().overlay) {
+      if (sources.size() == 3) break;
+      sources.push_back(entry.point);
+    }
+    for (int i = 0; i < 3; ++i) {
+      sources.push_back(synth::RandomIndoorPoint(venue_, rng));
+    }
+    const size_t live = shadow.NumLive();
+    for (const IndoorPoint& q : sources) {
+      for (const size_t k : {size_t{1}, size_t{3}, live + 1}) {
+        const std::vector<ObjectResult> want = merged_reader.Knn(q, k);
+        ExpectIdentical(want, overlaid_reader.Knn(q, k), "knn", seed, round);
+        ExpectIdentical(want, fresh.Knn(q, k), "fresh knn", seed, round);
+        ExpectIdentical(
+            want,
+            overlaid_reader.KnnWithAscent(q, k,
+                                          overlaid_reader.ComputeAscent(q)),
+            "knn with ascent", seed, round);
+        ExpectIdentical(
+            want,
+            merged_reader.KnnWithAscent(q, k, merged_reader.ComputeAscent(q)),
+            "merged knn with ascent", seed, round);
+      }
+      // Radii at the middle and the far end of the ranking (ties at the
+      // cut included).
+      const std::vector<ObjectResult> all = merged_reader.Knn(q, live);
+      for (const size_t cut : {all.size() / 2, all.size() - 1}) {
+        if (all.empty() || all[cut].distance == kInfDistance) continue;
+        ExpectIdentical(merged_reader.Range(q, all[cut].distance),
+                        overlaid_reader.Range(q, all[cut].distance), "range",
+                        seed, round);
+      }
+      for (const std::vector<std::string>& query :
+           {std::vector<std::string>{"facility"},
+            std::vector<std::string>{"red"},
+            std::vector<std::string>{"red", "facility"},
+            std::vector<std::string>{"absent"}}) {
+        ExpectIdentical(merged_reader.BooleanKnn(q, 3, query),
+                        overlaid_reader.BooleanKnn(q, 3, query), "bknn", seed,
+                        round);
+      }
+    }
+  }
+}
+
 // SetObjects replacement mid-stream: full rebuild, one epoch, overlay and
 // tombstones gone, and answers match brute force over the new set only.
 TEST_P(UpdateDifferentialTest, SetObjectsReplacesEverything) {
@@ -531,6 +629,130 @@ TEST_P(UpdateDifferentialTest, InvalidDeltasRejectedAtomically) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, UpdateDifferentialTest,
                          ::testing::Range<uint64_t>(0, 24));
+
+// A four-floor building: large enough that a short kNN or range search
+// from one corner leaves most leaves unvisited.
+struct BuildingEnv {
+  Venue venue;
+  D2DGraph graph;
+  IPTree tree;
+
+  BuildingEnv()
+      : venue([] {
+          synth::BuildingConfig cfg;
+          cfg.floors = 4;
+          cfg.rooms_per_floor = 24;
+          cfg.staircases = 2;
+          cfg.lifts = 1;
+          return synth::GenerateStandaloneBuilding(cfg, 200);
+        }()),
+        graph(venue),
+        tree(IPTree::Build(venue, graph)) {}
+};
+
+// Overlay entries in leaves a search never scans cost it nothing: the
+// answers of a fixed kNN and a fixed range query, and the objects they
+// score, stay exactly as they were before 64 far-away adds.
+TEST(LiveOverlayTest, EntriesOutsideTheSearchCostNothing) {
+  const BuildingEnv env;
+  Rng rng(0x0FF5EA);
+  const std::vector<IndoorPoint> objects =
+      synth::PlaceObjects(env.venue, 40, rng);
+  LiveObjectIndex live(env.tree, objects);
+  SnapshotQuery reader(env.tree, live.Acquire());
+
+  const IndoorPoint q = objects[0];
+  SearchStats knn_before, range_before;
+  const std::vector<ObjectResult> knn = reader.Knn(q, 3, &knn_before);
+  ASSERT_EQ(knn.size(), 3u);
+  const double radius = knn[1].distance;
+  const std::vector<ObjectResult> range =
+      reader.Range(q, radius, &range_before);
+
+  // A leaf is out of reach when every access door of it is farther from q
+  // than the 3rd-NN distance (which bounds the range radius too), with a
+  // margin for the float node matrices behind the search's bounds.
+  DijkstraEngine dijkstra(env.graph);
+  std::vector<DijkstraSource> from_q;
+  for (DoorId u : env.venue.DoorsOf(q.partition)) {
+    from_q.push_back({u, env.venue.DistanceToDoor(q, u)});
+  }
+  dijkstra.Start(from_q);
+  dijkstra.RunAll();
+  const double reach = knn[2].distance * 1.01 + 1.0;
+  const auto out_of_reach = [&](PartitionId p) {
+    const TreeNode& leaf = env.tree.node(env.tree.LeafOfPartition(p));
+    for (DoorId a : leaf.access_doors) {
+      if (dijkstra.Settled(a) && dijkstra.DistanceTo(a) <= reach) return false;
+    }
+    return true;
+  };
+  ObjectDelta adds;
+  for (int tries = 0; adds.adds.size() < 64 && tries < 100000; ++tries) {
+    const IndoorPoint p = synth::RandomIndoorPoint(env.venue, rng);
+    if (out_of_reach(p.partition)) adds.adds.push_back({p, {}});
+  }
+  ASSERT_EQ(adds.adds.size(), 64u);
+  ASSERT_FALSE(live.ApplyDelta(adds).has_value());
+  reader.Repin(live.Acquire());
+  ASSERT_EQ(reader.snapshot().overlay.size(), 64u);  // no merge
+
+  SearchStats knn_after, range_after;
+  ExpectIdentical(knn, reader.Knn(q, 3, &knn_after), "knn", 0, 0);
+  ExpectIdentical(range, reader.Range(q, radius, &range_after), "range", 0,
+                  0);
+  EXPECT_EQ(knn_after.objects_considered, knn_before.objects_considered);
+  EXPECT_EQ(range_after.objects_considered, range_before.objects_considered);
+
+  // The adds are live: each is its own nearest neighbour.
+  const std::vector<ObjectResult> self =
+      reader.Knn(adds.adds.back().at, 1);
+  ASSERT_EQ(self.size(), 1u);
+  EXPECT_EQ(self[0].distance, 0.0);
+}
+
+// A store built over no objects must still answer its adds: the search's
+// empty-index shortcuts may not skip the overlay.
+TEST(LiveOverlayTest, EmptyBaseAnswersAdds) {
+  const BuildingEnv env;
+  const auto base = std::make_shared<const ObjectIndex>(
+      env.tree, std::vector<IndoorPoint>{});
+  const auto keywords = std::make_shared<const KeywordIndex>(
+      env.tree, *base, std::vector<std::vector<std::string>>{});
+  LiveObjectIndex live(env.tree, base, keywords);
+
+  Rng rng(0xE3B7);
+  ObjectDelta delta;
+  const std::vector<std::vector<std::string>> tags = {
+      {"cafe"}, {"cafe", "red"}, {"red"}};
+  std::vector<IndoorPoint> points;
+  for (const std::vector<std::string>& tag : tags) {
+    points.push_back(synth::RandomIndoorPoint(env.venue, rng));
+    delta.adds.push_back({points.back(), tag});
+  }
+  ASSERT_FALSE(live.ApplyDelta(delta).has_value());
+  const SnapshotQuery reader(env.tree, live.Acquire());
+
+  const IndoorPoint q = synth::RandomIndoorPoint(env.venue, rng);
+  const auto brute =
+      testing::BruteAllObjectDistances(env.venue, env.graph, q, points);
+  const std::vector<ObjectResult> knn = reader.Knn(q, 5);
+  ASSERT_EQ(knn.size(), 3u);
+  for (size_t j = 0; j < knn.size(); ++j) {
+    EXPECT_NEAR(knn[j].distance, brute[j].distance, Tol(brute[j].distance));
+  }
+  EXPECT_EQ(reader.Range(q, kInfDistance).size(), 3u);
+  ExpectIdentical(knn, reader.Range(q, knn.back().distance), "range", 0, 0);
+
+  const std::vector<ObjectResult> cafe = reader.BooleanKnn(q, 5, {"cafe"});
+  ASSERT_EQ(cafe.size(), 2u);
+  for (const ObjectResult& r : cafe) EXPECT_LT(r.object, 2);
+  const std::vector<ObjectResult> both =
+      reader.BooleanKnn(q, 5, {"red", "cafe"});
+  ASSERT_EQ(both.size(), 1u);
+  EXPECT_EQ(both[0].object, 1);
+  EXPECT_TRUE(reader.BooleanKnn(q, 5, {"absent"}).empty());
+}
 
 }  // namespace
 }  // namespace viptree
