@@ -1,6 +1,7 @@
 #include "core/tree_builder.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <queue>
 #include <tuple>
@@ -40,15 +41,16 @@ class LevelGraphDijkstra {
   // Runs from `source` until all of `targets` are settled.
   void Run(int source, const std::vector<int>& targets) {
     ++epoch_;
-    heap_ = {};
+    heap_.clear();
     Reach(source, 0.0, -1);
     size_t wanted = 0;
     for (int t : targets) {
       if (!(mark_[t] == epoch_ && settled_[t])) ++wanted;
     }
     while (wanted > 0 && !heap_.empty()) {
-      const auto [d, u] = heap_.top();
-      heap_.pop();
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
+      const auto [d, u] = heap_.back();
+      heap_.pop_back();
       if (settled_[u] && mark_[u] == epoch_) continue;
       if (d > dist_[u]) continue;
       settled_[u] = 1;
@@ -76,7 +78,8 @@ class LevelGraphDijkstra {
     if (d < dist_[v]) {
       dist_[v] = d;
       parent_[v] = parent;
-      heap_.emplace(d, v);
+      heap_.emplace_back(d, v);
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
     }
   }
 
@@ -86,10 +89,10 @@ class LevelGraphDijkstra {
   std::vector<uint8_t> settled_;
   std::vector<uint32_t> mark_;
   uint32_t epoch_ = 0;
-  std::priority_queue<std::pair<double, int>,
-                      std::vector<std::pair<double, int>>,
-                      std::greater<std::pair<double, int>>>
-      heap_;
+  // Min-heap kept as a plain vector so each Run() clears it without
+  // freeing its storage (as DijkstraEngine does).
+  using HeapEntry = std::pair<double, int>;
+  std::vector<HeapEntry> heap_;
 };
 
 }  // namespace
@@ -443,10 +446,9 @@ void TreeBuilder::AssignLeafIntervals() {
 }
 
 void TreeBuilder::BuildLeafMatricesAndSuperiorDoors() {
-  DijkstraEngine engine(graph_);
-  std::vector<uint8_t> in_partition(venue_.NumDoors(), 0);
-  // superior_flag[d] accumulates superiority of door d for its partitions;
-  // a door belongs to up to two partitions so we track per (partition,door).
+  // superior[p] accumulates the superior doors of partition p (a door
+  // belongs to up to two partitions, so membership is per (partition,
+  // door)); SortUnique at the end makes the order of discovery irrelevant.
   std::vector<std::vector<DoorId>> superior(venue_.NumPartitions());
 
   // Local access doors are superior by definition (Definition 2 case i).
@@ -461,6 +463,16 @@ void TreeBuilder::BuildLeafMatricesAndSuperiorDoors() {
     }
   }
 
+  // Shape every leaf matrix first (the searches below write cells in place)
+  // and group the (leaf, column) cells by access door: an interior access
+  // door is shared by the two leaves it connects, and one search from it
+  // serves both columns.
+  struct Column {
+    NodeId leaf;
+    uint32_t col;
+  };
+  std::vector<std::vector<Column>> columns_of(venue_.NumDoors());
+  std::vector<DoorId> sources;
   for (size_t i = 0; i < tree_.num_leaves_; ++i) {
     TreeNode& leaf = tree_.nodes_[i];
     leaf.dist = FlatMatrix<float>(leaf.doors.size(), leaf.access_doors.size(),
@@ -469,65 +481,29 @@ void TreeBuilder::BuildLeafMatricesAndSuperiorDoors() {
                                        leaf.access_doors.size(), kInvalidId);
     for (size_t col = 0; col < leaf.access_doors.size(); ++col) {
       const DoorId a = leaf.access_doors[col];
-      engine.Start(a);
-      engine.RunToTargets(leaf.doors);
-      for (size_t row = 0; row < leaf.doors.size(); ++row) {
-        const DoorId d = leaf.doors[row];
-        VIPTREE_CHECK_MSG(engine.Settled(d),
-                          "leaf door unreachable from access door");
-        leaf.dist.at(row, col) = static_cast<float>(engine.DistanceTo(d));
-        if (d == a) continue;  // dist 0, next hop NULL
-        // Walk the path d -> a (parent pointers of the tree rooted at a).
-        bool inside = true;
-        DoorId first_access = kInvalidId;
-        for (DoorId cur = d; cur != a; cur = engine.ParentOf(cur)) {
-          const PartitionId via = engine.ParentVia(cur);
-          if (tree_.leaf_of_partition_[via] != leaf.id) inside = false;
-          const DoorId next = engine.ParentOf(cur);
-          if (next != a && first_access == kInvalidId &&
-              tree_.is_access_door_[next]) {
-            first_access = next;
-          }
-        }
-        const DoorId first_door = engine.ParentOf(d);
-        if (inside) {
-          leaf.next_hop.at(row, col) = first_door == a ? kInvalidId : first_door;
-        } else {
-          // Example 6: the next hop must be the first access door so the
-          // decomposition can continue outside the leaf.
-          DoorId hop = first_access;
-          if (hop == kInvalidId) {
-            // Path leaves the leaf but the only doors on it are d and a
-            // (e.g. a parallel edge through a foreign partition).
-            hop = first_door == a ? kInvalidId : first_door;
-          }
-          leaf.next_hop.at(row, col) = hop;
-        }
-      }
-
-      // Superior doors (Definition 2 case ii): for partitions of this leaf
-      // for which `a` is a *global* access door, a door di is superior if
-      // the path di -> a crosses no other door of the partition.
-      for (PartitionId p : leaf.partitions) {
-        const Span<const DoorId> p_doors = venue_.DoorsOf(p);
-        bool a_local = false;
-        for (DoorId d : p_doors) in_partition[d] = 1;
-        if (in_partition[a]) a_local = true;
-        if (!a_local) {
-          for (DoorId di : p_doors) {
-            bool crosses_other = false;
-            for (DoorId cur = di; cur != a; cur = engine.ParentOf(cur)) {
-              if (cur != di && in_partition[cur]) {
-                crosses_other = true;
-                break;
-              }
-            }
-            if (!crosses_other) superior[p].push_back(di);
-          }
-        }
-        for (DoorId d : p_doors) in_partition[d] = 0;
-      }
+      if (columns_of[a].empty()) sources.push_back(a);
+      columns_of[a].push_back({leaf.id, static_cast<uint32_t>(col)});
     }
+  }
+
+  // One search per access door, resumed leaf by leaf (see VIPTree::Extend
+  // for why every cell keeps the bits of a per-leaf search). Superior doors
+  // found from source i go to found[i] and are merged after the join.
+  std::vector<std::vector<std::pair<PartitionId, DoorId>>> found(
+      sources.size());
+  ForEachSource(graph_, sources.size(), ConstructionWorkers(),
+                [&](size_t i, DijkstraEngine& engine) {
+                  const DoorId a = sources[i];
+                  engine.Start(a);
+                  for (const Column& column : columns_of[a]) {
+                    TreeNode& leaf = tree_.nodes_[column.leaf];
+                    FillMatrixColumn(tree_, leaf.id, leaf.doors, column.col,
+                                     engine, leaf.dist, leaf.next_hop);
+                    CollectSuperiorDoors(engine, leaf, a, found[i]);
+                  }
+                });
+  for (const auto& per_source : found) {
+    for (const auto& [p, d] : per_source) superior[p].push_back(d);
   }
 
   // Pack the superior-door CSR.
@@ -540,6 +516,67 @@ void TreeBuilder::BuildLeafMatricesAndSuperiorDoors() {
   tree_.superior_doors_.reserve(tree_.superior_offsets_.back());
   for (size_t p = 0; p < venue_.NumPartitions(); ++p) {
     tree_.superior_doors_.append(superior[p].begin(), superior[p].end());
+  }
+}
+
+void FillMatrixColumn(const IPTree& tree, NodeId n, Span<const DoorId> rows,
+                      size_t col, DijkstraEngine& engine,
+                      FlatMatrix<float>& dist, FlatMatrix<DoorId>& next_hop) {
+  const DoorId a = tree.node(n).access_doors[col];
+  engine.RunToTargets(rows);
+  for (size_t row = 0; row < rows.size(); ++row) {
+    const DoorId d = rows[row];
+    VIPTREE_CHECK_MSG(engine.Settled(d),
+                      "node door unreachable from access door");
+    dist.at(row, col) = static_cast<float>(engine.DistanceTo(d));
+    if (d == a) continue;  // dist 0, next hop NULL
+    // Walk the path d -> a (parent pointers of the tree rooted at a).
+    bool inside = true;
+    DoorId first_access = kInvalidId;
+    for (DoorId cur = d; cur != a; cur = engine.ParentOf(cur)) {
+      const PartitionId via = engine.ParentVia(cur);
+      if (!tree.NodeContainsPartition(n, via)) inside = false;
+      const DoorId next = engine.ParentOf(cur);
+      if (next != a && first_access == kInvalidId &&
+          tree.IsAccessDoor(next)) {
+        first_access = next;
+      }
+    }
+    const DoorId first_door = engine.ParentOf(d);
+    if (inside) {
+      next_hop.at(row, col) = first_door == a ? kInvalidId : first_door;
+    } else {
+      // Example 6: the next hop must be the first access door so the
+      // decomposition can continue outside the node.
+      DoorId hop = first_access;
+      if (hop == kInvalidId) {
+        // Path leaves the node but the only doors on it are d and a
+        // (e.g. a parallel edge through a foreign partition).
+        hop = first_door == a ? kInvalidId : first_door;
+      }
+      next_hop.at(row, col) = hop;
+    }
+  }
+}
+
+void TreeBuilder::CollectSuperiorDoors(
+    const DijkstraEngine& engine, const TreeNode& leaf, DoorId a,
+    std::vector<std::pair<PartitionId, DoorId>>& superior) const {
+  // Superior doors (Definition 2 case ii): for partitions of this leaf
+  // for which `a` is a *global* access door, a door di is superior if
+  // the path di -> a crosses no other door of the partition.
+  for (PartitionId p : leaf.partitions) {
+    if (venue_.DoorTouches(a, p)) continue;
+    for (DoorId di : venue_.DoorsOf(p)) {
+      bool crosses_other = false;
+      for (DoorId cur = di; cur != a; cur = engine.ParentOf(cur)) {
+        if (cur != di && venue_.DoorTouches(cur, p)) {
+          crosses_other = true;
+          break;
+        }
+      }
+      if (!crosses_other) superior.emplace_back(p, di);
+    }
   }
 }
 

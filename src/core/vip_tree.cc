@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "core/tree_builder.h"
 #include "graph/dijkstra.h"
 #include "common/span.h"
 
@@ -20,10 +21,8 @@ VIPTree VIPTree::Extend(IPTree base) {
   VIPTree vip;
   vip.base_ = std::move(base);
   const IPTree& tree = vip.base_;
-  const Venue& venue = tree.venue();
 
   vip.ext_.resize(tree.nodes().size());
-  DijkstraEngine engine(tree.graph());
 
   // Leaves in DFS order so a subtree's doors are the union of a contiguous
   // leaf range.
@@ -32,6 +31,16 @@ VIPTree VIPTree::Extend(IPTree base) {
     if (n.is_leaf()) leaf_at_index[n.leaf_begin] = n.id;
   }
 
+  // Shape every matrix first (the searches below write cells in place) and
+  // group the (node, column) cells by access door: a door is an access door
+  // of a chain of ancestors and of the node across it, and one search from
+  // it serves every one of those columns.
+  struct Column {
+    NodeId node;
+    uint32_t col;
+  };
+  std::vector<std::vector<Column>> columns_of(tree.venue().NumDoors());
+  std::vector<DoorId> sources;
   for (const TreeNode& node : tree.nodes()) {
     if (node.is_leaf()) continue;  // the IP leaf matrix already has the shape
     ExtMatrix& ext = vip.ext_[node.id];
@@ -51,43 +60,27 @@ VIPTree VIPTree::Extend(IPTree base) {
                                  0.0f);
     ext.next_hop = FlatMatrix<DoorId>(ext.doors.size(),
                                       node.access_doors.size(), kInvalidId);
-
     for (size_t col = 0; col < node.access_doors.size(); ++col) {
       const DoorId a = node.access_doors[col];
-      engine.Start(a);
-      engine.RunToTargets(ext.doors);
-      for (size_t row = 0; row < ext.doors.size(); ++row) {
-        const DoorId d = ext.doors[row];
-        VIPTREE_CHECK_MSG(engine.Settled(d),
-                          "subtree door unreachable from access door");
-        ext.dist.at(row, col) = static_cast<float>(engine.DistanceTo(d));
-        if (d == a) continue;
-        bool inside = true;
-        DoorId first_access = kInvalidId;
-        for (DoorId cur = d; cur != a; cur = engine.ParentOf(cur)) {
-          const PartitionId via = engine.ParentVia(cur);
-          if (!tree.NodeContainsPartition(node.id, via)) inside = false;
-          const DoorId next = engine.ParentOf(cur);
-          if (next != a && first_access == kInvalidId &&
-              tree.IsAccessDoor(next)) {
-            first_access = next;
-          }
-        }
-        const DoorId first_door = engine.ParentOf(d);
-        if (inside) {
-          ext.next_hop.at(row, col) =
-              first_door == a ? kInvalidId : first_door;
-        } else {
-          DoorId hop = first_access;
-          if (hop == kInvalidId) {
-            hop = first_door == a ? kInvalidId : first_door;
-          }
-          ext.next_hop.at(row, col) = hop;
-        }
-      }
+      if (columns_of[a].empty()) sources.push_back(a);
+      columns_of[a].push_back({node.id, static_cast<uint32_t>(col)});
     }
   }
-  (void)venue;
+
+  // One search per access door, resumed node by node: the pop sequence from
+  // `a` does not depend on where a search stops, and a settled door's
+  // distance and parent never change, so each column holds the bits a
+  // search stopped at that node's own doors would give.
+  ForEachSource(tree.graph(), sources.size(), ConstructionWorkers(),
+                [&](size_t i, DijkstraEngine& engine) {
+                  const DoorId a = sources[i];
+                  engine.Start(a);
+                  for (const Column& column : columns_of[a]) {
+                    ExtMatrix& ext = vip.ext_[column.node];
+                    FillMatrixColumn(tree, column.node, ext.doors, column.col,
+                                     engine, ext.dist, ext.next_hop);
+                  }
+                });
   return vip;
 }
 

@@ -1,6 +1,12 @@
 #include "graph/dijkstra.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <functional>
+#include <mutex>
+#include <system_error>
+#include <thread>
 
 #include "common/check.h"
 #include "common/span.h"
@@ -13,7 +19,8 @@ DijkstraEngine::DijkstraEngine(const D2DGraph& graph)
       parent_(graph.NumVertices(), kInvalidId),
       parent_via_(graph.NumVertices(), kInvalidId),
       settled_(graph.NumVertices(), 0),
-      epoch_mark_(graph.NumVertices(), 0) {}
+      epoch_mark_(graph.NumVertices(), 0),
+      target_mark_(graph.NumVertices(), 0) {}
 
 void DijkstraEngine::Reach(DoorId d, double dist, DoorId parent,
                            PartitionId via) {
@@ -26,15 +33,15 @@ void DijkstraEngine::Reach(DoorId d, double dist, DoorId parent,
     dist_[d] = dist;
     parent_[d] = parent;
     parent_via_[d] = via;
-    heap_.emplace(dist, d);
+    heap_.emplace_back(dist, d);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
   }
 }
 
 void DijkstraEngine::Start(Span<const DijkstraSource> sources) {
   ++epoch_;
   settled_count_ = 0;
-  // priority_queue has no clear(); rebuild it empty.
-  heap_ = decltype(heap_)();
+  heap_.clear();
   for (const DijkstraSource& s : sources) {
     VIPTREE_DCHECK(s.door >= 0 &&
                    static_cast<size_t>(s.door) < graph_.NumVertices());
@@ -44,8 +51,9 @@ void DijkstraEngine::Start(Span<const DijkstraSource> sources) {
 
 SettledDoor DijkstraEngine::SettleNext() {
   while (!heap_.empty()) {
-    const auto [d, u] = heap_.top();
-    heap_.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
+    const auto [d, u] = heap_.back();
+    heap_.pop_back();
     if (settled_[u] && epoch_mark_[u] == epoch_) continue;  // stale entry
     if (d > dist_[u]) continue;                             // stale entry
     settled_[u] = 1;
@@ -60,17 +68,25 @@ SettledDoor DijkstraEngine::SettleNext() {
 }
 
 size_t DijkstraEngine::RunToTargets(Span<const DoorId> targets) {
-  size_t wanted = 0;
-  for (DoorId t : targets) {
-    if (!Settled(t)) ++wanted;
+  if (++target_epoch_ == 0) {  // wrapped: stale marks could alias
+    std::fill(target_mark_.begin(), target_mark_.end(), 0);
+    target_epoch_ = 1;
   }
-  size_t reached = targets.size() - wanted;
+  size_t wanted = 0;
+  size_t reached = 0;
+  for (DoorId t : targets) {
+    if (target_mark_[t] == target_epoch_) continue;  // repeated target
+    target_mark_[t] = target_epoch_;
+    if (Settled(t)) {
+      ++reached;
+    } else {
+      ++wanted;
+    }
+  }
   while (wanted > 0) {
     const SettledDoor s = SettleNext();
     if (s.door == kInvalidId) break;
-    // Linear membership check is fine: target sets are small (the doors of
-    // one node / partition).
-    if (std::find(targets.begin(), targets.end(), s.door) != targets.end()) {
+    if (target_mark_[s.door] == target_epoch_) {
       --wanted;
       ++reached;
     }
@@ -80,7 +96,7 @@ size_t DijkstraEngine::RunToTargets(Span<const DoorId> targets) {
 
 void DijkstraEngine::RunWithin(double radius) {
   while (!heap_.empty()) {
-    if (heap_.top().first > radius) return;
+    if (heap_.front().first > radius) return;
     SettleNext();
   }
 }
@@ -99,6 +115,40 @@ std::vector<DoorId> DijkstraEngine::PathTo(DoorId d) const {
   }
   std::reverse(path.begin(), path.end());
   return path;
+}
+
+unsigned ConstructionWorkers() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+void ForEachSource(const D2DGraph& graph, size_t num_sources, unsigned workers,
+                   const std::function<void(size_t, DijkstraEngine&)>& search) {
+  const size_t threads =
+      std::max<size_t>(1, std::min<size_t>(workers, num_sources));
+  std::atomic<size_t> cursor{0};
+  std::mutex error_mu;
+  std::exception_ptr error;  // the first failure, rethrown after the join
+  const auto work = [&] {
+    try {
+      DijkstraEngine engine(graph);
+      for (size_t i = cursor++; i < num_sources; i = cursor++) search(i, engine);
+    } catch (...) {
+      cursor = num_sources;  // hand out nothing more
+      const std::lock_guard<std::mutex> lock(error_mu);
+      if (error == nullptr) error = std::current_exception();
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(threads - 1);
+  try {
+    for (size_t w = 1; w < threads; ++w) pool.emplace_back(work);
+  } catch (const std::system_error&) {
+    // Out of threads: the ones started (and this one) take every source,
+    // and the output does not depend on how many there are.
+  }
+  work();  // the calling thread is a worker too
+  for (std::thread& t : pool) t.join();
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace viptree

@@ -13,7 +13,7 @@
 #define VIPTREE_GRAPH_DIJKSTRA_H_
 
 #include <cstdint>
-#include <queue>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -60,7 +60,11 @@ class DijkstraEngine {
   SettledDoor SettleNext();
 
   // Runs until all doors in `targets` are settled (or the graph is
-  // exhausted). Returns the number of targets actually reached.
+  // exhausted). Returns the number of distinct targets reached, counting
+  // ones an earlier call of the same search already settled; a repeated
+  // target counts once. Calling it again without Start() resumes the same
+  // pop sequence, so a door's distance and parent never depend on how
+  // many calls, or which target sets, it took to settle it.
   size_t RunToTargets(Span<const DoorId> targets);
 
   // Runs until the next door to settle is farther than `radius`.
@@ -102,12 +106,32 @@ class DijkstraEngine {
   std::vector<uint32_t> epoch_mark_;
   uint32_t epoch_ = 0;
   size_t settled_count_ = 0;
+  // RunToTargets membership: target_mark_[d] == target_epoch_ marks `d` as
+  // a target of the current call.
+  std::vector<uint32_t> target_mark_;
+  uint32_t target_epoch_ = 0;
 
+  // Min-heap (std::push_heap / std::pop_heap with std::greater) kept as a
+  // plain vector so Start() clears it without freeing its storage. Entries
+  // are distinct (a door is re-pushed only at a strictly smaller
+  // distance), so the pop order is fixed by the contents alone.
   using HeapEntry = std::pair<double, DoorId>;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      heap_;
+  std::vector<HeapEntry> heap_;
 };
+
+// The worker count index construction fans its per-source searches over:
+// std::thread::hardware_concurrency(), or 1 when that is unknown.
+unsigned ConstructionWorkers();
+
+// Calls search(i, engine) once for every i in [0, num_sources) on
+// min(workers, num_sources) threads (the calling thread alone when that is
+// 1). Each thread owns one DijkstraEngine over `graph` and pulls indices
+// from a shared atomic cursor, so which engine serves an index is
+// unspecified; `search` must Start() its own search and write only state
+// that belongs to index i. If `search` throws, no further index is handed
+// out and the first exception is rethrown once every thread has joined.
+void ForEachSource(const D2DGraph& graph, size_t num_sources, unsigned workers,
+                   const std::function<void(size_t, DijkstraEngine&)>& search);
 
 }  // namespace viptree
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "paper_example.h"
 #include "common/span.h"
 
@@ -103,6 +105,109 @@ TEST_F(DijkstraPaperTest, ParentViaReportsTraversedPartition) {
   EXPECT_DOUBLE_EQ(engine.DistanceTo(D(20)), 4.0);
   EXPECT_EQ(engine.ParentOf(D(20)), D(15));
   EXPECT_EQ(engine.ParentVia(D(20)), testing::P(13));
+}
+
+// Every observable of the current search: the settle count, then each
+// door's distance, parent and via (the values index construction copies).
+struct SearchState {
+  size_t settled;
+  std::vector<double> dist;
+  std::vector<DoorId> parent;
+  std::vector<PartitionId> via;
+
+  explicit SearchState(const DijkstraEngine& engine, size_t num_doors)
+      : settled(engine.NumSettledInSearch()) {
+    for (DoorId d = 0; d < static_cast<DoorId>(num_doors); ++d) {
+      dist.push_back(engine.DistanceTo(d));
+      parent.push_back(engine.ParentOf(d));
+      via.push_back(engine.ParentVia(d));
+    }
+  }
+  bool operator==(const SearchState& o) const {
+    return settled == o.settled && dist == o.dist && parent == o.parent &&
+           via == o.via;
+  }
+};
+
+TEST_F(DijkstraPaperTest, DuplicateTargetsStopAtTheSamePop) {
+  const size_t n = example_.graph.NumVertices();
+  DijkstraEngine deduped(example_.graph);
+  deduped.Start(D(1));
+  const std::vector<DoorId> targets = {D(3), D(6)};
+  EXPECT_EQ(deduped.RunToTargets(targets), 2u);
+
+  DijkstraEngine repeated(example_.graph);
+  repeated.Start(D(1));
+  const std::vector<DoorId> with_repeats = {D(6), D(3), D(6), D(3), D(6)};
+  // Each distinct target counts once, and the search stops where the
+  // deduplicated one does instead of exhausting the graph.
+  EXPECT_EQ(repeated.RunToTargets(with_repeats), 2u);
+  EXPECT_EQ(SearchState(repeated, n), SearchState(deduped, n));
+  EXPECT_LT(repeated.NumSettledInSearch(), n);
+}
+
+TEST_F(DijkstraPaperTest, AlreadySettledTargetsCountAsReached) {
+  DijkstraEngine engine(example_.graph);
+  engine.Start(D(1));
+  const DoorId far = D(10);
+  EXPECT_EQ(engine.RunToTargets(Span<const DoorId>(&far, 1)), 1u);
+  const size_t settled = engine.NumSettledInSearch();
+  // D(2) and D(5) are closer than D(10), so they are already settled: the
+  // call reaches all three without settling anything more.
+  const std::vector<DoorId> targets = {D(2), D(5), D(10)};
+  EXPECT_EQ(engine.RunToTargets(targets), 3u);
+  EXPECT_EQ(engine.NumSettledInSearch(), settled);
+}
+
+TEST_F(DijkstraPaperTest, ResumedRunExtendsTheSamePopSequence) {
+  // IPDistanceQuery::LocalDistanceMulti and index construction resume one
+  // search target set by target set; every stop must look exactly like a
+  // fresh search stopped at the same targets.
+  const size_t n = example_.graph.NumVertices();
+  DijkstraEngine resumed(example_.graph);
+  resumed.Start(D(11));
+  std::vector<DoorId> so_far;
+  for (const DoorId t : {D(12), D(2), D(15), D(7), D(20)}) {
+    so_far.push_back(t);
+    EXPECT_EQ(resumed.RunToTargets(Span<const DoorId>(&t, 1)), 1u);
+    DijkstraEngine fresh(example_.graph);
+    fresh.Start(D(11));
+    fresh.RunToTargets(so_far);
+    EXPECT_EQ(SearchState(resumed, n), SearchState(fresh, n))
+        << "after target " << t;
+  }
+}
+
+TEST_F(DijkstraPaperTest, ReusedEngineAnswersLikeAFreshOne) {
+  const size_t n = example_.graph.NumVertices();
+  DijkstraEngine reused(example_.graph);
+  // A large multi-source search first: it grows the heap and stamps every
+  // door, which the next search must not see.
+  const std::vector<DijkstraSource> sources = {{D(1), 0.0}, {D(20), 0.5}};
+  reused.Start(sources);
+  reused.RunAll();
+  ASSERT_EQ(reused.NumSettledInSearch(), n);
+
+  for (const DoorId source : {D(16), D(4), D(9)}) {
+    DijkstraEngine fresh(example_.graph);
+    reused.Start(source);
+    fresh.Start(source);
+    const DoorId target = D(13);
+    reused.RunToTargets(Span<const DoorId>(&target, 1));
+    fresh.RunToTargets(Span<const DoorId>(&target, 1));
+    EXPECT_EQ(SearchState(reused, n), SearchState(fresh, n))
+        << "stopped search from " << source;
+    // The remaining pop sequence is identical too.
+    while (true) {
+      const SettledDoor a = reused.SettleNext();
+      const SettledDoor b = fresh.SettleNext();
+      ASSERT_EQ(a.door, b.door);
+      ASSERT_EQ(a.distance, b.distance);
+      if (a.door == kInvalidId) break;
+    }
+    EXPECT_EQ(SearchState(reused, n), SearchState(fresh, n))
+        << "full search from " << source;
+  }
 }
 
 TEST(DijkstraTest, RunWithinStopsAtRadius) {
