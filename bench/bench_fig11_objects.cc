@@ -3,10 +3,16 @@
 //   (b) kNN latency vs #objects in {10,50,100,500} (Men-2, k = 5)
 //   (c) kNN latency across venues                  (k = 5, 50 objects)
 //   (d) range query latency across venues          (r = 100 m, 50 objects)
+//
+// VIP kNN rows also report doors_settled: the mean number of doors the
+// search of q's own leaf settles (SearchStats::doors_settled).
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "core/ip_tree.h"
+#include "core/knn_query.h"
+#include "core/object_index.h"
 
 namespace viptree {
 namespace bench {
@@ -25,6 +31,29 @@ QueryEngine& EngineWithObjects(synth::Dataset dataset, EngineKind kind,
   return engine;
 }
 
+// Mean SearchStats::doors_settled over `points`. The VIP engine runs the
+// IP-Tree's kNN search over its base tree, so an IP-Tree built from the
+// same venue reproduces its counter.
+double MeanDoorsSettled(synth::Dataset dataset, size_t num_objects, size_t k,
+                        const std::vector<IndoorPoint>& points) {
+  static std::map<synth::Dataset, std::unique_ptr<IPTree>>* trees =
+      new std::map<synth::Dataset, std::unique_ptr<IPTree>>();
+  std::unique_ptr<IPTree>& tree = (*trees)[dataset];
+  if (tree == nullptr) {
+    const DatasetBundle& bundle = GetDataset(dataset);
+    tree = std::make_unique<IPTree>(IPTree::Build(bundle.venue, bundle.graph));
+  }
+  const ObjectIndex objects(*tree, Objects(dataset, num_objects));
+  const KnnQuery knn(*tree, objects);
+  double total = 0.0;
+  for (const IndoorPoint& q : points) {
+    SearchStats stats;
+    knn.Knn(q, k, &stats);
+    total += static_cast<double>(stats.doors_settled);
+  }
+  return points.empty() ? 0.0 : total / static_cast<double>(points.size());
+}
+
 void BM_Knn(benchmark::State& state, synth::Dataset dataset, EngineKind kind,
             size_t num_objects, size_t k) {
   QueryEngine& engine = EngineWithObjects(dataset, kind, num_objects);
@@ -32,6 +61,10 @@ void BM_Knn(benchmark::State& state, synth::Dataset dataset, EngineKind kind,
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.Knn(points[i++ % points.size()], k));
+  }
+  if (kind == EngineKind::kVipTree) {
+    state.counters["doors_settled"] =
+        MeanDoorsSettled(dataset, num_objects, k, points);
   }
 }
 

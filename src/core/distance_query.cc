@@ -182,67 +182,85 @@ AscentDistances IPDistanceQuery::GetDistances(const QuerySource& source,
   return out;
 }
 
-double IPDistanceQuery::LocalDistance(const QuerySource& s,
-                                      const IndoorPoint& t) const {
+LeafSearch IPDistanceQuery::StartLeafSearch(
+    const QuerySource& source, NodeId leaf,
+    const std::vector<double>* access_dist) const {
+  const TreeNode& node = tree_.node(leaf);
+  if (access_dist == nullptr) {
+    SeedLeaf(source, node, leaf_seed_dist_, leaf_seed_back_);
+    access_dist = &leaf_seed_dist_;
+  }
+  VIPTREE_DCHECK(access_dist->size() == node.access_doors.size());
   const Venue& venue = tree_.venue();
-  double best = kInfDistance;
-
-  std::vector<DijkstraSource> sources;
-  if (s.door != kInvalidId) {
-    sources.push_back({s.door, 0.0});
-    if (venue.DoorTouches(s.door, t.partition)) {
-      best = venue.DistanceToDoor(t, s.door);
-    }
+  // The source's own doors first: an access-door seed replaces one only
+  // when strictly shorter (LeafSearch::EnteredFromSeed relies on this).
+  leaf_sources_.clear();
+  if (source.door != kInvalidId) {
+    leaf_sources_.push_back({source.door, 0.0});
   } else {
-    if (s.point->partition == t.partition) {
-      best = venue.IntraPartitionDistance(t.partition, s.point->position,
-                                          t.position);
-    }
-    for (DoorId u : venue.DoorsOf(s.point->partition)) {
-      sources.push_back({u, venue.DistanceToDoor(*s.point, u)});
+    for (DoorId u : venue.DoorsOf(source.point->partition)) {
+      leaf_sources_.push_back({u, venue.DistanceToDoor(*source.point, u)});
     }
   }
+  for (size_t c = 0; c < node.access_doors.size(); ++c) {
+    if ((*access_dist)[c] == kInfDistance) continue;
+    leaf_sources_.push_back({node.access_doors[c], (*access_dist)[c]});
+  }
+  dijkstra_.Start(leaf_sources_);
+  return LeafSearch(dijkstra_, tree_, leaf, source);
+}
 
-  const Span<const DoorId> targets = venue.DoorsOf(t.partition);
-  dijkstra_.Start(sources);
-  dijkstra_.RunToTargets(targets);
-  for (DoorId dt : targets) {
-    if (!dijkstra_.Settled(dt)) continue;
-    best = std::min(best,
-                    dijkstra_.DistanceTo(dt) + venue.DistanceToDoor(t, dt));
+double LeafSearch::ToPoint(const IndoorPoint& t, DoorId* via) const {
+  const Venue& venue = tree_->venue();
+  double best = kInfDistance;
+  if (source_.point != nullptr && source_.point->partition == t.partition) {
+    best = venue.IntraPartitionDistance(t.partition, source_.point->position,
+                                        t.position);
   }
+  DoorId best_door = kInvalidId;
+  for (DoorId d : venue.DoorsOf(t.partition)) {
+    if (!engine_->Settled(d)) continue;
+    const double cand = engine_->DistanceTo(d) + venue.DistanceToDoor(t, d);
+    if (cand < best) {
+      best = cand;
+      best_door = d;
+    }
+  }
+  if (via != nullptr) *via = best_door;
   return best;
+}
+
+bool LeafSearch::EnteredFromSeed(DoorId d) const {
+  if (engine_->ParentOf(d) != kInvalidId) return false;
+  const Venue& venue = tree_->venue();
+  double own = kInfDistance;  // the offset StartLeafSearch gave d directly
+  if (source_.door != kInvalidId) {
+    if (d == source_.door) own = 0.0;
+  } else if (venue.DoorTouches(d, source_.point->partition)) {
+    own = venue.DistanceToDoor(*source_.point, d);
+  }
+  return engine_->DistanceTo(d) < own;
+}
+
+double IPDistanceQuery::LocalDistance(const IndoorPoint& s,
+                                      const IndoorPoint& t) const {
+  LeafSearch search = StartLeafSearch(QuerySource::Point(s),
+                                      tree_.LeafOfPartition(s.partition));
+  search.RunTo(tree_.venue().DoorsOf(t.partition));
+  return search.ToPoint(t);
 }
 
 void IPDistanceQuery::LocalDistanceMulti(const IndoorPoint& s,
                                          Span<const IndoorPoint> targets,
                                          double* out) const {
-  const Venue& venue = tree_.venue();
-  // Seed exactly like the point branch of LocalDistance, once.
-  std::vector<DijkstraSource> sources;
-  for (DoorId u : venue.DoorsOf(s.partition)) {
-    sources.push_back({u, venue.DistanceToDoor(s, u)});
-  }
-  dijkstra_.Start(Span<const DijkstraSource>(sources.data(), sources.size()));
+  LeafSearch search = StartLeafSearch(QuerySource::Point(s),
+                                      tree_.LeafOfPartition(s.partition));
   for (size_t k = 0; k < targets.size(); ++k) {
-    const IndoorPoint& t = targets[k];
-    double best = kInfDistance;
-    if (s.partition == t.partition) {
-      best = venue.IntraPartitionDistance(t.partition, s.position, t.position);
-    }
     // Resume the shared search: each call extends the same deterministic
-    // pop sequence, so DistanceTo(dt) matches what a fresh run stopped at
-    // this target set would report, bit for bit. A door every per-query
-    // run would settle (reachable) is settled here too; an unreachable
-    // one is settled in neither.
-    const Span<const DoorId> target_doors = venue.DoorsOf(t.partition);
-    dijkstra_.RunToTargets(target_doors);
-    for (DoorId dt : target_doors) {
-      if (!dijkstra_.Settled(dt)) continue;
-      best = std::min(best,
-                      dijkstra_.DistanceTo(dt) + venue.DistanceToDoor(t, dt));
-    }
-    out[k] = best;
+    // pop sequence, so a door settles at the bits a fresh search stopped
+    // at this target would report.
+    search.RunTo(tree_.venue().DoorsOf(targets[k].partition));
+    out[k] = search.ToPoint(targets[k]);
   }
 }
 
@@ -250,7 +268,7 @@ double IPDistanceQuery::Distance(const IndoorPoint& s,
                                  const IndoorPoint& t) const {
   const NodeId ls = tree_.LeafOfPartition(s.partition);
   const NodeId lt = tree_.LeafOfPartition(t.partition);
-  if (ls == lt) return LocalDistance(QuerySource::Point(s), t);
+  if (ls == lt) return LocalDistance(s, t);
 
   const NodeId lca = tree_.Lca(ls, lt);
   const NodeId ns = ChildToward(tree_, lca, ls);
@@ -302,10 +320,9 @@ double IPDistanceQuery::DoorDistanceUncached(DoorId s, DoorId t) const {
   for (const auto& sl : s_leaves) {
     for (const auto& tl : t_leaves) {
       if (sl.leaf == tl.leaf) {
-        // Same leaf: Dijkstra on the D2D graph (§3.1.1).
-        dijkstra_.Start(s);
-        dijkstra_.RunToTargets(Span<const DoorId>(&t, 1));
-        return dijkstra_.DistanceTo(t);
+        LeafSearch search = StartLeafSearch(QuerySource::Door(s), sl.leaf);
+        search.RunTo(Span<const DoorId>(&t, 1));
+        return search.DistanceTo(t);
       }
     }
   }
@@ -512,9 +529,9 @@ void VIPDistanceQuery::DistanceMulti(Span<const IndoorPoint> sources,
                      ChildToward(tree, lca, lt), bits_of(sources[k])});
   }
 
-  // Same-leaf pairs dominate skewed batches (each one is a multi-source
-  // leaf Dijkstra, ~100x a cross-leaf matrix walk), so queries sharing an
-  // exact source point share one incremental Dijkstra run.
+  // Same-leaf pairs dominate skewed batches (each one is a leaf search,
+  // dearer than a cross-leaf matrix walk), so queries sharing an exact
+  // source point share one incremental leaf search.
   if (!local_groups.empty()) {
     std::vector<IndoorPoint> local_targets;
     std::vector<double> local_out;
@@ -596,7 +613,7 @@ double VIPDistanceQuery::Distance(const IndoorPoint& s,
   const IPTree& tree = vip_.base();
   const NodeId ls = tree.LeafOfPartition(s.partition);
   const NodeId lt = tree.LeafOfPartition(t.partition);
-  if (ls == lt) return ip_.LocalDistance(QuerySource::Point(s), t);
+  if (ls == lt) return ip_.LocalDistance(s, t);
 
   const NodeId lca = tree.Lca(ls, lt);
   const NodeId ns = ChildToward(tree, lca, ls);

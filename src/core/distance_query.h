@@ -7,6 +7,15 @@
 // two arbitrary indoor points), in the IP-Tree variant (iterative ascent,
 // O(h*rho^2)) and the VIP-Tree variant (materialized lookups, O(rho^2)).
 //
+// Same-leaf queries (source and target in one leaf) run one Dijkstra
+// confined to the leaf: it relaxes only edges walking through a partition
+// of the leaf, and it is seeded with the source's own doors plus every
+// access door a of the leaf at dist(source, a) — the seed of Algorithm 2
+// (SeedLeaf), built from the leaf matrix's global distances. That is exact
+// on the undirected D2D graph: a shortest path that leaves the leaf
+// re-enters it through an access door, and the part after the last access
+// door it crosses stays inside the leaf.
+//
 // Thread-safety contract (shared by every query engine in core/): the
 // indexes (IPTree / VIPTree / ObjectIndex / KeywordIndex) are immutable
 // after construction and only ever read, so any number of engines on any
@@ -55,6 +64,58 @@ struct QuerySource {
   static QuerySource Door(DoorId d) { return {nullptr, d}; }
 };
 
+// A same-leaf search in progress (IPDistanceQuery::StartLeafSearch): the
+// confined Dijkstra of the file comment, reading the engine's Dijkstra
+// scratch. It carries the leaf bound, so every resume confines alike; it
+// is valid until the engine starts another search.
+class LeafSearch {
+ public:
+  // Settles every door of `targets` reachable inside the leaf. Resuming
+  // extends the same pop sequence, so a door's distance never depends on
+  // the target sets it took to settle it.
+  void RunTo(Span<const DoorId> targets) {
+    engine_->RunToTargets(targets, InLeaf{tree_, leaf_});
+  }
+
+  // dist(source, t) for a point t of the leaf once RunTo has covered the
+  // doors of t's partition: the direct walk when a point source shares
+  // t's partition, else the best settled door of that partition. `via`,
+  // when set, receives that door (kInvalidId for the direct walk or when
+  // t is unreachable).
+  double ToPoint(const IndoorPoint& t, DoorId* via = nullptr) const;
+
+  bool Settled(DoorId d) const { return engine_->Settled(d); }
+  double DistanceTo(DoorId d) const { return engine_->DistanceTo(d); }
+  // The settled door sequence ending at `d`; it starts at a seed.
+  std::vector<DoorId> PathTo(DoorId d) const { return engine_->PathTo(d); }
+  // True when `d` was settled straight from its access-door seed, i.e. the
+  // route to it leaves the leaf (the path query then expands the seed).
+  bool EnteredFromSeed(DoorId d) const;
+  // Doors settled so far (SearchStats::doors_settled).
+  size_t doors_settled() const { return engine_->NumSettledInSearch(); }
+
+ private:
+  friend class IPDistanceQuery;
+
+  // The confinement: keep the edges walking through a partition of `leaf`.
+  struct InLeaf {
+    const IPTree* tree;
+    NodeId leaf;
+    bool operator()(const D2DEdge& e) const {
+      return tree->LeafOfPartition(e.via) == leaf;
+    }
+  };
+
+  LeafSearch(DijkstraEngine& engine, const IPTree& tree, NodeId leaf,
+             const QuerySource& source)
+      : engine_(&engine), tree_(&tree), leaf_(leaf), source_(source) {}
+
+  DijkstraEngine* engine_;
+  const IPTree* tree_;
+  NodeId leaf_;
+  QuerySource source_;
+};
+
 struct DistanceQueryOptions {
   // Restrict Eq. (1) to the superior doors of the source partition
   // (§3.1.1, Definition 2). Disabling falls back to all partition doors —
@@ -63,7 +124,7 @@ struct DistanceQueryOptions {
 };
 
 // Ascent-sharing accounting of the coalesced entry points: how many source
-// expansions (cross-leaf descents and same-leaf Dijkstra runs) a batch
+// expansions (cross-leaf descents and same-leaf searches) a batch
 // actually computed vs how many per-query runs it avoided. Folded into the
 // execution planner's PlanStats.
 struct MultiDistanceStats {
@@ -91,23 +152,31 @@ class IPDistanceQuery {
   // which must be an ancestor of (or equal to) the source's leaf.
   AscentDistances GetDistances(const QuerySource& source, NodeId target) const;
 
-  // Shared same-leaf fallback: Dijkstra on the D2D graph.
-  double LocalDistance(const QuerySource& s, const IndoorPoint& t) const;
+  // Same-leaf distance: s and t lie in one leaf.
+  double LocalDistance(const IndoorPoint& s, const IndoorPoint& t) const;
 
   // Same-leaf distances from one source point to many targets over a
-  // single multi-source Dijkstra. The settled distance of a door depends
-  // only on the seeding (the heap pops in a deterministic order and
-  // resuming via RunToTargets extends that same sequence), so every
-  // out[k] is bit-identical to LocalDistance(Point(s), targets[k]) while
-  // the dominant cost — the graph expansion — is paid once per source
-  // instead of once per query. Every target must share the source's leaf.
+  // single leaf search. The settled distance of a door depends only on
+  // the seeding (the heap pops in a deterministic order and resuming
+  // extends that same sequence), so every out[k] is bit-identical to
+  // LocalDistance(s, targets[k]) while the search is paid once per
+  // source instead of once per query. Every target must share the
+  // source's leaf.
   void LocalDistanceMulti(const IndoorPoint& s, Span<const IndoorPoint> targets,
                           double* out) const;
 
   // Seed of Algorithm 2: distances from the source to every access door of
-  // the source's leaf.
+  // `leaf` (the source's leaf, or for a door source any leaf holding it).
   void SeedLeaf(const QuerySource& source, const TreeNode& leaf,
                 std::vector<double>& dist, std::vector<PathBack>& back) const;
+
+  // Starts the one same-leaf search every same-leaf query goes through
+  // (file comment). `leaf` must hold the source; `access_dist` is
+  // SeedLeaf(source, leaf)'s dist — kNN passes its ascent's ad_dist[0] —
+  // or nullptr to compute it here.
+  LeafSearch StartLeafSearch(const QuerySource& source, NodeId leaf,
+                             const std::vector<double>* access_dist =
+                                 nullptr) const;
 
   // The leaf a query source belongs to.
   NodeId LeafOf(const QuerySource& source) const;
@@ -137,6 +206,9 @@ class IPDistanceQuery {
   // Per-engine scratch, never shared state: mutable so const query methods
   // stay const while reusing the arrays (see the thread-safety contract).
   mutable DijkstraEngine dijkstra_;
+  mutable std::vector<DijkstraSource> leaf_sources_;  // StartLeafSearch
+  mutable std::vector<double> leaf_seed_dist_;
+  mutable std::vector<PathBack> leaf_seed_back_;
   mutable std::vector<int32_t> row_idx_, col_idx_;      // LCA joins
   mutable std::vector<int32_t> step_rows_, step_cols_;  // ascent steps
   mutable std::vector<double> s_ascent_, t_ascent_;     // DoorDistance

@@ -35,8 +35,7 @@ KnnQuery::KnnQuery(const IPTree& tree, const ObjectIndex& objects,
                    const DistanceQueryOptions& options, DistanceCache* cache)
     : tree_(tree),
       objects_(&objects),
-      query_(tree, options, cache),
-      local_dijkstra_(tree.graph()) {}
+      query_(tree, options, cache) {}
 
 std::vector<ObjectResult> KnnQuery::Knn(const IndoorPoint& q, size_t k,
                                         SearchStats* stats) const {
@@ -54,27 +53,24 @@ std::vector<ObjectResult> KnnQuery::WithinRange(const IndoorPoint& q,
                 stats);
 }
 
-void KnnQuery::LocalObjectDistances(const IndoorPoint& q,
-                                    Span<const ObjectId> objs,
-                                    Span<const OverlayObject> hot,
-                                    std::vector<double>& out) const {
+size_t KnnQuery::LocalObjectDistances(const IndoorPoint& q,
+                                      const AscentDistances& ascent,
+                                      Span<const ObjectId> objs,
+                                      Span<const OverlayObject> hot,
+                                      std::vector<double>& out) const {
   const Venue& venue = tree_.venue();
   const auto point = [&](size_t i) -> const IndoorPoint& {
     return i < objs.size() ? objects_->object(objs[i])
                            : hot[i - objs.size()].point;
   };
   const size_t n = objs.size() + hot.size();
-  out.assign(n, kInfDistance);
-  // One multi-source Dijkstra from q covers every object of the leaf; the
-  // search runs on the full D2D graph so routes leaving the leaf are exact.
-  // A settled door's distance does not depend on the target set, so an
-  // object scores the same bits whichever other objects share its leaf.
-  local_sources_.clear();
-  for (DoorId u : venue.DoorsOf(q.partition)) {
-    local_sources_.push_back({u, venue.DistanceToDoor(q, u)});
-  }
-  DijkstraEngine& engine = local_dijkstra_;
-  engine.Start(local_sources_);
+  // One leaf search from q covers every object of the leaf, seeded with
+  // the ascent's access-door distances (no second ascent). A settled
+  // door's distance does not depend on the target set, so an object
+  // scores the same bits whichever other objects share its leaf.
+  LeafSearch search = query_.StartLeafSearch(QuerySource::Point(q),
+                                             ascent.chain[0],
+                                             &ascent.ad_dist[0]);
   local_targets_.clear();
   for (size_t i = 0; i < n; ++i) {
     for (DoorId d : venue.DoorsOf(point(i).partition)) {
@@ -85,19 +81,10 @@ void KnnQuery::LocalObjectDistances(const IndoorPoint& q,
   local_targets_.erase(
       std::unique(local_targets_.begin(), local_targets_.end()),
       local_targets_.end());
-  engine.RunToTargets(local_targets_);
-  for (size_t i = 0; i < n; ++i) {
-    const IndoorPoint& obj = point(i);
-    if (obj.partition == q.partition) {
-      out[i] = venue.IntraPartitionDistance(q.partition, q.position,
-                                            obj.position);
-    }
-    for (DoorId d : venue.DoorsOf(obj.partition)) {
-      if (!engine.Settled(d)) continue;
-      out[i] = std::min(out[i],
-                        engine.DistanceTo(d) + venue.DistanceToDoor(obj, d));
-    }
-  }
+  search.RunTo(local_targets_);
+  out.resize(n);
+  for (size_t i = 0; i < n; ++i) out[i] = search.ToPoint(point(i));
+  return search.doors_settled();
 }
 
 std::vector<ObjectResult> KnnQuery::Search(
@@ -273,7 +260,9 @@ std::vector<ObjectResult> KnnQuery::Search(
     if (objs.empty() && hot.empty()) continue;
     if (n == q_leaf) {
       std::vector<double> dists;
-      LocalObjectDistances(q, objs, hot, dists);
+      const size_t settled =
+          LocalObjectDistances(q, ascent, objs, hot, dists);
+      if (stats != nullptr) stats->doors_settled = settled;
       for (size_t i = 0; i < objs.size(); ++i) {
         offer(objs[i], dists[i], object_allowed);
       }

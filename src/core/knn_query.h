@@ -48,6 +48,7 @@ struct SearchStats {
   size_t nodes_visited = 0;       // heap pops (tree nodes examined)
   size_t leaves_scanned = 0;      // leaves whose objects were scored
   size_t objects_considered = 0;  // candidate objects offered to the heap
+  size_t doors_settled = 0;       // doors the search of q's own leaf settled
 };
 
 class KnnQuery {
@@ -140,20 +141,18 @@ class KnnQuery {
       const AscentDistances* precomputed = nullptr) const;
 
   // Exact distances from q to the packed objects `objs` and then the
-  // overlay objects `hot` of q's own leaf (one Dijkstra).
-  void LocalObjectDistances(const IndoorPoint& q, Span<const ObjectId> objs,
-                            Span<const OverlayObject> hot,
-                            std::vector<double>& out) const;
+  // overlay objects `hot` of q's own leaf (one leaf search seeded from
+  // `ascent`, q's root ascent). Returns the doors the search settled.
+  size_t LocalObjectDistances(const IndoorPoint& q,
+                              const AscentDistances& ascent,
+                              Span<const ObjectId> objs,
+                              Span<const OverlayObject> hot,
+                              std::vector<double>& out) const;
 
   const IPTree& tree_;
   const ObjectIndex* objects_;
-  IPDistanceQuery query_;
-  // Reused by LocalObjectDistances so the kNN hot path does not rebuild a
-  // Dijkstra engine (heap + per-door arrays) per leaf scan; mutable scratch
-  // under the one-engine-per-thread contract, like query_'s internals.
-  mutable DijkstraEngine local_dijkstra_;
-  mutable std::vector<DijkstraSource> local_sources_;
-  mutable std::vector<DoorId> local_targets_;
+  IPDistanceQuery query_;  // also owns the Dijkstra scratch of the leaf search
+  mutable std::vector<DoorId> local_targets_;  // LocalObjectDistances
   mutable std::vector<int32_t> bound_rows_, bound_cols_;  // Lemma 8/9
 };
 

@@ -139,48 +139,37 @@ IPPathQuery::PartialPath IPPathQuery::Backtrack(const AscentDistances& ascent,
   return pp;
 }
 
-IndoorPath IPPathQuery::LocalPath(const QuerySource& s,
-                                  const QuerySource& t) const {
-  const Venue& venue = tree_.venue();
+IndoorPath IPPathQuery::LocalPath(const QuerySource& s, const QuerySource& t,
+                                  NodeId leaf) const {
+  query_.SeedLeaf(s, tree_.node(leaf), seed_dist_, seed_back_);
+  LeafSearch search = query_.StartLeafSearch(s, leaf, &seed_dist_);
   IndoorPath path;
-
-  std::vector<DijkstraSource> sources;
-  if (s.door != kInvalidId) {
-    sources.push_back({s.door, 0.0});
-  } else {
-    for (DoorId u : venue.DoorsOf(s.point->partition)) {
-      sources.push_back({u, venue.DistanceToDoor(*s.point, u)});
-    }
-  }
-
-  DijkstraEngine& engine = query_.dijkstra_;
-  engine.Start(sources);
+  DoorId last = kInvalidId;  // the door the route reaches t through
   if (t.door != kInvalidId) {
-    engine.RunToTargets(Span<const DoorId>(&t.door, 1));
-    path.distance = engine.DistanceTo(t.door);
-    if (engine.Settled(t.door)) path.doors = engine.PathTo(t.door);
-    return path;
+    search.RunTo(Span<const DoorId>(&t.door, 1));
+    path.distance = search.DistanceTo(t.door);
+    if (search.Settled(t.door)) last = t.door;
+  } else {
+    search.RunTo(tree_.venue().DoorsOf(t.point->partition));
+    path.distance = search.ToPoint(*t.point, &last);
   }
+  if (last == kInvalidId) return path;  // direct walk, or unreachable
 
-  // Point target: best door of the target partition, or the direct
-  // intra-partition route.
-  if (s.point != nullptr && s.point->partition == t.point->partition) {
-    path.distance = venue.IntraPartitionDistance(
-        t.point->partition, s.point->position, t.point->position);
+  const std::vector<DoorId> chain = search.PathTo(last);
+  const DoorId a = chain.front();
+  if (search.EnteredFromSeed(a)) {
+    // The route leaves the leaf before reaching access door a: expand it
+    // from the source door, or from the point's superior door that the
+    // seed went through.
+    const int c = IPTree::IndexOf(tree_.node(leaf).access_doors, a);
+    VIPTREE_DCHECK(c >= 0);
+    const DoorId from =
+        s.door != kInvalidId ? s.door : seed_back_[static_cast<size_t>(c)].pred;
+    VIPTREE_DCHECK(from != kInvalidId);
+    path.doors.push_back(from);
+    Expand(from, a, leaf, path.doors);
   }
-  const Span<const DoorId> targets = venue.DoorsOf(t.point->partition);
-  engine.RunToTargets(targets);
-  DoorId best_door = kInvalidId;
-  for (DoorId dt : targets) {
-    if (!engine.Settled(dt)) continue;
-    const double cand =
-        engine.DistanceTo(dt) + venue.DistanceToDoor(*t.point, dt);
-    if (cand < path.distance) {
-      path.distance = cand;
-      best_door = dt;
-    }
-  }
-  if (best_door != kInvalidId) path.doors = engine.PathTo(best_door);
+  path.doors.insert(path.doors.end(), chain.begin(), chain.end());
   return path;
 }
 
@@ -254,27 +243,16 @@ IndoorPath IPPathQuery::Path(const IndoorPoint& s,
   const NodeId ls = tree_.LeafOfPartition(s.partition);
   const NodeId lt = tree_.LeafOfPartition(t.partition);
   if (ls == lt) {
-    IndoorPath local =
-        LocalPath(QuerySource::Point(s), QuerySource::Point(t));
-    // When the best route is the direct intra-partition line, the door list
-    // reflects the best door route; clear it if direct wins.
-    if (s.partition == t.partition) {
-      const double direct = tree_.venue().IntraPartitionDistance(
-          s.partition, s.position, t.position);
-      if (direct <= local.distance) {
-        local.distance = direct;
-        local.doors.clear();
-      }
-    }
-    return local;
+    return LocalPath(QuerySource::Point(s), QuerySource::Point(t), ls);
   }
   return CrossLeafPath(QuerySource::Point(s), QuerySource::Point(t));
 }
 
 IndoorPath IPPathQuery::DoorPath(DoorId s, DoorId t) const {
   if (s == t) return IndoorPath{0.0, {s}};
-  if (CommonLeaf(tree_, s, t) != kInvalidId) {
-    return LocalPath(QuerySource::Door(s), QuerySource::Door(t));
+  const NodeId leaf = CommonLeaf(tree_, s, t);
+  if (leaf != kInvalidId) {
+    return LocalPath(QuerySource::Door(s), QuerySource::Door(t), leaf);
   }
   return CrossLeafPath(QuerySource::Door(s), QuerySource::Door(t));
 }

@@ -39,7 +39,10 @@ class IPPathQuery {
   friend class VIPPathQuery;
 
   IndoorPath CrossLeafPath(const QuerySource& s, const QuerySource& t) const;
-  IndoorPath LocalPath(const QuerySource& s, const QuerySource& t) const;
+  // The same-leaf route through the leaf search (core/distance_query.h):
+  // `leaf` holds both s and t.
+  IndoorPath LocalPath(const QuerySource& s, const QuerySource& t,
+                       NodeId leaf) const;
 
   // Appends the doors strictly between x and y on their shortest path,
   // using the matrices of `ctx` and below. `ctx` must represent the pair.
@@ -61,6 +64,8 @@ class IPPathQuery {
   const IPTree& tree_;
   IPDistanceQuery query_;
   mutable std::vector<int32_t> row_idx_, col_idx_;  // CrossLeafPath join
+  mutable std::vector<double> seed_dist_;            // LocalPath seeds
+  mutable std::vector<PathBack> seed_back_;
 };
 
 class VIPPathQuery {

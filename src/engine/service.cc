@@ -392,12 +392,27 @@ bool Service::ValidateQuery(const Query& query, const QueryEngine& engine,
              std::to_string(num_partitions) + " partitions)";
     return false;
   }
-  if ((query.type == QueryType::kDistance ||
-       query.type == QueryType::kPath) &&
-      !valid_point(query.target)) {
+  const bool has_target = query.type == QueryType::kDistance ||
+                          query.type == QueryType::kPath;
+  if (has_target && !valid_point(query.target)) {
     *error = "target partition " + std::to_string(query.target.partition) +
              " is out of range (venue has " +
              std::to_string(num_partitions) + " partitions)";
+    return false;
+  }
+  // Non-finite coordinates would feed NaN into every heap of the search.
+  const auto finite = [](const IndoorPoint& point) {
+    return std::isfinite(point.position.x) && std::isfinite(point.position.y) &&
+           std::isfinite(point.position.z);
+  };
+  if (!finite(query.source) || (has_target && !finite(query.target))) {
+    *error = "query coordinates must be finite";
+    return false;
+  }
+  // A NaN radius never stops the branch-and-bound (no bound compares
+  // greater), so one request would walk the whole tree.
+  if (query.type == QueryType::kRange && !(query.radius >= 0.0)) {
+    *error = "range radius must be a non-negative number";
     return false;
   }
   if (query.type == QueryType::kBooleanKnn && !engine.has_keywords()) {

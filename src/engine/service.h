@@ -323,8 +323,9 @@ class Service {
       const std::string& venue_id,
       const std::shared_ptr<const VenueBundle>& bundle);
   // Admission-side input validation: everything the engine would CHECK or
-  // index with must be range-checked here so untrusted requests fail with
-  // kInvalidRequest instead of aborting a worker.
+  // index with must be range-checked here, and every number it searches
+  // with must be finite (a non-negative radius), so untrusted requests
+  // fail with kInvalidRequest instead of aborting or stalling a worker.
   static bool ValidateQuery(const Query& query, const QueryEngine& engine,
                             std::string* error);
   // Publishes the terminal response: records stats, completes the ticket

@@ -22,22 +22,6 @@ DijkstraEngine::DijkstraEngine(const D2DGraph& graph)
       epoch_mark_(graph.NumVertices(), 0),
       target_mark_(graph.NumVertices(), 0) {}
 
-void DijkstraEngine::Reach(DoorId d, double dist, DoorId parent,
-                           PartitionId via) {
-  if (epoch_mark_[d] != epoch_) {
-    epoch_mark_[d] = epoch_;
-    settled_[d] = 0;
-    dist_[d] = kInfDistance;
-  }
-  if (dist < dist_[d]) {
-    dist_[d] = dist;
-    parent_[d] = parent;
-    parent_via_[d] = via;
-    heap_.emplace_back(dist, d);
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
-  }
-}
-
 void DijkstraEngine::Start(Span<const DijkstraSource> sources) {
   ++epoch_;
   settled_count_ = 0;
@@ -49,50 +33,8 @@ void DijkstraEngine::Start(Span<const DijkstraSource> sources) {
   }
 }
 
-SettledDoor DijkstraEngine::SettleNext() {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
-    const auto [d, u] = heap_.back();
-    heap_.pop_back();
-    if (settled_[u] && epoch_mark_[u] == epoch_) continue;  // stale entry
-    if (d > dist_[u]) continue;                             // stale entry
-    settled_[u] = 1;
-    ++settled_count_;
-    for (const D2DEdge& e : graph_.EdgesOf(u)) {
-      if (epoch_mark_[e.to] == epoch_ && settled_[e.to]) continue;
-      Reach(e.to, d + e.weight, u, e.via);
-    }
-    return SettledDoor{u, d};
-  }
-  return SettledDoor{kInvalidId, kInfDistance};
-}
-
-size_t DijkstraEngine::RunToTargets(Span<const DoorId> targets) {
-  if (++target_epoch_ == 0) {  // wrapped: stale marks could alias
-    std::fill(target_mark_.begin(), target_mark_.end(), 0);
-    target_epoch_ = 1;
-  }
-  size_t wanted = 0;
-  size_t reached = 0;
-  for (DoorId t : targets) {
-    if (target_mark_[t] == target_epoch_) continue;  // repeated target
-    target_mark_[t] = target_epoch_;
-    if (Settled(t)) {
-      ++reached;
-    } else {
-      ++wanted;
-    }
-  }
-  while (wanted > 0) {
-    const SettledDoor s = SettleNext();
-    if (s.door == kInvalidId) break;
-    if (target_mark_[s.door] == target_epoch_) {
-      --wanted;
-      ++reached;
-    }
-  }
-  return reached;
-}
+template SettledDoor DijkstraEngine::SettleNext(AllEdges);
+template size_t DijkstraEngine::RunToTargets(Span<const DoorId>, AllEdges);
 
 void DijkstraEngine::RunWithin(double radius) {
   while (!heap_.empty()) {

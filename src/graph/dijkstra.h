@@ -7,11 +7,19 @@
 // Start() then SettleNext() -- because the DistAw kNN/range algorithms need
 // to examine doors in increasing distance order and stop early.
 //
+// SettleNext and RunToTargets take an optional edge filter, passed per
+// call: a search confined to a region relaxes only the edges the filter
+// keeps (the same-leaf queries of core/distance_query.h keep the edges
+// walking through a partition of one leaf). The default keeps every edge
+// and compiles to the unfiltered loop, so index construction pays nothing
+// for it; the engine itself never remembers a filter.
+//
 // Not thread-safe; use one engine per thread.
 
 #ifndef VIPTREE_GRAPH_DIJKSTRA_H_
 #define VIPTREE_GRAPH_DIJKSTRA_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -55,17 +63,26 @@ class DijkstraEngine {
     Start(Span<const DijkstraSource>(&s, 1));
   }
 
+  // The default edge filter: every edge is relaxed.
+  struct AllEdges {
+    bool operator()(const D2DEdge&) const { return true; }
+  };
+
   // Settles and returns the next-closest door, or a door with
-  // id == kInvalidId when the reachable space is exhausted.
-  SettledDoor SettleNext();
+  // id == kInvalidId when the reachable space is exhausted. Only edges
+  // `keep` accepts are relaxed out of the settled door.
+  template <typename Keep = AllEdges>
+  SettledDoor SettleNext(Keep keep = {});
 
   // Runs until all doors in `targets` are settled (or the graph is
   // exhausted). Returns the number of distinct targets reached, counting
   // ones an earlier call of the same search already settled; a repeated
   // target counts once. Calling it again without Start() resumes the same
   // pop sequence, so a door's distance and parent never depend on how
-  // many calls, or which target sets, it took to settle it.
-  size_t RunToTargets(Span<const DoorId> targets);
+  // many calls, or which target sets, it took to settle it — provided
+  // every call of the search passes the same `keep`.
+  template <typename Keep = AllEdges>
+  size_t RunToTargets(Span<const DoorId> targets, Keep keep = {});
 
   // Runs until the next door to settle is farther than `radius`.
   void RunWithin(double radius);
@@ -118,6 +135,78 @@ class DijkstraEngine {
   using HeapEntry = std::pair<double, DoorId>;
   std::vector<HeapEntry> heap_;
 };
+
+// Defined here, with the search loop below, so a filtered search inlines
+// its filter and Reach into one loop.
+inline void DijkstraEngine::Reach(DoorId d, double dist, DoorId parent,
+                                  PartitionId via) {
+  if (epoch_mark_[d] != epoch_) {
+    epoch_mark_[d] = epoch_;
+    settled_[d] = 0;
+    dist_[d] = kInfDistance;
+  }
+  if (dist < dist_[d]) {
+    dist_[d] = dist;
+    parent_[d] = parent;
+    parent_via_[d] = via;
+    heap_.emplace_back(dist, d);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
+  }
+}
+
+template <typename Keep>
+SettledDoor DijkstraEngine::SettleNext(Keep keep) {
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
+    const auto [d, u] = heap_.back();
+    heap_.pop_back();
+    if (settled_[u] && epoch_mark_[u] == epoch_) continue;  // stale entry
+    if (d > dist_[u]) continue;                             // stale entry
+    settled_[u] = 1;
+    ++settled_count_;
+    for (const D2DEdge& e : graph_.EdgesOf(u)) {
+      if (!keep(e)) continue;
+      if (epoch_mark_[e.to] == epoch_ && settled_[e.to]) continue;
+      Reach(e.to, d + e.weight, u, e.via);
+    }
+    return SettledDoor{u, d};
+  }
+  return SettledDoor{kInvalidId, kInfDistance};
+}
+
+template <typename Keep>
+size_t DijkstraEngine::RunToTargets(Span<const DoorId> targets, Keep keep) {
+  if (++target_epoch_ == 0) {  // wrapped: stale marks could alias
+    std::fill(target_mark_.begin(), target_mark_.end(), 0);
+    target_epoch_ = 1;
+  }
+  size_t wanted = 0;
+  size_t reached = 0;
+  for (DoorId t : targets) {
+    if (target_mark_[t] == target_epoch_) continue;  // repeated target
+    target_mark_[t] = target_epoch_;
+    if (Settled(t)) {
+      ++reached;
+    } else {
+      ++wanted;
+    }
+  }
+  while (wanted > 0) {
+    const SettledDoor s = SettleNext(keep);
+    if (s.door == kInvalidId) break;
+    if (target_mark_[s.door] == target_epoch_) {
+      --wanted;
+      ++reached;
+    }
+  }
+  return reached;
+}
+
+// The unfiltered search is instantiated once, in dijkstra.cc: index
+// construction and every other unconfined caller share that one loop.
+extern template SettledDoor DijkstraEngine::SettleNext(AllEdges);
+extern template size_t DijkstraEngine::RunToTargets(Span<const DoorId>,
+                                                   AllEdges);
 
 // The worker count index construction fans its per-source searches over:
 // std::thread::hardware_concurrency(), or 1 when that is unknown.

@@ -210,6 +210,47 @@ TEST_F(DijkstraPaperTest, ReusedEngineAnswersLikeAFreshOne) {
   }
 }
 
+// Keeps every edge except those walking through P5, the hallway between
+// the paper's N1 = {P1..P4} and the rest of the venue.
+struct AvoidP5 {
+  bool operator()(const D2DEdge& e) const { return e.via != testing::P(5); }
+};
+
+TEST_F(DijkstraPaperTest, ConfinedRunSettlesOnlyWhatItsEdgesReach) {
+  const size_t n = example_.graph.NumVertices();
+  std::vector<DoorId> every_door;
+  for (DoorId d = 0; d < static_cast<DoorId>(n); ++d) every_door.push_back(d);
+  DijkstraEngine engine(example_.graph);
+  engine.Start(D(1));
+  // Without P5's edges, d1 reaches d1..d6 (d6 through P4); every other
+  // door is reachable only through P5.
+  EXPECT_EQ(engine.RunToTargets(every_door, AvoidP5{}), 6u);
+  EXPECT_EQ(engine.NumSettledInSearch(), 6u);
+  for (int i = 1; i <= 20; ++i) {
+    EXPECT_EQ(engine.Settled(D(i)), i <= 6) << "d" << i;
+  }
+  // In-region distances are unchanged: d1 -> d6 never used P5.
+  EXPECT_DOUBLE_EQ(engine.DistanceTo(D(6)), 9.0);
+}
+
+TEST_F(DijkstraPaperTest, UnconfinedRunAfterAConfinedOneMatchesAFreshEngine) {
+  const size_t n = example_.graph.NumVertices();
+  DijkstraEngine engine(example_.graph);
+  engine.Start(D(2));
+  const DoorId far = D(20);
+  engine.RunToTargets(Span<const DoorId>(&far, 1), AvoidP5{});
+  ASSERT_FALSE(engine.Settled(far));
+
+  // The engine keeps no filter: the next search relaxes every edge.
+  engine.Start(D(2));
+  engine.RunAll();
+  DijkstraEngine fresh(example_.graph);
+  fresh.Start(D(2));
+  fresh.RunAll();
+  EXPECT_EQ(SearchState(engine, n), SearchState(fresh, n));
+  EXPECT_DOUBLE_EQ(engine.DistanceTo(far), 23.0);  // Example 4
+}
+
 TEST(DijkstraTest, RunWithinStopsAtRadius) {
   const testing::PaperExample example = testing::MakePaperExample();
   DijkstraEngine engine(example.graph);

@@ -568,6 +568,33 @@ TEST_F(NetServerTest, BitFlippedFramesFailCleanlyOverTheSocket) {
   server.Stop();
 }
 
+TEST_F(NetServerTest, NanRadiusAndCoordinatesFailAsInvalidRequests) {
+  // Well-formed frames carrying numbers no search can use: the shard
+  // answers each with kInvalidRequest instead of walking the whole tree.
+  net::ShardServer server(Bundle());
+  ASSERT_TRUE(server.Start().ok());
+  std::string error;
+  std::unique_ptr<net::Client> client = net::Client::Connect(
+      ":" + std::to_string(server.port()), &error);
+  ASSERT_NE(client, nullptr) << error;
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  net::WireRequest nan_radius = KnnRequest(4);
+  nan_radius.query = eng::Query::Range(nan_radius.query.source, nan);
+  net::WireRequest nan_point = KnnRequest(5);
+  nan_point.query.source.position.x = nan;
+  for (const net::WireRequest& request : {nan_radius, nan_point}) {
+    net::WireResponse response;
+    ASSERT_TRUE(client->Call(request, &response).ok());
+    EXPECT_EQ(response.status, eng::RequestStatus::kInvalidRequest)
+        << response.error;
+  }
+  net::WireResponse response;
+  ASSERT_TRUE(client->Call(KnnRequest(6), &response).ok());
+  EXPECT_TRUE(response.ok()) << response.error;
+  server.Stop();
+}
+
 TEST_F(NetServerTest, TruncatedFrameThenCloseLeavesServerServing) {
   net::ShardServer server(Bundle());
   ASSERT_TRUE(server.Start().ok());

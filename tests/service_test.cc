@@ -359,6 +359,39 @@ TEST_F(ServiceTest, InvalidRequestsFailCleanlyInsteadOfAborting) {
   service.Stop();
 }
 
+TEST_F(ServiceTest, NonFiniteCoordinatesAndBadRadiiAreRejected) {
+  // A NaN radius never stops the kNN branch-and-bound and NaN coordinates
+  // poison its heaps: each must fail the request at admission.
+  eng::Service service(Bundle(), {});
+  service.Start();
+  const eng::Query base = SomeQueries(1, 13)[0];
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<eng::Query> bad;
+  bad.push_back(eng::Query::Range(base.source, nan));
+  bad.push_back(eng::Query::Range(base.source, -1.0));
+  IndoorPoint nan_source = base.source;
+  nan_source.position.y = nan;
+  bad.push_back(eng::Query::Knn(nan_source, 3));
+  IndoorPoint inf_target = base.source;
+  inf_target.position.x = inf;
+  bad.push_back(eng::Query::Distance(base.source, inf_target));
+  bad.push_back(eng::Query::Path(inf_target, base.source));
+  for (size_t i = 0; i < bad.size(); ++i) {
+    eng::Request request;
+    request.query = bad[i];
+    eng::Ticket ticket = service.Submit(std::move(request));
+    EXPECT_EQ(ticket.Wait().status, eng::RequestStatus::kInvalidRequest)
+        << "query " << i;
+  }
+  // An unbounded radius is a valid (if expensive) range query.
+  eng::Request all;
+  all.query = eng::Query::Range(base.source, inf);
+  EXPECT_TRUE(service.Submit(std::move(all)).Wait().ok());
+  EXPECT_EQ(service.Stats().failed, bad.size());
+  service.Stop();
+}
+
 TEST(ServiceValidationTest, KeywordQueryWithoutKeywordIndexIsRejected) {
   Venue venue = testing::RandomSynthVenue(5);
   Rng rng(5);
