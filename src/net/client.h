@@ -5,8 +5,8 @@
 // shard — correlate by tag, exactly like the in-process streaming API).
 //
 // Not thread-safe: one Client per thread. For a fleet of connections, hold
-// a Client per endpoint (what bench_net_throughput's open-loop driver and
-// the router's pools do — the router has its own non-blocking machinery).
+// a Client per endpoint (what bench_net_throughput's open-loop driver
+// does; the router's shard pools are non-blocking EventLoop connections).
 
 #ifndef VIPTREE_NET_CLIENT_H_
 #define VIPTREE_NET_CLIENT_H_

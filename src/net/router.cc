@@ -1,18 +1,7 @@
 #include "net/router.h"
 
-#include <errno.h>
-#include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <chrono>
-#include <cstring>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -22,11 +11,6 @@ namespace net {
 
 namespace {
 
-constexpr int kPollTimeoutMs = 100;
-constexpr size_t kReadChunk = 64 * 1024;
-constexpr int kListenBacklog = 64;
-// Client connections beyond this are accepted and immediately closed.
-constexpr size_t kMaxClientConnections = 256;
 // Connections kept open to each shard. More than one lets a shard ride out
 // one dead socket without a re-route and spreads pipelined load.
 constexpr size_t kShardPoolSize = 2;
@@ -66,7 +50,14 @@ uint64_t RendezvousScore(const std::string& venue_id, size_t shard) {
 
 Router::Router(std::vector<std::string> shard_endpoints,
                std::vector<std::string> venue_ids, RouterOptions options)
-    : venue_ids_(std::move(venue_ids)), options_(std::move(options)) {
+    : venue_ids_(std::move(venue_ids)),
+      options_(std::move(options)),
+      loop_(EventLoop::Callbacks{
+          [this](const std::shared_ptr<Conn>& conn, Frame frame) {
+            HandleClientFrame(conn, std::move(frame));
+          },
+          [this] { return BeforePoll(); },
+          [this] { return pending_.empty(); }}) {
   VIPTREE_CHECK_MSG(!shard_endpoints.empty(),
                     "a router needs at least one shard endpoint");
   shards_.resize(shard_endpoints.size());
@@ -78,44 +69,12 @@ Router::Router(std::vector<std::string> shard_endpoints,
       shards_[i].pool.push_back(std::move(conn));
     }
   }
-  shard_healthy_snapshot_.assign(shards_.size(), false);
 }
 
 Router::~Router() { Stop(); }
 
 io::Status Router::Start() {
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  VIPTREE_CHECK_MSG(!started_, "Router::Start called twice");
-  if (io::Status status = WakePipe::Create(&wake_); !status.ok()) {
-    return status;
-  }
-  if (io::Status status = ListenTcp(options_.bind_address, options_.port,
-                                    kListenBacklog, &listener_, &port_);
-      !status.ok()) {
-    return status;
-  }
-  loop_thread_ = std::thread([this] { Loop(); });
-  started_ = true;
-  return io::Status::Ok();
-}
-
-void Router::RequestDrain() {
-  drain_requested_.store(true, std::memory_order_release);
-  wake_.Wake();
-}
-
-void Router::Wait() {
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  if (loop_thread_.joinable()) loop_thread_.join();
-}
-
-void Router::Stop() {
-  stop_requested_.store(true, std::memory_order_release);
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  if (started_ && loop_thread_.joinable()) {
-    wake_.Wake();
-    loop_thread_.join();
-  }
+  return loop_.Start(options_.bind_address, options_.port);
 }
 
 size_t Router::ShardForVenue(const std::string& venue_id) const {
@@ -141,17 +100,22 @@ std::vector<std::pair<std::string, size_t>> Router::Assignments() const {
 }
 
 RouterCounters Router::counters() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return counters_;
+  RouterCounters counters;
+  counters.requests_forwarded =
+      requests_forwarded_.load(std::memory_order_relaxed);
+  counters.responses_returned =
+      responses_returned_.load(std::memory_order_relaxed);
+  counters.failovers = failovers_.load(std::memory_order_relaxed);
+  counters.no_shard_rejections =
+      no_shard_rejections_.load(std::memory_order_relaxed);
+  counters.protocol_errors = loop_.protocol_errors();
+  counters.shard_disconnects =
+      shard_disconnects_.load(std::memory_order_relaxed);
+  return counters;
 }
 
 size_t Router::healthy_shards() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  size_t healthy = 0;
-  for (const bool h : shard_healthy_snapshot_) {
-    if (h) ++healthy;
-  }
-  return healthy;
+  return healthy_shards_.load(std::memory_order_relaxed);
 }
 
 bool Router::ShardHealthy(const Shard& shard) const {
@@ -189,239 +153,57 @@ Router::ShardConn* Router::ReadyConn(size_t shard_index) {
   return nullptr;
 }
 
+void Router::UpdateHealthy() {
+  size_t healthy = 0;
+  for (const Shard& shard : shards_) {
+    if (ShardHealthy(shard)) ++healthy;
+  }
+  healthy_shards_.store(healthy, std::memory_order_relaxed);
+}
+
 void Router::StartConnect(ShardConn* conn) {
-  if (conn->state != ShardConn::State::kDown) return;
-  const std::string& endpoint = shards_[conn->shard].endpoint;
-  std::string host;
-  uint16_t port = 0;
-  if (!ParseHostPort(endpoint, &host, &port)) return;
-
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* resolved = nullptr;
-  if (::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints,
-                    &resolved) != 0) {
-    return;  // retried next probe tick
-  }
-  Socket sock(::socket(resolved->ai_family, resolved->ai_socktype,
-                       resolved->ai_protocol));
-  if (sock.valid() && SetNonBlocking(sock.fd()).ok()) {
-    const int rc =
-        ::connect(sock.fd(), resolved->ai_addr, resolved->ai_addrlen);
-    if (rc == 0 || errno == EINPROGRESS) {
-      conn->sock = std::move(sock);
-      conn->state = ShardConn::State::kConnecting;
-      conn->decoder = FrameDecoder();
-      conn->outbox.clear();
-      conn->out_pos = 0;
-      conn->connect_ticks = 0;
-      if (rc == 0) FinishConnect(conn);
+  EventLoop::PeerCallbacks callbacks;
+  callbacks.on_connect = [this, conn] {
+    conn->state = ShardConn::State::kReady;
+    Shard& shard = shards_[conn->shard];
+    shard.unanswered_probes = 0;
+    // A reconnected shard is optimistically ready until a probe says
+    // otherwise — it just accepted our TCP handshake.
+    shard.ready_flag = true;
+    UpdateHealthy();
+  };
+  callbacks.on_frame = [this, conn](Frame frame) {
+    return HandleShardFrame(conn, std::move(frame));
+  };
+  callbacks.on_close = [this, conn] {
+    if (conn->state == ShardConn::State::kConnecting) {
+      conn->conn = nullptr;  // refused: redialed next probe tick
+      conn->state = ShardConn::State::kDown;
+    } else {
+      FailShardConn(conn);
     }
-  }
-  ::freeaddrinfo(resolved);
+  };
+  conn->conn = loop_.Dial(shards_[conn->shard].endpoint, std::move(callbacks));
+  if (conn->conn == nullptr) return;  // retried next probe tick
+  conn->state = ShardConn::State::kConnecting;
+  conn->connect_ticks = 0;
 }
 
-void Router::FinishConnect(ShardConn* conn) {
-  int so_error = 0;
-  socklen_t len = sizeof(so_error);
-  ::getsockopt(conn->sock.fd(), SOL_SOCKET, SO_ERROR, &so_error, &len);
-  if (so_error != 0) {
-    conn->sock.Close();
-    conn->state = ShardConn::State::kDown;
-    return;
-  }
-  const int one = 1;
-  ::setsockopt(conn->sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  conn->state = ShardConn::State::kReady;
-  shards_[conn->shard].unanswered_probes = 0;
-  // A reconnected shard is optimistically ready until a probe says
-  // otherwise — it just accepted our TCP handshake.
-  shards_[conn->shard].ready_flag = true;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    shard_healthy_snapshot_[conn->shard] = true;
-  }
-}
-
-void Router::Loop() {
+int Router::BeforePoll() {
   using Clock = std::chrono::steady_clock;
-  const auto probe_interval = std::chrono::microseconds(
-      static_cast<int64_t>(options_.probe_interval_ms * 1000.0));
-  auto next_probe = Clock::now();  // first tick fires immediately
-
-  std::vector<pollfd> pollfds;
-  std::vector<std::shared_ptr<ClientConn>> polled_clients;
-  std::vector<ShardConn*> polled_shards;
-  bool draining = false;
-
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    if (!draining && drain_requested_.load(std::memory_order_acquire)) {
-      draining = true;
-      listener_.Close();
-    }
-    if (draining && pending_.empty()) {
-      bool flushed = true;
-      for (auto& [fd, client] : clients_) {
-        if (client->out_pos < client->outbox.size()) {
-          flushed = false;
-          break;
-        }
-      }
-      if (flushed) break;
-    }
-
-    const auto now = Clock::now();
-    if (now >= next_probe) {
-      ProbeTick();
-      next_probe = now + probe_interval;
-    }
-
-    pollfds.clear();
-    polled_clients.clear();
-    polled_shards.clear();
-    pollfds.push_back({wake_.read_end.fd(), POLLIN, 0});
-    if (listener_.valid()) pollfds.push_back({listener_.fd(), POLLIN, 0});
-    const size_t clients_at = pollfds.size();
-    for (auto& [fd, client] : clients_) {
-      short events = 0;
-      if (!draining && !client->poisoned) events |= POLLIN;
-      if (client->out_pos < client->outbox.size()) events |= POLLOUT;
-      pollfds.push_back({fd, events, 0});
-      polled_clients.push_back(client);
-    }
-    const size_t shards_at = pollfds.size();
-    for (Shard& shard : shards_) {
-      for (const auto& conn : shard.pool) {
-        if (conn->state == ShardConn::State::kDown) continue;
-        short events = 0;
-        if (conn->state == ShardConn::State::kConnecting) {
-          events = POLLOUT;
-        } else {
-          events = POLLIN;
-          if (conn->out_pos < conn->outbox.size()) events |= POLLOUT;
-        }
-        pollfds.push_back({conn->sock.fd(), events, 0});
-        polled_shards.push_back(conn.get());
-      }
-    }
-
-    const auto until_probe = std::chrono::duration_cast<
-        std::chrono::milliseconds>(next_probe - Clock::now()).count();
-    const int timeout = static_cast<int>(
-        std::max<int64_t>(1, std::min<int64_t>(kPollTimeoutMs, until_probe)));
-    const int ready = ::poll(pollfds.data(),
-                             static_cast<nfds_t>(pollfds.size()), timeout);
-    if (ready < 0 && errno != EINTR) break;
-    if (stop_requested_.load(std::memory_order_acquire)) break;
-
-    if (pollfds[0].revents & POLLIN) wake_.Clear();
-    if (listener_.valid() && (pollfds[1].revents & POLLIN)) AcceptAll();
-
-    // Shard connections first: responses free pending slots before new
-    // client frames claim them.
-    for (size_t i = 0; i < polled_shards.size(); ++i) {
-      const pollfd& pfd = pollfds[shards_at + i];
-      ShardConn* conn = polled_shards[i];
-      if (conn->state == ShardConn::State::kConnecting) {
-        if (pfd.revents & (POLLOUT | POLLERR | POLLHUP)) FinishConnect(conn);
-        continue;
-      }
-      bool alive = true;
-      if (pfd.revents & (POLLERR | POLLNVAL)) alive = false;
-      if (alive && (pfd.revents & POLLOUT)) {
-        alive = FlushOutbox(conn->sock.fd(), &conn->outbox, &conn->out_pos);
-      }
-      if (alive && (pfd.revents & (POLLIN | POLLHUP))) {
-        alive = ServiceShardReadable(conn);
-      }
-      if (!alive) FailShardConn(conn);
-    }
-
-    for (size_t i = 0; i < polled_clients.size(); ++i) {
-      const pollfd& pfd = pollfds[clients_at + i];
-      const std::shared_ptr<ClientConn>& client = polled_clients[i];
-      bool alive = true;
-      if (pfd.revents & (POLLERR | POLLNVAL)) alive = false;
-      if (alive && (pfd.revents & POLLOUT)) {
-        alive =
-            FlushOutbox(client->sock.fd(), &client->outbox, &client->out_pos);
-      }
-      if (alive && (pfd.revents & (POLLIN | POLLHUP)) && !client->poisoned &&
-          !draining) {
-        alive = ServiceClientReadable(client);
-      } else if (alive && (pfd.revents & POLLHUP)) {
-        alive = false;
-      }
-      if (alive && client->poisoned &&
-          client->out_pos >= client->outbox.size()) {
-        alive = false;
-      }
-      if (!alive) {
-        client->closed = true;
-        client->sock.Close();
-        clients_.erase(pfd.fd);
-      }
-    }
+  const auto now = Clock::now();
+  if (now >= next_probe_) {
+    ProbeTick();
+    next_probe_ = now + std::chrono::microseconds(static_cast<int64_t>(
+                            options_.probe_interval_ms * 1000.0));
   }
-
-  for (auto& [fd, client] : clients_) {
-    client->closed = true;
-    client->sock.Close();
-  }
-  clients_.clear();
-  pending_.clear();
-  listener_.Close();
+  const auto until_probe = std::chrono::duration_cast<
+      std::chrono::milliseconds>(next_probe_ - Clock::now()).count();
+  return static_cast<int>(std::min<int64_t>(
+      until_probe, std::numeric_limits<int>::max()));
 }
 
-void Router::AcceptAll() {
-  while (true) {
-    const int fd = ::accept(listener_.fd(), nullptr, nullptr);
-    if (fd < 0) return;
-    if (clients_.size() >= kMaxClientConnections ||
-        !SetNonBlocking(fd).ok()) {
-      ::close(fd);
-      continue;
-    }
-    // Same rationale as the shard server: small latency-bound frames,
-    // so disable Nagle on the accepted side too.
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto client = std::make_shared<ClientConn>();
-    client->sock = Socket(fd);
-    clients_.emplace(fd, std::move(client));
-  }
-}
-
-bool Router::ServiceClientReadable(const std::shared_ptr<ClientConn>& conn) {
-  uint8_t chunk[kReadChunk];
-  while (true) {
-    const ssize_t n = ::recv(conn->sock.fd(), chunk, sizeof(chunk), 0);
-    if (n == 0) return false;
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      return false;
-    }
-    conn->decoder.Feed(chunk, static_cast<size_t>(n));
-    if (static_cast<size_t>(n) < sizeof(chunk)) break;
-  }
-  while (std::optional<Frame> frame = conn->decoder.Next()) {
-    HandleClientFrame(conn, std::move(*frame));
-    if (conn->poisoned) break;
-  }
-  if (conn->decoder.failed() && !conn->poisoned) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++counters_.protocol_errors;
-    }
-    conn->poisoned = true;
-    AppendToClient(conn, EncodeErrorFrame(conn->decoder.error(), 0));
-  }
-  return true;
-}
-
-void Router::HandleClientFrame(const std::shared_ptr<ClientConn>& conn,
+void Router::HandleClientFrame(const std::shared_ptr<Conn>& conn,
                                Frame frame) {
   switch (frame.type) {
     case FrameType::kRequest: {
@@ -432,13 +214,7 @@ void Router::HandleClientFrame(const std::shared_ptr<ClientConn>& conn,
           Span<const uint8_t>(frame.payload.data(), frame.payload.size()));
       std::string error;
       if (!DecodeRequestPayload(&reader, &request, &error)) {
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++counters_.protocol_errors;
-        }
-        conn->poisoned = true;
-        AppendToClient(
-            conn, EncodeErrorFrame("request decode: " + error, frame.tag));
+        loop_.Poison(*conn, "request decode: " + error, frame.tag);
         return;
       }
       const uint64_t router_tag = next_router_tag_++;
@@ -455,13 +231,11 @@ void Router::HandleClientFrame(const std::shared_ptr<ClientConn>& conn,
     }
     case FrameType::kHealthProbe: {
       WireHealth health;
-      size_t healthy = 0;
-      for (const Shard& shard : shards_) {
-        if (ShardHealthy(shard)) ++healthy;
-      }
-      health.ready = healthy > 0 ? 1 : 0;
+      health.ready = healthy_shards() > 0 ? 1 : 0;
       health.queue_depth = pending_.size();
-      AppendToClient(conn, EncodeHealthReplyFrame(health, frame.tag));
+      io::Writer payload;
+      EncodeHealthPayload(health, &payload);
+      conn->SendNow(FrameType::kHealthReply, frame.tag, payload.buffer());
       return;
     }
     case FrameType::kStatsProbe: {
@@ -469,22 +243,17 @@ void Router::HandleClientFrame(const std::shared_ptr<ClientConn>& conn,
       for (const Shard& shard : shards_) {
         if (shard.have_stats) total += shard.last_stats;
       }
-      AppendToClient(conn, EncodeStatsReplyFrame(total, frame.tag));
+      io::Writer payload;
+      EncodeStatsPayload(total, &payload);
+      conn->SendNow(FrameType::kStatsReply, frame.tag, payload.buffer());
       return;
     }
-    default: {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++counters_.protocol_errors;
-      }
-      conn->poisoned = true;
-      AppendToClient(conn, EncodeErrorFrame(
-                               std::string("unexpected ") +
-                                   FrameTypeName(frame.type) +
-                                   " frame at a router",
-                               frame.tag));
+    default:
+      loop_.Poison(*conn,
+                   std::string("unexpected ") + FrameTypeName(frame.type) +
+                       " frame at a router",
+                   frame.tag);
       return;
-    }
   }
 }
 
@@ -510,52 +279,25 @@ void Router::RoutePending(uint64_t router_tag) {
     return;
   }
   pending.conn = conn;
-  AppendFrame(FrameType::kRequest, router_tag,
-              Span<const uint8_t>(pending.payload.data(),
-                                  pending.payload.size()),
-              &conn->outbox);
-  if (!FlushOutbox(conn->sock.fd(), &conn->outbox, &conn->out_pos)) {
+  if (!conn->conn->SendNow(FrameType::kRequest, router_tag, pending.payload)) {
     FailShardConn(conn);  // re-routes this pending (attempts already counted)
     return;
   }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++counters_.requests_forwarded;
-  if (pending.attempts > 1) ++counters_.failovers;
+  requests_forwarded_.fetch_add(1, std::memory_order_relaxed);
+  if (pending.attempts > 1) failovers_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Router::RejectPending(Pending pending, const std::string& reason) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.no_shard_rejections;
-  }
-  if (pending.client == nullptr || pending.client->closed) return;
+  no_shard_rejections_.fetch_add(1, std::memory_order_relaxed);
   WireResponse response;
   response.status = engine::RequestStatus::kRejected;
   response.kind = pending.kind;
   response.venue_id = pending.venue_id;
   response.error = "router: " + reason;
-  AppendToClient(pending.client,
-                 EncodeResponseFrame(response, pending.client_tag));
-}
-
-bool Router::ServiceShardReadable(ShardConn* conn) {
-  uint8_t chunk[kReadChunk];
-  while (true) {
-    const ssize_t n = ::recv(conn->sock.fd(), chunk, sizeof(chunk), 0);
-    if (n == 0) return false;
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      return false;
-    }
-    conn->decoder.Feed(chunk, static_cast<size_t>(n));
-    if (static_cast<size_t>(n) < sizeof(chunk)) break;
-  }
-  while (std::optional<Frame> frame = conn->decoder.Next()) {
-    if (!HandleShardFrame(conn, std::move(*frame))) return false;
-  }
-  // A shard that sends us garbage is as dead as one that hung up.
-  return !conn->decoder.failed();
+  io::Writer payload;
+  EncodeResponsePayload(response, &payload);
+  pending.client->SendNow(FrameType::kResponse, pending.client_tag,
+                          payload.buffer());
 }
 
 bool Router::HandleShardFrame(ShardConn* conn, Frame frame) {
@@ -566,18 +308,9 @@ bool Router::HandleShardFrame(ShardConn* conn, Frame frame) {
       if (it == pending_.end()) return true;  // duplicate post-failover: drop
       Pending pending = std::move(it->second);
       pending_.erase(it);
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++counters_.responses_returned;
-      }
-      if (pending.client == nullptr || pending.client->closed) return true;
-      std::vector<uint8_t> out;
-      out.reserve(kHeaderBytes + frame.payload.size());
-      AppendFrame(FrameType::kResponse, pending.client_tag,
-                  Span<const uint8_t>(frame.payload.data(),
-                                      frame.payload.size()),
-                  &out);
-      AppendToClient(pending.client, out);
+      responses_returned_.fetch_add(1, std::memory_order_relaxed);
+      pending.client->SendNow(FrameType::kResponse, pending.client_tag,
+                              frame.payload);
       return true;
     }
     case FrameType::kHealthReply: {
@@ -588,8 +321,7 @@ bool Router::HandleShardFrame(ShardConn* conn, Frame frame) {
       if (DecodeHealthPayload(&reader, &health, &error)) {
         shard.unanswered_probes = 0;
         shard.ready_flag = health.ready != 0;
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        shard_healthy_snapshot_[conn->shard] = ShardHealthy(shard);
+        UpdateHealthy();
       }
       return true;
     }
@@ -614,16 +346,11 @@ bool Router::HandleShardFrame(ShardConn* conn, Frame frame) {
 
 void Router::FailShardConn(ShardConn* conn) {
   if (conn->state == ShardConn::State::kDown) return;
-  conn->sock.Close();
+  conn->conn->Close();
+  conn->conn = nullptr;
   conn->state = ShardConn::State::kDown;
-  conn->outbox.clear();
-  conn->out_pos = 0;
-  conn->decoder = FrameDecoder();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.shard_disconnects;
-    shard_healthy_snapshot_[conn->shard] = ShardHealthy(shards_[conn->shard]);
-  }
+  shard_disconnects_.fetch_add(1, std::memory_order_relaxed);
+  UpdateHealthy();
 
   // Re-route everything outstanding on this connection. Collect tags
   // first: RoutePending mutates pending_.
@@ -645,7 +372,8 @@ void Router::ProbeTick() {
           ++conn->connect_ticks > max_connect_ticks) {
         // A connect that neither completed nor errored within the timeout
         // (packets silently dropped): give up and re-dial next tick.
-        conn->sock.Close();
+        conn->conn->Close();
+        conn->conn = nullptr;
         conn->state = ShardConn::State::kDown;
       }
       if (conn->state == ShardConn::State::kDown) StartConnect(conn.get());
@@ -669,40 +397,12 @@ void Router::ProbeTick() {
     }
     ++shard.unanswered_probes;
     ++probe_tag_;
-    AppendFrame(FrameType::kHealthProbe, probe_tag_, {}, &probe_conn->outbox);
-    AppendFrame(FrameType::kStatsProbe, probe_tag_, {}, &probe_conn->outbox);
-    if (!FlushOutbox(probe_conn->sock.fd(), &probe_conn->outbox,
-                     &probe_conn->out_pos)) {
+    Conn& probe = *probe_conn->conn;
+    probe.Send(FrameType::kHealthProbe, probe_tag_, {});
+    if (!probe.SendNow(FrameType::kStatsProbe, probe_tag_, {})) {
       FailShardConn(probe_conn);
     }
   }
-}
-
-void Router::AppendToClient(const std::shared_ptr<ClientConn>& conn,
-                            const std::vector<uint8_t>& bytes) {
-  if (conn->closed) return;
-  conn->outbox.insert(conn->outbox.end(), bytes.begin(), bytes.end());
-  FlushOutbox(conn->sock.fd(), &conn->outbox, &conn->out_pos);
-}
-
-bool Router::FlushOutbox(int fd, std::vector<uint8_t>* outbox,
-                         size_t* out_pos) {
-  if (fd < 0) return false;
-  while (*out_pos < outbox->size()) {
-    const ssize_t n = ::send(fd, outbox->data() + *out_pos,
-                             outbox->size() - *out_pos, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-      if (errno == EINTR) continue;
-      return false;
-    }
-    *out_pos += static_cast<size_t>(n);
-  }
-  if (*out_pos == outbox->size() && *out_pos > 0) {
-    outbox->clear();
-    *out_pos = 0;
-  }
-  return true;
 }
 
 }  // namespace net

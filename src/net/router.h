@@ -1,10 +1,11 @@
 // net::Router: the thin front process of the sharded deployment. Clients
-// speak the same wire protocol to the router as to a shard; the router
-// decodes only enough of each request frame to learn its venue, picks the
-// owning shard by consistent (rendezvous) assignment over the healthy
-// shard set, forwards the *unmodified payload* under a fresh router tag,
-// and restores the caller's tag on the way back — so the router scales
-// with frame bytes, not with query complexity.
+// speak the same wire protocol to the router as to a shard. The router
+// fully decodes each request frame — the fleet's first line of input
+// validation, so garbage never reaches a shard — but keeps only its venue
+// and kind. It picks the owning shard by consistent (rendezvous)
+// assignment over the healthy shard set, forwards the *unmodified
+// payload* under a fresh router tag, and restores the caller's tag on the
+// way back.
 //
 // Failover: every forwarded request keeps its encoded payload in the
 // pending table until its response arrives. When a shard connection dies
@@ -26,24 +27,25 @@
 // The cached per-shard stats replies are summed into the fleet-wide
 // WireStats the router answers kStatsProbe with.
 //
-// Threading: strictly single-threaded — one poll() loop owns every socket
-// and all state, so there are no locks on the forwarding path. The only
-// cross-thread surface is RequestDrain()/Stop() (atomic flag + self-pipe),
-// safe from signal handlers.
+// Threading: the router's policy runs on one EventLoop thread
+// (net/event_loop.h), which owns every socket, the pending table and the
+// shard pools. The accessors read relaxed atomic counters, so the
+// forwarding path takes no lock of its own (each Conn's outbox lock is
+// uncontended here). RequestDrain()/Stop() are the only cross-thread
+// controls, and RequestDrain() is safe from a signal handler.
 
 #ifndef VIPTREE_NET_ROUTER_H_
 #define VIPTREE_NET_ROUTER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "net/socket.h"
+#include "net/event_loop.h"
 #include "net/wire.h"
 
 namespace viptree {
@@ -83,13 +85,13 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   io::Status Start();
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return loop_.port(); }
 
   // Async-signal-safe graceful drain: stop accepting, answer everything
   // in flight, flush, exit. Wait() joins the loop.
-  void RequestDrain();
-  void Wait();
-  void Stop();
+  void RequestDrain() { loop_.RequestDrain(); }
+  void Wait() { loop_.Wait(); }
+  void Stop() { loop_.Stop(); }
 
   // Stable venue -> shard-index assignment over *all* configured shards
   // (health aside) — the planned partition. Exposed for tests and the
@@ -103,23 +105,12 @@ class Router {
   size_t healthy_shards() const;
 
  private:
-  struct ClientConn {
-    Socket sock;
-    FrameDecoder decoder;
-    std::vector<uint8_t> outbox;
-    size_t out_pos = 0;
-    bool poisoned = false;  // flush the kError frame, then close
-    bool closed = false;    // late responses to this client are dropped
-  };
-
+  // One pooled connection to a shard; `conn` is null while down.
   struct ShardConn {
     size_t shard = 0;
-    Socket sock;
     enum class State { kDown, kConnecting, kReady };
     State state = State::kDown;
-    FrameDecoder decoder;
-    std::vector<uint8_t> outbox;
-    size_t out_pos = 0;
+    std::shared_ptr<Conn> conn;
     // Probe ticks spent in kConnecting; bounded by connect_timeout_ms.
     size_t connect_ticks = 0;
   };
@@ -135,7 +126,7 @@ class Router {
   };
 
   struct Pending {
-    std::shared_ptr<ClientConn> client;
+    std::shared_ptr<Conn> client;
     uint64_t client_tag = 0;
     std::vector<uint8_t> payload;  // re-sent verbatim on failover
     std::string venue_id;
@@ -144,12 +135,7 @@ class Router {
     ShardConn* conn = nullptr;  // where it is currently outstanding
   };
 
-  void Loop();
-  void AcceptAll();
-  bool ServiceClientReadable(const std::shared_ptr<ClientConn>& conn);
-  void HandleClientFrame(const std::shared_ptr<ClientConn>& conn,
-                         Frame frame);
-  bool ServiceShardReadable(ShardConn* conn);
+  void HandleClientFrame(const std::shared_ptr<Conn>& conn, Frame frame);
   // False when the shard spoke nonsense and the connection must be failed.
   bool HandleShardFrame(ShardConn* conn, Frame frame);
   // Marks the connection down, closes it, and re-routes its pendings.
@@ -163,37 +149,33 @@ class Router {
   // A ready pool connection on `shard` (round-robin), or nullptr.
   ShardConn* ReadyConn(size_t shard);
   bool ShardHealthy(const Shard& shard) const;
+  // Recounts healthy_shards_ after a connection or ready-bit change.
+  void UpdateHealthy();
   void StartConnect(ShardConn* conn);
-  void FinishConnect(ShardConn* conn);
+  // Runs the probe tick when it is due; returns the ms until the next.
+  int BeforePoll();
   void ProbeTick();
   void RejectPending(Pending pending, const std::string& reason);
-  void AppendToClient(const std::shared_ptr<ClientConn>& conn,
-                      const std::vector<uint8_t>& bytes);
-  static bool FlushOutbox(int fd, std::vector<uint8_t>* outbox,
-                          size_t* out_pos);
 
   std::vector<std::string> venue_ids_;
   RouterOptions options_;
   std::vector<Shard> shards_;
-  Socket listener_;
-  uint16_t port_ = 0;
-  WakePipe wake_;
-  std::thread loop_thread_;
-  bool started_ = false;
-  std::mutex lifecycle_mu_;
-  std::atomic<bool> drain_requested_{false};
-  std::atomic<bool> stop_requested_{false};
 
-  // Everything below is loop-thread-owned, except the two mutable
-  // snapshots guarded by stats_mu_ for the in-process accessors.
-  std::map<int, std::shared_ptr<ClientConn>> clients_;
+  // Loop-thread-owned.
   std::map<uint64_t, Pending> pending_;
   uint64_t next_router_tag_ = 1;
   uint64_t probe_tag_ = 0;
+  std::chrono::steady_clock::time_point next_probe_{};  // first tick at once
 
-  mutable std::mutex stats_mu_;
-  RouterCounters counters_;
-  std::vector<bool> shard_healthy_snapshot_;
+  // Written by the loop, read by the accessors from any thread.
+  std::atomic<uint64_t> requests_forwarded_{0};
+  std::atomic<uint64_t> responses_returned_{0};
+  std::atomic<uint64_t> failovers_{0};
+  std::atomic<uint64_t> no_shard_rejections_{0};
+  std::atomic<uint64_t> shard_disconnects_{0};
+  std::atomic<size_t> healthy_shards_{0};
+
+  EventLoop loop_;  // last: its thread uses everything above
 };
 
 }  // namespace net

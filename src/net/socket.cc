@@ -96,8 +96,7 @@ io::Status ListenTcp(const std::string& bind_address, uint16_t port,
   return io::Status::Ok();
 }
 
-io::Status ConnectTcp(const std::string& endpoint, double timeout_ms,
-                      Socket* out) {
+io::Status ConnectNonBlocking(const std::string& endpoint, Socket* out) {
   std::string host;
   uint16_t port = 0;
   if (!ParseHostPort(endpoint, &host, &port)) {
@@ -122,48 +121,53 @@ io::Status ConnectTcp(const std::string& endpoint, double timeout_ms,
       status = io::Status::Error(Errno("socket"));
       continue;
     }
-    // Connect non-blocking so the attempt can be bounded by poll(), then
-    // flip back to blocking for the caller.
     if (io::Status nb = SetNonBlocking(sock.fd()); !nb.ok()) {
       status = std::move(nb);
       continue;
     }
-    int result = ::connect(sock.fd(), ai->ai_addr, ai->ai_addrlen);
-    if (result < 0 && errno == EINPROGRESS) {
-      pollfd pfd{sock.fd(), POLLOUT, 0};
-      const int wait_ms =
-          timeout_ms > 0.0 ? static_cast<int>(timeout_ms) : 10000;
-      const int ready = ::poll(&pfd, 1, wait_ms);
-      if (ready <= 0) {
-        status = io::Status::Error("connect " + endpoint + ": " +
-                                   (ready == 0 ? "timed out"
-                                               : std::strerror(errno)));
-        continue;
-      }
-      int so_error = 0;
-      socklen_t len = sizeof(so_error);
-      ::getsockopt(sock.fd(), SOL_SOCKET, SO_ERROR, &so_error, &len);
-      if (so_error != 0) {
-        status = io::Status::Error("connect " + endpoint + ": " +
-                                   std::strerror(so_error));
-        continue;
-      }
-      result = 0;
-    }
-    if (result < 0) {
+    if (::connect(sock.fd(), ai->ai_addr, ai->ai_addrlen) < 0 &&
+        errno != EINPROGRESS) {
       status = io::Status::Error(Errno("connect " + endpoint));
       continue;
     }
-    const int flags = ::fcntl(sock.fd(), F_GETFL, 0);
-    if (flags >= 0) ::fcntl(sock.fd(), F_SETFL, flags & ~O_NONBLOCK);
-    const int one = 1;
-    ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     *out = std::move(sock);
-    ::freeaddrinfo(resolved);
-    return io::Status::Ok();
+    status = io::Status::Ok();
+    break;
   }
   ::freeaddrinfo(resolved);
   return status;
+}
+
+io::Status FinishConnect(int fd) {
+  int so_error = 0;
+  socklen_t len = sizeof(so_error);
+  ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len);
+  if (so_error != 0) return io::Status::Error(std::strerror(so_error));
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return io::Status::Ok();
+}
+
+io::Status ConnectTcp(const std::string& endpoint, double timeout_ms,
+                      Socket* out) {
+  Socket sock;
+  if (io::Status status = ConnectNonBlocking(endpoint, &sock); !status.ok()) {
+    return status;
+  }
+  pollfd pfd{sock.fd(), POLLOUT, 0};
+  const int wait_ms = timeout_ms > 0.0 ? static_cast<int>(timeout_ms) : 10000;
+  const int ready = ::poll(&pfd, 1, wait_ms);
+  if (ready <= 0) {
+    return io::Status::Error("connect " + endpoint + ": " +
+                             (ready == 0 ? "timed out" : std::strerror(errno)));
+  }
+  if (io::Status status = FinishConnect(sock.fd()); !status.ok()) {
+    return io::Status::Error("connect " + endpoint + ": " + status.error);
+  }
+  const int flags = ::fcntl(sock.fd(), F_GETFL, 0);
+  if (flags >= 0) ::fcntl(sock.fd(), F_SETFL, flags & ~O_NONBLOCK);
+  *out = std::move(sock);
+  return io::Status::Ok();
 }
 
 io::Status WakePipe::Create(WakePipe* out) {

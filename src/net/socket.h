@@ -1,9 +1,10 @@
 // Thin POSIX TCP plumbing under the network tier: an RAII fd, listen /
 // connect helpers with io::Status error reporting, and host:port parsing.
 // Everything here is deliberately boring — the interesting behavior
-// (framing, routing, draining) lives above it in wire.h / shard_server.h /
-// router.h, and every call site treats failure as a reportable condition,
-// never a crash (the rest of the library's error model).
+// (framing, the event loop, routing, draining) lives above it in wire.h /
+// event_loop.h / shard_server.h / router.h, and every call site treats
+// failure as a reportable condition, never a crash (the rest of the
+// library's error model).
 
 #ifndef VIPTREE_NET_SOCKET_H_
 #define VIPTREE_NET_SOCKET_H_
@@ -60,9 +61,19 @@ bool ParseHostPort(const std::string& endpoint, std::string* host,
 io::Status ListenTcp(const std::string& bind_address, uint16_t port,
                      int backlog, Socket* out, uint16_t* bound_port);
 
-// Blocking connect to "host:port" with TCP_NODELAY (frames are small and
+// Resolves "host:port" and starts a non-blocking connect. *out is a
+// non-blocking socket whose connect completes when it polls writable;
+// FinishConnect then reports how it ended.
+io::Status ConnectNonBlocking(const std::string& endpoint, Socket* out);
+
+// Completes a connect that ConnectNonBlocking started: an error if it
+// failed (SO_ERROR), else sets TCP_NODELAY (frames are small and
 // latency-bound; Nagle would serialize the request/response ping-pong).
-// `timeout_ms` bounds the connection attempt; <= 0 means the OS default.
+io::Status FinishConnect(int fd);
+
+// Blocking connect to "host:port" with TCP_NODELAY: ConnectNonBlocking,
+// a poll bounded by `timeout_ms` (<= 0 means 10 s), FinishConnect, then
+// back to blocking mode.
 io::Status ConnectTcp(const std::string& endpoint, double timeout_ms,
                       Socket* out);
 

@@ -344,22 +344,24 @@ bool DecodeStatsPayload(io::Reader* reader, WireStats* stats,
   return FinishDecode(*reader, error);
 }
 
-void AppendFrame(FrameType type, uint64_t tag, Span<const uint8_t> payload,
-                 std::vector<uint8_t>* out) {
+void EncodeFrameHeader(FrameType type, uint64_t tag,
+                       Span<const uint8_t> payload, uint8_t* header) {
   VIPTREE_CHECK_MSG(payload.size() <= kMaxPayloadBytes,
                     "frame payload exceeds kMaxPayloadBytes");
-  io::Writer header;
-  header.U32(kWireMagic);
-  header.U8(kWireVersion);
-  header.U8(static_cast<uint8_t>(type));
-  header.U8(0);  // flags (reserved, two bytes)
-  header.U8(0);
-  header.U64(tag);
-  header.U32(static_cast<uint32_t>(payload.size()));
-  header.U32(io::Crc32(payload.data(), payload.size()));
-  VIPTREE_DCHECK(header.size() == kHeaderBytes);
-  out->insert(out->end(), header.buffer().begin(), header.buffer().end());
-  out->insert(out->end(), payload.begin(), payload.end());
+  const uint32_t magic = io::detail::ToLittle(kWireMagic);
+  const uint64_t tag_le = io::detail::ToLittle(tag);
+  const uint32_t size =
+      io::detail::ToLittle(static_cast<uint32_t>(payload.size()));
+  const uint32_t crc =
+      io::detail::ToLittle(io::Crc32(payload.data(), payload.size()));
+  std::memcpy(header, &magic, sizeof(magic));
+  header[4] = kWireVersion;
+  header[5] = static_cast<uint8_t>(type);
+  header[6] = 0;  // flags (reserved, two bytes)
+  header[7] = 0;
+  std::memcpy(header + 8, &tag_le, sizeof(tag_le));
+  std::memcpy(header + 16, &size, sizeof(size));
+  std::memcpy(header + 20, &crc, sizeof(crc));
 }
 
 namespace {
@@ -370,9 +372,9 @@ std::vector<uint8_t> FrameOf(FrameType type, uint64_t tag, EncodeFn encode) {
   encode(&payload);
   std::vector<uint8_t> out;
   out.reserve(kHeaderBytes + payload.size());
-  AppendFrame(type, tag,
-              Span<const uint8_t>(payload.buffer().data(), payload.size()),
-              &out);
+  out.resize(kHeaderBytes);
+  EncodeFrameHeader(type, tag, payload.buffer(), out.data());
+  out.insert(out.end(), payload.buffer().begin(), payload.buffer().end());
   return out;
 }
 
@@ -392,29 +394,8 @@ std::vector<uint8_t> EncodeResponseFrame(const WireResponse& response,
   });
 }
 
-std::vector<uint8_t> EncodeHealthReplyFrame(const WireHealth& health,
-                                            uint64_t tag) {
-  return FrameOf(FrameType::kHealthReply, tag, [&](io::Writer* w) {
-    EncodeHealthPayload(health, w);
-  });
-}
-
-std::vector<uint8_t> EncodeStatsReplyFrame(const WireStats& stats,
-                                           uint64_t tag) {
-  return FrameOf(FrameType::kStatsReply, tag, [&](io::Writer* w) {
-    EncodeStatsPayload(stats, w);
-  });
-}
-
 std::vector<uint8_t> EncodeEmptyFrame(FrameType type, uint64_t tag) {
   return FrameOf(type, tag, [](io::Writer*) {});
-}
-
-std::vector<uint8_t> EncodeErrorFrame(const std::string& message,
-                                      uint64_t tag) {
-  return FrameOf(FrameType::kError, tag, [&](io::Writer* w) {
-    w->String(message);
-  });
 }
 
 void RetagFrame(uint64_t tag, uint8_t* frame) {

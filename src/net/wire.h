@@ -156,22 +156,17 @@ bool DecodeStatsPayload(io::Reader* reader, WireStats* stats,
 
 // --- Frame assembly ------------------------------------------------------
 
-// Appends one complete frame (header + payload) to *out.
-void AppendFrame(FrameType type, uint64_t tag, Span<const uint8_t> payload,
-                 std::vector<uint8_t>* out);
+// Writes the kHeaderBytes header of a frame carrying `payload` (its size
+// and CRC included) to `header`.
+void EncodeFrameHeader(FrameType type, uint64_t tag,
+                       Span<const uint8_t> payload, uint8_t* header);
 
 // Convenience wrappers that encode the payload and frame it in one step.
 std::vector<uint8_t> EncodeRequestFrame(const WireRequest& request,
                                         uint64_t tag);
 std::vector<uint8_t> EncodeResponseFrame(const WireResponse& response,
                                          uint64_t tag);
-std::vector<uint8_t> EncodeHealthReplyFrame(const WireHealth& health,
-                                            uint64_t tag);
-std::vector<uint8_t> EncodeStatsReplyFrame(const WireStats& stats,
-                                           uint64_t tag);
 std::vector<uint8_t> EncodeEmptyFrame(FrameType type, uint64_t tag);
-std::vector<uint8_t> EncodeErrorFrame(const std::string& message,
-                                      uint64_t tag);
 
 // Rewrites the tag field of an already-encoded frame in place (the router's
 // re-tag path). `frame` must hold at least kHeaderBytes.

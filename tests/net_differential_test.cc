@@ -4,17 +4,22 @@
 // shards must answer bit-identically — the wire protocol, the shard
 // server, and the router add transport, never semantics. Plus the
 // operational paths: kill-a-shard failover re-routes to the surviving
-// shard, and a router with no healthy shard rejects cleanly.
+// shard, a router with no healthy shard rejects cleanly, a draining router
+// answers every request it forwarded before closing, and garbage on one
+// router client connection poisons only that connection.
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -24,6 +29,7 @@
 #include "net/client.h"
 #include "net/router.h"
 #include "net/shard_server.h"
+#include "net/socket.h"
 #include "synth/objects.h"
 
 namespace viptree {
@@ -370,6 +376,131 @@ TEST_F(NetDifferentialTest, NoHealthyShardRejectsCleanly) {
   EXPECT_GE(router.counters().no_shard_rejections, 1u);
 
   router.Stop();
+}
+
+TEST_F(NetDifferentialTest, RouterDrainAnswersEveryForwardedRequest) {
+  net::ShardServerOptions shard_options;
+  shard_options.service.num_threads = 1;
+  net::ShardServer shard(OpenRegistry(), shard_options);
+  ASSERT_TRUE(shard.Start().ok());
+  net::RouterOptions router_options;
+  router_options.probe_interval_ms = 25.0;
+  net::Router router({"127.0.0.1:" + std::to_string(shard.port())}, *ids_,
+                     router_options);
+  ASSERT_TRUE(router.Start().ok());
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (router.healthy_shards() < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  std::string error;
+  std::unique_ptr<net::Client> client = net::Client::Connect(
+      ":" + std::to_string(router.port()), &error);
+  ASSERT_NE(client, nullptr) << error;
+
+  // Path queries keep the one shard worker busy, so most of the pipeline
+  // is still in flight behind the router when the drain starts.
+  constexpr uint64_t kCount = 48;
+  Rng rng(17);
+  for (uint64_t i = 0; i < kCount; ++i) {
+    eng::Request request;
+    request.venue_id = (*ids_)[i % ids_->size()];
+    const Venue& venue = (*venues_)[i % ids_->size()];
+    request.query = eng::Query::Path(synth::RandomIndoorPoint(venue, rng),
+                                     synth::RandomIndoorPoint(venue, rng));
+    ASSERT_TRUE(
+        client->Send(net::WireRequest::FromRequest(request, 0.0), i).ok());
+  }
+  // Drain only once the router has read and forwarded every request: a
+  // draining router stops reading, so anything it had not read yet would
+  // legitimately go unanswered.
+  while (router.counters().requests_forwarded < kCount) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  router.RequestDrain();
+
+  std::vector<bool> seen(kCount, false);
+  for (uint64_t i = 0; i < kCount; ++i) {
+    net::WireResponse response;
+    uint64_t tag = 0;
+    const io::Status status = client->Receive(&response, &tag, 30000.0);
+    ASSERT_TRUE(status.ok()) << "answer " << i << ": " << status.error;
+    ASSERT_LT(tag, kCount);
+    EXPECT_FALSE(seen[tag]);
+    seen[tag] = true;
+    EXPECT_TRUE(response.ok()) << response.error;
+  }
+  // Everything answered: the router closes the connection and exits.
+  net::WireResponse extra;
+  uint64_t extra_tag = 0;
+  EXPECT_FALSE(client->Receive(&extra, &extra_tag, 30000.0).ok());
+  router.Wait();
+  EXPECT_EQ(router.counters().responses_returned, kCount);
+  router.Stop();
+  shard.Stop();
+}
+
+TEST_F(NetDifferentialTest, RouterGarbageBytesPoisonOnlyThatClient) {
+  net::ShardServerOptions shard_options;
+  shard_options.service.num_threads = 1;
+  net::ShardServer shard(OpenRegistry(), shard_options);
+  ASSERT_TRUE(shard.Start().ok());
+  net::RouterOptions router_options;
+  router_options.probe_interval_ms = 25.0;
+  net::Router router({"127.0.0.1:" + std::to_string(shard.port())}, *ids_,
+                     router_options);
+  ASSERT_TRUE(router.Start().ok());
+  const std::string endpoint = ":" + std::to_string(router.port());
+
+  Rng rng(23);
+  const auto knn = [&]() {
+    eng::Request request;
+    request.venue_id = (*ids_)[0];
+    request.query =
+        eng::Query::Knn(synth::RandomIndoorPoint((*venues_)[0], rng), 3);
+    return net::WireRequest::FromRequest(request, 0.0);
+  };
+
+  std::string error;
+  std::unique_ptr<net::Client> good = net::Client::Connect(endpoint, &error);
+  ASSERT_NE(good, nullptr) << error;
+  net::WireResponse response;
+  ASSERT_TRUE(good->Call(knn(), &response).ok());
+  EXPECT_TRUE(response.ok()) << response.error;
+
+  net::Socket bad;
+  ASSERT_TRUE(net::ConnectTcp(endpoint, 5000.0, &bad).ok());
+  std::vector<uint8_t> garbage(200);
+  for (uint8_t& b : garbage) b = static_cast<uint8_t>(rng.UniformIndex(256));
+  garbage[0] = 0x00;  // never the real magic
+  ASSERT_EQ(::send(bad.fd(), garbage.data(), garbage.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(garbage.size()));
+
+  // The router answers that connection with a kError frame, then closes it.
+  net::FrameDecoder decoder;
+  uint8_t chunk[1024];
+  bool got_error_frame = false;
+  while (true) {
+    const ssize_t n = ::recv(bad.fd(), chunk, sizeof(chunk), 0);
+    if (n <= 0) break;
+    decoder.Feed(chunk, static_cast<size_t>(n));
+    while (std::optional<net::Frame> frame = decoder.Next()) {
+      if (frame->type == net::FrameType::kError) got_error_frame = true;
+    }
+  }
+  EXPECT_TRUE(got_error_frame);
+  EXPECT_GE(router.counters().protocol_errors, 1u);
+
+  // The other client's connection keeps being served.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(good->Call(knn(), &response).ok());
+    EXPECT_TRUE(response.ok()) << response.error;
+  }
+  router.Stop();
+  shard.Stop();
 }
 
 }  // namespace
