@@ -1,4 +1,4 @@
-// City-scale read-path benchmark, in three parts:
+// City-scale read-path benchmark, in two parts:
 //
 //   1. Kernel microbenches — the common/kernels.h row scans (min-plus leaf
 //      scan, gather-based ascent step, row-min reduction, radius filter)
@@ -8,11 +8,6 @@
 //      through engine::QueryEngine at growing venue scale, with the City
 //      tier (synth/presets.h) carrying an object set that reaches ~10^6 at
 //      VIPTREE_SCALE=1.0.
-//   3. Bounded-RSS demo — the largest swept venue saved as a snapshot
-//      and served through a VenueRegistry configured with
-//      drop_pages_on_evict: PSS is sampled after querying
-//      (pages faulted in) and after eviction (pages returned to the OS
-//      while the bundle reference is still alive).
 //
 // Env knobs (bench_common.h): VIPTREE_SCALE multiplies venue scale
 // (default: MC/MC-2 at 1.0, City at 0.05 — set 1.0 for the full city),
@@ -21,7 +16,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -30,7 +24,6 @@
 #include "common/stats.h"
 #include "engine/query_engine.h"
 #include "engine/venue_bundle.h"
-#include "engine/venue_registry.h"
 #include "synth/presets.h"
 
 namespace viptree {
@@ -220,99 +213,6 @@ void PrintSweep(const std::vector<SweepRow>& rows) {
   std::printf("\n");
 }
 
-// --------------------------------------------------------------------------
-// Part 3: bounded RSS with drop_pages_on_evict.
-// --------------------------------------------------------------------------
-
-// Proportional set size in KiB (see bench_mmap_load.cc for the rationale).
-long PssKib() {
-  std::FILE* f = std::fopen("/proc/self/smaps_rollup", "rb");
-  if (f == nullptr) return 0;
-  char line[256];
-  long kib = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "Pss:", 4) == 0) {
-      kib = std::atol(line + 4);
-      break;
-    }
-  }
-  std::fclose(f);
-  return kib;
-}
-
-std::string TempPath(const char* name) {
-  const char* dir = std::getenv("TMPDIR");
-  if (dir == nullptr || dir[0] == '\0') dir = "/tmp";
-  return std::string(dir) + "/viptree_bench_city_" + name;
-}
-
-void PrintBoundedRssDemo(synth::Dataset dataset) {
-  Venue venue = synth::MakeDataset(dataset, ScaleFor(dataset));
-  Rng rng(0xE51C7);
-  std::vector<IndoorPoint> objects =
-      synth::PlaceObjects(venue, 3 * venue.NumPartitions(), rng);
-  const eng::VenueBundle built =
-      eng::VenueBundle::Build(std::move(venue), std::move(objects));
-  const std::string snap = TempPath("rss.vipsnap");
-  const std::string manifest = TempPath("rss.manifest");
-  if (io::Status s = built.Save(snap); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.error.c_str());
-    return;
-  }
-  if (io::Status s =
-          eng::VenueRegistry::UpsertManifestEntry(manifest, "city", snap);
-      !s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.error.c_str());
-    return;
-  }
-
-  eng::VenueBundle::LoadOptions load;
-  load.drop_pages_on_evict = true;
-  std::string error;
-  std::optional<eng::VenueRegistry> registry =
-      eng::VenueRegistry::Open(manifest, &error, load);
-  if (!registry.has_value()) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return;
-  }
-
-  const long pss_before_load = PssKib();
-  std::shared_ptr<const eng::VenueBundle> bundle =
-      registry->Acquire("city", &error);
-  if (bundle == nullptr) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return;
-  }
-  // Fault the index in by querying through it.
-  eng::QueryEngine engine(bundle);
-  Rng qrng(0xDEED);
-  for (int i = 0; i < 200; ++i) {
-    const IndoorPoint a = synth::RandomIndoorPoint(bundle->venue(), qrng);
-    const IndoorPoint b = synth::RandomIndoorPoint(bundle->venue(), qrng);
-    KeepAlive(engine.Run(eng::Query::Distance(a, b)));
-  }
-  const long pss_resident = PssKib();
-  registry->Evict("city");  // pages returned to the OS
-  const long pss_evicted = PssKib();
-
-  std::printf("=== bounded RSS with drop_pages_on_evict (%s snapshot) ===\n",
-              synth::InfoFor(dataset).name.c_str());
-  std::printf("PSS before load:        %8ld KiB\n", pss_before_load);
-  std::printf("PSS after 200 queries:  %8ld KiB\n", pss_resident);
-  std::printf("PSS after eviction:     %8ld KiB  (bundle ref still held)\n",
-              pss_evicted);
-  const long faulted = pss_resident - pss_before_load;
-  const long dropped = pss_resident - pss_evicted;
-  if (faulted > 0) {
-    std::printf("eviction returned %ld of %ld KiB (%.0f%%) to the OS\n",
-                dropped, faulted,
-                100.0 * static_cast<double>(dropped) /
-                    static_cast<double>(faulted));
-  }
-  std::remove(snap.c_str());
-  std::remove(manifest.c_str());
-}
-
 int Main() {
   if (std::getenv("VIPTREE_FORCE_SCALAR") != nullptr) {
     std::printf("(VIPTREE_FORCE_SCALAR set: dispatch pinned to scalar)\n");
@@ -324,7 +224,6 @@ int Main() {
     rows.push_back(SweepDataset(d));
   }
   PrintSweep(rows);
-  PrintBoundedRssDemo(synth::Dataset::kCity);
   return 0;
 }
 

@@ -46,14 +46,16 @@
 namespace viptree {
 
 struct DistanceCacheOptions {
-  // Owning layers (EngineOptions / ServiceOptions) create a cache only
-  // when set; a constructed DistanceCache itself is always active.
+  // The owning layer (ServiceOptions::cache) creates a cache only when
+  // set; a constructed DistanceCache itself is always active, and
+  // QueryEngine::EnableDistanceCache ignores the flag (calling it *is*
+  // enabling).
   bool enabled = false;
   // Total entries across all shards (>= 1 per shard is enforced). 0 is
-  // the *auto* sentinel: layers that know the venue (VenueBundle,
-  // QueryEngine, Service) resolve it to AdaptiveCacheCapacity(venue door
-  // count) before constructing the cache; a DistanceCache built directly
-  // with 0 falls back to the historical fixed default (1 << 16).
+  // the *auto* sentinel: layers that know the venue (QueryEngine,
+  // Service) resolve it to AdaptiveCacheCapacity(venue door count) before
+  // constructing the cache; a DistanceCache built directly with 0 falls
+  // back to the historical fixed default (1 << 16).
   size_t capacity = 0;
   // Rounded up to a power of two, clamped to [1, 256].
   size_t shards = 8;

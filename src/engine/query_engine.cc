@@ -115,7 +115,6 @@ size_t MatricesConsulted(const IPTree& tree, PartitionId s, PartitionId t) {
 
 QueryEngine::QueryEngine(VenueBundle bundle)
     : bundle_(std::make_shared<VenueBundle>(std::move(bundle))) {
-  cache_ = bundle_->distance_cache();
   RebuildWorker();
 }
 
@@ -123,7 +122,6 @@ QueryEngine::QueryEngine(std::shared_ptr<const VenueBundle> bundle)
     : bundle_(std::move(bundle)) {
   VIPTREE_CHECK_MSG(bundle_ != nullptr,
                     "QueryEngine constructed over a null bundle");
-  cache_ = bundle_->distance_cache();
   RebuildWorker();
 }
 

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/span.h"
+#include "core/distance_cache.h"
 #include "core/keyword_query.h"
 #include "engine/exec_plan.h"
 #include "core/knn_query.h"
@@ -159,9 +160,9 @@ class QueryEngine {
   // Combined footprint of the owned indexes.
   uint64_t IndexMemoryBytes() const;
 
-  // Cross-request distance cache (core/distance_cache.h). At construction
-  // the engine adopts the bundle's cache (nullptr when the bundle has
-  // none). EnableDistanceCache creates a private per-engine cache;
+  // Cross-request distance cache (core/distance_cache.h), off (nullptr)
+  // at construction. EnableDistanceCache creates a private per-engine
+  // cache, resolving a 0 capacity from the venue's door count;
   // SetDistanceCache shares an existing one (e.g. one cache per venue
   // across many engines — engine::Service does this). Both rebuild the
   // resident worker, so call them between queries, not concurrently with

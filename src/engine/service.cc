@@ -427,6 +427,8 @@ QueryEngine* Service::ResolveEngine(
     const std::string& venue_id,
     std::map<std::string, std::unique_ptr<QueryEngine>>* engines,
     std::string* error) {
+  const auto it = engines->find(venue_id);
+  if (it != engines->end()) return it->second.get();
   std::shared_ptr<const VenueBundle> bundle;
   if (!registry_.has_value()) {
     if (!venue_id.empty()) {
@@ -439,51 +441,27 @@ QueryEngine* Service::ResolveEngine(
     bundle = registry_->Acquire(venue_id, error);
     if (bundle == nullptr) return nullptr;
   }
-  std::unique_ptr<QueryEngine>& slot = (*engines)[venue_id];
-  // Rebuild when the registry re-loaded the venue since this worker last
-  // served it (eviction + re-Acquire hands out a fresh bundle); comparing
-  // bundle addresses also releases this worker's pin on the evicted one.
-  if (slot == nullptr || &slot->bundle() != bundle.get()) {
-    std::shared_ptr<DistanceCache> cache = CacheFor(venue_id, bundle);
-    slot = std::make_unique<QueryEngine>(std::move(bundle));
-    if (cache != nullptr) slot->SetDistanceCache(std::move(cache));
+  auto engine = std::make_unique<QueryEngine>(std::move(bundle));
+  if (std::shared_ptr<DistanceCache> cache =
+          CacheFor(venue_id, engine->bundle())) {
+    engine->SetDistanceCache(std::move(cache));
   }
-  // Honour the registry's residency cap here too: cached engines pin their
-  // bundles, so once this worker's cache outgrows the cap, drop engines
-  // whose venue the registry has since evicted — otherwise worker caches
-  // would quietly grow toward manifest size and defeat the LRU policy.
-  const size_t cap =
-      registry_.has_value() ? registry_->max_resident_venues() : 0;
-  if (cap != 0 && engines->size() > cap) {
-    for (auto it = engines->begin(); it != engines->end();) {
-      if (it->first != venue_id && !registry_->IsResident(it->first)) {
-        it = engines->erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  return engines->at(venue_id).get();
+  return engines->emplace(venue_id, std::move(engine)).first->second.get();
 }
 
-std::shared_ptr<DistanceCache> Service::CacheFor(
-    const std::string& venue_id,
-    const std::shared_ptr<const VenueBundle>& bundle) {
+std::shared_ptr<DistanceCache> Service::CacheFor(const std::string& venue_id,
+                                                 const VenueBundle& bundle) {
   if (!options_.cache.enabled) return nullptr;
-  DistanceCacheOptions resolved = options_.cache;
-  if (resolved.capacity == 0) {
-    resolved.capacity = AdaptiveCacheCapacity(bundle->venue().NumDoors());
-  }
   std::lock_guard<std::mutex> lock(cache_mu_);
-  VenueCache& entry = venue_caches_[venue_id];
-  if (entry.cache == nullptr || entry.bundle.lock() != bundle) {
-    // First touch, or the registry handed out a fresh bundle instance
-    // (eviction + reload): the snapshot file may have changed on disk, so
-    // start a clean cache rather than trust file identity.
-    entry.cache = std::make_shared<DistanceCache>(resolved);
-    entry.bundle = bundle;
+  std::shared_ptr<DistanceCache>& cache = venue_caches_[venue_id];
+  if (cache == nullptr) {
+    DistanceCacheOptions resolved = options_.cache;
+    if (resolved.capacity == 0) {
+      resolved.capacity = AdaptiveCacheCapacity(bundle.venue().NumDoors());
+    }
+    cache = std::make_shared<DistanceCache>(resolved);
   }
-  return entry.cache;
+  return cache;
 }
 
 void Service::Finalize(const std::shared_ptr<Ticket::State>& state,
@@ -575,9 +553,9 @@ ServiceStats Service::Stats() const {
   stats.queue_micros = Summarize(queue_samples);
   {
     std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    for (const auto& [venue, entry] : venue_caches_) {
+    for (const auto& [venue, cache] : venue_caches_) {
       (void)venue;
-      stats.cache += entry.cache->Counters();
+      stats.cache += cache->Counters();
     }
   }
   return stats;

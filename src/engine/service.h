@@ -27,7 +27,9 @@
 //     leave `venue_id` empty;
 //   * multi-venue service: constructed over a VenueRegistry; every request
 //     names a venue, resolved through Acquire (lazy first-touch load,
-//     per-entry locking, optional LRU eviction — see venue_registry.h).
+//     per-entry locking — see venue_registry.h). A venue has one bundle
+//     for the service's lifetime, so a worker resolves it through the
+//     registry once and then answers from its own engine map.
 //
 // Deadlines: a request whose deadline has passed when a worker picks it up
 // is completed with kDeadlineExceeded *without running* — under overload
@@ -186,11 +188,7 @@ struct ServiceOptions {
 
   // Cross-request distance caching (core/distance_cache.h). With
   // cache.enabled the service creates one cache per venue, shared by every
-  // worker serving it, and replaced whenever the registry hands out a fresh
-  // bundle instance for the venue (so a re-loaded snapshot can never be
-  // answered from the old file's entries); Stats() aggregates their
-  // hit/miss/evict counters. With it off, workers still adopt a cache the
-  // bundle itself owns (EngineOptions::cache), shared by every worker.
+  // worker serving it; Stats() aggregates their hit/miss/evict counters.
   DistanceCacheOptions cache;
 
   // Execution-planner coalescing (engine/exec_plan.h): with
@@ -310,18 +308,17 @@ class Service {
   void ProcessRun(
       Span<Item> run,
       std::map<std::string, std::unique_ptr<QueryEngine>>* engines);
-  // Worker-local venue resolution: pins the venue's current bundle behind
-  // a per-worker QueryEngine, rebuilt if the registry re-loaded the venue
-  // (eviction) since this worker last served it.
+  // Worker-local venue resolution: the worker's engine for the venue,
+  // built over the venue's one bundle on the worker's first request for
+  // it (nullptr + *error when the venue cannot be resolved).
   QueryEngine* ResolveEngine(
       const std::string& venue_id,
       std::map<std::string, std::unique_ptr<QueryEngine>>* engines,
       std::string* error);
-  // The distance cache a fresh worker engine for (venue_id, bundle) should
-  // use, per options_ (nullptr = caching off). Thread-safe.
-  std::shared_ptr<DistanceCache> CacheFor(
-      const std::string& venue_id,
-      const std::shared_ptr<const VenueBundle>& bundle);
+  // The venue's shared distance cache, created on first use per options_
+  // (nullptr = caching off). Thread-safe.
+  std::shared_ptr<DistanceCache> CacheFor(const std::string& venue_id,
+                                          const VenueBundle& bundle);
   // Admission-side input validation: everything the engine would CHECK or
   // index with must be range-checked here, and every number it searches
   // with must be finite (a non-negative radius), so untrusted requests
@@ -372,16 +369,9 @@ class Service {
   std::map<std::string, VenueCounters> per_venue_;
   PlanStats plan_stats_;
 
-  // Distance caches handed to worker engines. Venue entries remember the
-  // bundle they were built against (weakly, so a cache never pins an
-  // evicted bundle) and are replaced when the registry hands out a fresh
-  // instance.
+  // Distance caches handed to worker engines, one per venue.
   mutable std::mutex cache_mu_;
-  struct VenueCache {
-    std::weak_ptr<const VenueBundle> bundle;
-    std::shared_ptr<DistanceCache> cache;
-  };
-  std::map<std::string, VenueCache> venue_caches_;
+  std::map<std::string, std::shared_ptr<DistanceCache>> venue_caches_;
 };
 
 }  // namespace engine

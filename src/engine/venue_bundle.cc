@@ -21,18 +21,7 @@ VenueBundle VenueBundle::Assemble(std::unique_ptr<Venue> venue,
   bundle.live_ = std::make_unique<LiveObjectIndex>(
       bundle.tree_->base(), std::move(objects),
       std::move(options.object_keywords));
-  if (options.cache.enabled) {
-    bundle.EnableDistanceCache(options.cache);
-  }
   return bundle;
-}
-
-void VenueBundle::EnableDistanceCache(const DistanceCacheOptions& options) {
-  DistanceCacheOptions resolved = options;
-  if (resolved.capacity == 0) {
-    resolved.capacity = AdaptiveCacheCapacity(venue_->NumDoors());
-  }
-  cache_ = std::make_shared<DistanceCache>(resolved);
 }
 
 VenueBundle VenueBundle::Build(Venue venue, std::vector<IndoorPoint> objects,

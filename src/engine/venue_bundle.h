@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "core/distance_cache.h"
 #include "core/keyword_query.h"
 #include "core/live_objects.h"
 #include "core/object_index.h"
@@ -46,13 +45,6 @@ namespace engine {
 struct EngineOptions {
   IPTreeOptions tree;
   DistanceQueryOptions query;
-  // Cross-request distance cache (core/distance_cache.h). Off by default;
-  // when cache.enabled the bundle owns one cache that every engine over it
-  // shares. Not part of DistanceQueryOptions because that struct is
-  // serialized into snapshots — whether a host caches is a serving-time
-  // decision, not a property of the index (loaded bundles opt in through
-  // VenueBundle::EnableDistanceCache).
-  DistanceCacheOptions cache;
   // When non-empty, must align with the object set; enables kBooleanKnn.
   std::vector<std::vector<std::string>> object_keywords;
 };
@@ -74,10 +66,6 @@ struct SnapshotLoadOptions {
   // next-hop/edge cells would only be caught at query time. Set this when
   // loading snapshots from producers you do not control.
   bool deep_validate = false;
-  // Let VenueRegistry eviction return the snapshot mapping's resident
-  // pages to the OS (madvise(MADV_DONTNEED)) even while callers still hold
-  // bundle references.
-  bool drop_pages_on_evict = false;
 };
 
 class VenueBundle {
@@ -143,15 +131,6 @@ class VenueBundle {
   // instead of owning private copies — i.e. the zero-copy load path ran.
   bool zero_copy() const { return arena_ != nullptr; }
 
-  // Returns the snapshot mapping's resident pages to the OS (see
-  // io::MmapArena::DropResidentPages); later queries transparently
-  // re-fault the pages they touch. Returns the bytes advised — 0 for
-  // built bundles, copying loads, and heap-backed arenas. Safe to call
-  // concurrently with queries on this bundle.
-  size_t ReleaseResidentPages() const {
-    return arena_ != nullptr ? arena_->DropResidentPages() : 0;
-  }
-
   // Replaces the object set (and keyword lists) without rebuilding the
   // tree, publishing one new epoch. Safe to call concurrently with
   // queries: in-flight readers keep answering against the snapshot they
@@ -164,19 +143,6 @@ class VenueBundle {
   // bundle most of these bytes are file-backed arena pages, resident only
   // once touched.
   uint64_t IndexMemoryBytes() const;
-
-  // The bundle-owned distance cache, nullptr when caching is off. Shared
-  // by every QueryEngine adopting this bundle; the cache is internally
-  // thread-safe and exact, so sharing is free of coherence concerns.
-  const std::shared_ptr<DistanceCache>& distance_cache() const {
-    return cache_;
-  }
-
-  // Creates (or replaces) the bundle-owned cache — the opt-in for loaded
-  // snapshots, whose EngineOptions never existed. Replaces any previous
-  // cache; engines adopt it at construction, so enable before standing up
-  // engines. options.enabled is ignored here (calling *is* enabling).
-  void EnableDistanceCache(const DistanceCacheOptions& options = {});
 
  private:
   VenueBundle() = default;
@@ -193,7 +159,6 @@ class VenueBundle {
   std::unique_ptr<D2DGraph> graph_;
   std::unique_ptr<VIPTree> tree_;
   std::unique_ptr<LiveObjectIndex> live_;
-  std::shared_ptr<DistanceCache> cache_;
   DistanceQueryOptions query_options_;
 };
 

@@ -112,9 +112,7 @@ class ManifestLock {
 }  // namespace
 
 std::optional<VenueRegistry> VenueRegistry::Open(
-    const std::string& manifest_path, std::string* error,
-    const VenueBundle::LoadOptions& load_options,
-    const RegistryOptions& options) {
+    const std::string& manifest_path, std::string* error) {
   auto fail = [error](std::string message) -> std::optional<VenueRegistry> {
     if (error != nullptr) *error = std::move(message);
     return std::nullopt;
@@ -125,8 +123,6 @@ std::optional<VenueRegistry> VenueRegistry::Open(
   if (!read.ok()) return fail(read.error);
 
   VenueRegistry registry;
-  registry.load_options_ = load_options;
-  registry.options_ = options;
   const std::string dir = DirOf(manifest_path);
   for (size_t i = 0; i < lines.size(); ++i) {
     const std::string line = Trim(lines[i]);
@@ -234,10 +230,7 @@ std::shared_ptr<const VenueBundle> VenueRegistry::Acquire(
     if (it == entries_.end()) {
       return fail("venue '" + venue_id + "' is not in the registry");
     }
-    if (it->second.bundle != nullptr) {
-      it->second.last_use = ++use_tick_;
-      return it->second.bundle;
-    }
+    if (it->second.bundle != nullptr) return it->second.bundle;
     load_mu = it->second.load_mu;
   }
 
@@ -247,66 +240,17 @@ std::shared_ptr<const VenueBundle> VenueRegistry::Acquire(
   std::lock_guard<std::mutex> load_lock(*load_mu);
   {
     std::lock_guard<std::mutex> lock(*mu_);
-    if (it->second.bundle != nullptr) {  // loaded while we waited
-      it->second.last_use = ++use_tick_;
-      return it->second.bundle;
-    }
+    if (it->second.bundle != nullptr) return it->second.bundle;  // loaded
   }
   std::string load_error;
-  std::optional<VenueBundle> bundle = VenueBundle::TryLoad(
-      it->second.snapshot_path, &load_error, load_options_);
+  std::optional<VenueBundle> bundle =
+      VenueBundle::TryLoad(it->second.snapshot_path, &load_error);
   if (!bundle.has_value()) {
     return fail("venue '" + venue_id + "': " + load_error);
   }
   std::lock_guard<std::mutex> lock(*mu_);
   it->second.bundle = std::make_shared<const VenueBundle>(std::move(*bundle));
-  it->second.last_use = ++use_tick_;
-  EnforceResidencyCapLocked();
   return it->second.bundle;
-}
-
-void VenueRegistry::EnforceResidencyCapLocked() {
-  if (options_.max_resident_venues == 0) return;
-  for (;;) {
-    size_t resident = 0;
-    std::map<std::string, Entry>::iterator lru = entries_.end();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->second.bundle == nullptr) continue;
-      ++resident;
-      if (lru == entries_.end() ||
-          it->second.last_use < lru->second.last_use) {
-        lru = it;
-      }
-    }
-    if (resident <= options_.max_resident_venues) return;
-    // The entry just touched carries the highest tick, so the victim is
-    // always some *other* resident bundle (unless it is the only one, in
-    // which case the count already satisfies any cap >= 1).
-    ReleaseBundleLocked(lru->second);
-  }
-}
-
-void VenueRegistry::ReleaseBundleLocked(Entry& entry) {
-  if (entry.bundle == nullptr) return;
-  // Outstanding shared_ptrs may keep the mapping alive past eviction;
-  // dropping its resident pages bounds RSS either way (the holders' next
-  // queries simply re-fault what they touch).
-  if (load_options_.drop_pages_on_evict) {
-    entry.bundle->ReleaseResidentPages();
-  }
-  entry.bundle.reset();
-}
-
-void VenueRegistry::Evict(const std::string& venue_id) {
-  std::lock_guard<std::mutex> lock(*mu_);
-  auto it = entries_.find(venue_id);
-  if (it != entries_.end()) ReleaseBundleLocked(it->second);
-}
-
-bool VenueRegistry::IsResident(const std::string& venue_id) const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  auto it = entries_.find(venue_id);
-  return it != entries_.end() && it->second.bundle != nullptr;
 }
 
 size_t VenueRegistry::NumResident() const {
@@ -316,15 +260,6 @@ size_t VenueRegistry::NumResident() const {
     if (entry.bundle != nullptr) ++resident;
   }
   return resident;
-}
-
-uint64_t VenueRegistry::ResidentIndexBytes() const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  uint64_t bytes = 0;
-  for (const auto& [id, entry] : entries_) {
-    if (entry.bundle != nullptr) bytes += entry.bundle->IndexMemoryBytes();
-  }
-  return bytes;
 }
 
 }  // namespace engine

@@ -16,18 +16,18 @@
 // against the manifest's directory, so a registry directory can be moved or
 // mounted wholesale. Duplicate ids are a manifest error.
 //
-// Thread-safety: Acquire/Evict/NumResident are safe to call concurrently;
-// the returned bundles are immutable and may be shared across threads and
+// Thread-safety: Acquire/NumResident are safe to call concurrently; the
+// returned bundles are immutable and may be shared across threads and
 // engines (engine::QueryEngine's shared-bundle constructor). Snapshot
 // loads run under a *per-entry* mutex: a slow first-touch load of one
 // venue never blocks Acquire of any other venue — the registry-wide lock
-// only covers map lookups and LRU bookkeeping.
+// only covers map lookups.
 //
-// Residency policy: RegistryOptions::max_resident_venues caps how many
-// bundles stay cached at once. When a load would exceed the cap, the
-// least-recently-acquired resident bundle is evicted (outstanding
-// shared_ptrs stay valid — eviction only drops the cache's reference), so
-// a fleet process's memory tracks its working set, not its manifest.
+// Lifetime: a venue is loaded at most once and its bundle stays cached
+// for the registry's lifetime, so every Acquire of a venue returns the
+// same bundle and the live-object updates applied to it are never lost.
+// Its mapped snapshot pages are clean and read-only, so the kernel can
+// reclaim them under memory pressure without any policy here.
 
 #ifndef VIPTREE_ENGINE_VENUE_REGISTRY_H_
 #define VIPTREE_ENGINE_VENUE_REGISTRY_H_
@@ -45,23 +45,14 @@
 namespace viptree {
 namespace engine {
 
-struct RegistryOptions {
-  // Maximum bundles kept resident at once; 0 means unlimited. A load that
-  // would exceed the cap evicts the least-recently-acquired resident
-  // bundle first (outstanding references stay valid).
-  size_t max_resident_venues = 0;
-};
-
 class VenueRegistry {
  public:
   // Parses the manifest at `manifest_path`. Returns nullopt (with a
   // human-readable *error) on a missing/unreadable manifest or a malformed
   // entry; snapshot files themselves are opened lazily by Acquire, so a
   // manifest may list snapshots that do not exist yet.
-  static std::optional<VenueRegistry> Open(
-      const std::string& manifest_path, std::string* error,
-      const VenueBundle::LoadOptions& load_options = {},
-      const RegistryOptions& options = {});
+  static std::optional<VenueRegistry> Open(const std::string& manifest_path,
+                                           std::string* error);
 
   // Adds or replaces `venue_id -> snapshot_path` in the manifest, creating
   // the file if needed (what `viptree_build --registry` uses). The path is
@@ -88,29 +79,15 @@ class VenueRegistry {
 
   // The shared immutable bundle for `venue_id`, loading its snapshot on
   // first use (nullptr + *error on unknown id or load failure). The
-  // registry keeps the bundle cached until Evict — or until the LRU
-  // policy reclaims it; callers may hold the returned shared_ptr for as
-  // long as they like either way. Concurrent Acquires of the same venue
+  // registry keeps the bundle for its own lifetime, so every Acquire of a
+  // venue returns the same pointer. Concurrent Acquires of the same venue
   // load it once (the second waits on the entry's lock); Acquires of
   // *different* venues never wait on each other's loads.
   std::shared_ptr<const VenueBundle> Acquire(const std::string& venue_id,
                                              std::string* error = nullptr);
 
-  // Drops the cached bundle (no-op if not resident). Outstanding
-  // shared_ptrs stay valid; the snapshot is re-loaded on the next Acquire.
-  void Evict(const std::string& venue_id);
-
-  // Is this venue's bundle currently cached?
-  bool IsResident(const std::string& venue_id) const;
-
-  // The configured residency cap (0 = unlimited) — callers that cache
-  // bundles of their own (engine::Service workers) use it to keep their
-  // caches on the same budget.
-  size_t max_resident_venues() const { return options_.max_resident_venues; }
-
-  // Currently cached bundles / their combined logical index bytes.
+  // Venues loaded so far.
   size_t NumResident() const;
-  uint64_t ResidentIndexBytes() const;
 
  private:
   struct Entry {
@@ -120,27 +97,15 @@ class VenueRegistry {
     // lock across the registry-wide unlock.
     std::shared_ptr<std::mutex> load_mu = std::make_shared<std::mutex>();
     std::shared_ptr<const VenueBundle> bundle;  // null until first Acquire
-    uint64_t last_use = 0;  // LRU tick of the latest Acquire hit
   };
 
   VenueRegistry() = default;
 
-  // Called with mu_ held after a bundle is installed or touched: evicts
-  // least-recently-used resident bundles until the cap is respected.
-  void EnforceResidencyCapLocked();
-
-  // Drops an entry's cached bundle, first returning its mapped pages to
-  // the OS when the load options set drop_pages_on_evict.
-  void ReleaseBundleLocked(Entry& entry);
-
-  VenueBundle::LoadOptions load_options_;
-  RegistryOptions options_;
   std::vector<std::string> ids_;  // manifest order
-  // Guards `entries_`'s bundle/last_use fields and use_tick_ (the id list
-  // and per-entry paths are immutable after Open). Behind a unique_ptr so
-  // the registry itself stays movable. Never held across a snapshot load.
+  // Guards `entries_`'s bundle fields (the id list and per-entry paths are
+  // immutable after Open). Behind a unique_ptr so the registry itself
+  // stays movable. Never held across a snapshot load.
   mutable std::unique_ptr<std::mutex> mu_ = std::make_unique<std::mutex>();
-  uint64_t use_tick_ = 0;
   std::map<std::string, Entry> entries_;
 };
 

@@ -53,22 +53,6 @@ void MmapArena::Release() {
   heap_.shrink_to_fit();
 }
 
-size_t MmapArena::DropResidentPages() const {
-#if VIPTREE_HAS_MMAP && defined(MADV_DONTNEED)
-  if (!mapped_ || data_ == nullptr || size_ == 0) return 0;
-  // Raw madvise, not posix_madvise: glibc defines POSIX_MADV_DONTNEED as a
-  // no-op, while MADV_DONTNEED actually discards the page-cache copies.
-  // On a read-only MAP_PRIVATE file mapping this is loss-free — the next
-  // access re-faults the page from the file.
-  if (::madvise(const_cast<uint8_t*>(data_), size_, MADV_DONTNEED) != 0) {
-    return 0;
-  }
-  return size_;
-#else
-  return 0;
-#endif
-}
-
 Status MmapArena::Map(const std::string& path, MmapArena* out,
                       bool allow_mmap) {
   out->Release();

@@ -9,6 +9,10 @@
 // at least 64-byte aligned (page-aligned when mapped), so FlatMatrix rows
 // aliased out of the arena are SIMD-loadable in both modes.
 //
+// Residency: a mapping's pages are clean and file-backed, so the kernel
+// reclaims them under memory pressure and re-faults them on the next read;
+// the arena keeps no page policy of its own.
+//
 // Lifetime: Storage<T> views created over the arena's bytes do NOT keep it
 // alive (common/storage.h); the owner of the views (engine::VenueBundle)
 // must hold the arena for as long as any index aliases it.
@@ -56,15 +60,6 @@ class MmapArena {
   // True when the bytes are a file mapping (paged lazily), false for the
   // heap fallback (fully resident).
   bool mapped() const { return mapped_; }
-
-  // Returns the arena's resident file-backed pages to the OS
-  // (madvise(MADV_DONTNEED) on the read-only private mapping — later
-  // accesses transparently re-fault from the file). Returns the number of
-  // bytes advised, 0 for heap-backed arenas or hosts without madvise.
-  // Const because page residency is not logical state: the bytes read back
-  // identical. Safe to call concurrently with readers — dropped pages
-  // re-fault, they do not invalidate.
-  size_t DropResidentPages() const;
 
  private:
   void Release();

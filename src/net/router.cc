@@ -57,7 +57,7 @@ Router::Router(std::vector<std::string> shard_endpoints,
             HandleClientFrame(conn, std::move(frame));
           },
           [this] { return BeforePoll(); },
-          [this] { return pending_.empty(); }}) {
+          [this] { return pending_.empty() && stats_waits_.empty(); }}) {
   VIPTREE_CHECK_MSG(!shard_endpoints.empty(),
                     "a router needs at least one shard endpoint");
   shards_.resize(shard_endpoints.size());
@@ -238,16 +238,9 @@ void Router::HandleClientFrame(const std::shared_ptr<Conn>& conn,
       conn->SendNow(FrameType::kHealthReply, frame.tag, payload.buffer());
       return;
     }
-    case FrameType::kStatsProbe: {
-      WireStats total;
-      for (const Shard& shard : shards_) {
-        if (shard.have_stats) total += shard.last_stats;
-      }
-      io::Writer payload;
-      EncodeStatsPayload(total, &payload);
-      conn->SendNow(FrameType::kStatsReply, frame.tag, payload.buffer());
+    case FrameType::kStatsProbe:
+      StartStatsWait(conn, frame.tag);
       return;
-    }
     default:
       loop_.Poison(*conn,
                    std::string("unexpected ") + FrameTypeName(frame.type) +
@@ -255,6 +248,57 @@ void Router::HandleClientFrame(const std::shared_ptr<Conn>& conn,
                    frame.tag);
       return;
   }
+}
+
+Router::ShardConn* Router::ProbeConn(Shard& shard) {
+  for (const auto& conn : shard.pool) {
+    if (conn->state == ShardConn::State::kReady) return conn.get();
+  }
+  return nullptr;
+}
+
+void Router::StartStatsWait(const std::shared_ptr<Conn>& client,
+                            uint64_t tag) {
+  const uint64_t probe_tag = ++probe_tag_;
+  StatsWait wait;
+  wait.client = client;
+  wait.client_tag = tag;
+  wait.awaiting.assign(shards_.size(), nullptr);
+  std::vector<ShardConn*> failed;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    ShardConn* probe = ProbeConn(shards_[i]);
+    if (probe == nullptr) continue;
+    if (probe->conn->SendNow(FrameType::kStatsProbe, probe_tag, {})) {
+      wait.awaiting[i] = probe;
+    } else {
+      failed.push_back(probe);
+    }
+  }
+  // Answers at once when no shard owes a reply.
+  SettleStatsWait(stats_waits_.emplace(probe_tag, std::move(wait)).first,
+                  nullptr);
+  for (ShardConn* conn : failed) FailShardConn(conn);
+}
+
+void Router::SettleStatsWait(std::map<uint64_t, StatsWait>::iterator it,
+                             ShardConn* conn) {
+  std::vector<ShardConn*>& awaiting = it->second.awaiting;
+  if (conn != nullptr) {
+    if (awaiting[conn->shard] != conn) return;
+    awaiting[conn->shard] = nullptr;
+  }
+  for (const ShardConn* owed : awaiting) {
+    if (owed != nullptr) return;
+  }
+  WireStats total;
+  for (const Shard& shard : shards_) {
+    if (shard.have_stats) total += shard.last_stats;
+  }
+  io::Writer payload;
+  EncodeStatsPayload(total, &payload);
+  it->second.client->SendNow(FrameType::kStatsReply, it->second.client_tag,
+                             payload.buffer());
+  stats_waits_.erase(it);
 }
 
 void Router::RoutePending(uint64_t router_tag) {
@@ -334,6 +378,8 @@ bool Router::HandleShardFrame(ShardConn* conn, Frame frame) {
         shard.last_stats = stats;
         shard.have_stats = true;
       }
+      auto it = stats_waits_.find(frame.tag);
+      if (it != stats_waits_.end()) SettleStatsWait(it, conn);
       return true;
     }
     case FrameType::kError:
@@ -359,6 +405,10 @@ void Router::FailShardConn(ShardConn* conn) {
     if (pending.conn == conn) stranded.push_back(tag);
   }
   for (const uint64_t tag : stranded) RoutePending(tag);
+  // A client stats wait counts this shard with its last stats.
+  for (auto it = stats_waits_.begin(); it != stats_waits_.end();) {
+    SettleStatsWait(it++, conn);
+  }
 }
 
 void Router::ProbeTick() {
@@ -378,13 +428,7 @@ void Router::ProbeTick() {
       }
       if (conn->state == ShardConn::State::kDown) StartConnect(conn.get());
     }
-    ShardConn* probe_conn = nullptr;
-    for (const auto& conn : shard.pool) {
-      if (conn->state == ShardConn::State::kReady) {
-        probe_conn = conn.get();
-        break;
-      }
-    }
+    ShardConn* probe_conn = ProbeConn(shard);
     if (probe_conn == nullptr) continue;
     if (shard.unanswered_probes >= kProbeMissLimit) {
       // Hung shard (accepting bytes, answering nothing): fail its

@@ -24,8 +24,12 @@
 // shard that answers probes with ready=0 (draining) stops receiving *new*
 // assignments but keeps its in-flight work; a shard that leaves ten probes
 // in a row unanswered (hung, not dead) has its connections failed over.
-// The cached per-shard stats replies are summed into the fleet-wide
-// WireStats the router answers kStatsProbe with.
+//
+// Stats: a client's kStatsProbe is sent on to every shard with a ready
+// connection, and the client gets the fleet-wide WireStats sum once each
+// of them has replied, so a run that finished inside one probe interval
+// is counted. A shard that fails in the meantime, or has no ready
+// connection, counts with the stats of its last reply.
 //
 // Threading: the router's policy runs on one EventLoop thread
 // (net/event_loop.h), which owns every socket, the pending table and the
@@ -125,6 +129,14 @@ class Router {
     bool have_stats = false;
   };
 
+  // A client's kStatsProbe waiting on fresh shard replies.
+  struct StatsWait {
+    std::shared_ptr<Conn> client;
+    uint64_t client_tag = 0;
+    // Per shard: the connection still owing a reply, or null.
+    std::vector<ShardConn*> awaiting;
+  };
+
   struct Pending {
     std::shared_ptr<Conn> client;
     uint64_t client_tag = 0;
@@ -156,6 +168,16 @@ class Router {
   int BeforePoll();
   void ProbeTick();
   void RejectPending(Pending pending, const std::string& reason);
+  // Probes every shard with a ready connection on behalf of a client's
+  // kStatsProbe; answers at once when there is none.
+  void StartStatsWait(const std::shared_ptr<Conn>& client, uint64_t tag);
+  // `conn` has replied (or failed) for the wait at `it` (null: nothing
+  // new, just check); answers the client once no shard is owed.
+  void SettleStatsWait(std::map<uint64_t, StatsWait>::iterator it,
+                       ShardConn* conn);
+  // The first ready pool connection of `shard` (the probe connection), or
+  // nullptr.
+  ShardConn* ProbeConn(Shard& shard);
 
   std::vector<std::string> venue_ids_;
   RouterOptions options_;
@@ -163,6 +185,7 @@ class Router {
 
   // Loop-thread-owned.
   std::map<uint64_t, Pending> pending_;
+  std::map<uint64_t, StatsWait> stats_waits_;  // by router probe tag
   uint64_t next_router_tag_ = 1;
   uint64_t probe_tag_ = 0;
   std::chrono::steady_clock::time_point next_probe_{};  // first tick at once

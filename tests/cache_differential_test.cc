@@ -135,12 +135,12 @@ TEST_P(CacheDifferentialTest, AllPoliciesBitIdenticalToCacheOff) {
   ASSERT_EQ(reference.distance_cache(), nullptr);
   const std::vector<eng::Result> expected = Replay(reference, steps, 2);
 
-  eng::EngineOptions cached_options = options;
-  cached_options.cache.enabled = true;
+  eng::QueryEngine engine(venue, graph, objects, options);
+  DistanceCacheOptions cache_options;
   // Small enough that the sweep exercises eviction, not just lookups.
-  cached_options.cache.capacity = 512;
-  cached_options.cache.shards = 2;
-  eng::QueryEngine engine(venue, graph, objects, cached_options);
+  cache_options.capacity = 512;
+  cache_options.shards = 2;
+  engine.EnableDistanceCache(cache_options);
   ASSERT_NE(engine.distance_cache(), nullptr);
 
   const std::vector<eng::Result> actual = Replay(engine, steps, 2);
@@ -158,8 +158,8 @@ TEST_P(CacheDifferentialTest, AllPoliciesBitIdenticalToCacheOff) {
   }
 }
 
-// A Service over a bundle that owns a cache: every worker engine adopts
-// that one cache, and the served answers must match the sequential
+// A Service with ServiceOptions::cache: every worker engine shares the
+// venue's one cache, and the served answers must match the sequential
 // cache-off reference exactly.
 TEST_P(CacheDifferentialTest, SharedCacheBatchMatchesSequential) {
   const uint64_t seed = GetParam();
@@ -185,22 +185,21 @@ TEST_P(CacheDifferentialTest, SharedCacheBatchMatchesSequential) {
   eng::QueryEngine plain(venue, graph, objects);
   const std::vector<eng::Result> expected = plain.RunSequential(queries);
 
-  eng::EngineOptions cached_options;
-  cached_options.cache.enabled = true;
-  cached_options.cache.capacity = 256;
-  const auto cached = std::make_shared<const eng::VenueBundle>(
-      eng::VenueBundle::BuildFrom(venue, graph, objects,
-                                  std::move(cached_options)));
+  const auto bundle = std::make_shared<const eng::VenueBundle>(
+      eng::VenueBundle::BuildFrom(venue, graph, objects));
   eng::ServiceOptions service_options;
   service_options.num_threads = 4;
+  service_options.cache.enabled = true;
+  service_options.cache.capacity = 256;
+  eng::ServiceStats stats;
   const std::vector<eng::Result> served =
-      testing::ServeInOrder(cached, service_options, queries);
+      testing::ServeInOrder(bundle, service_options, queries, &stats);
 
   testing::ExpectSameResults(expected, served,
                              "service seed " + std::to_string(seed),
                              /*compare_visited=*/false);
-  if (cached->tree().base().num_leaves() > 1) {
-    EXPECT_GT(cached->distance_cache()->Counters().lookups(), 0u);
+  if (bundle->tree().base().num_leaves() > 1) {
+    EXPECT_GT(stats.cache.lookups(), 0u);
   }
 }
 

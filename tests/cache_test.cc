@@ -16,7 +16,7 @@
 #include "core/distance_query.h"
 #include "core/ip_tree.h"
 #include "core/vip_tree.h"
-#include "engine/venue_bundle.h"
+#include "engine/query_engine.h"
 #include "graph/dijkstra.h"
 #include "ground_truth.h"
 
@@ -244,19 +244,18 @@ TEST(AdaptiveCapacityTest, ScalesWithDoorsAndClamps) {
 }
 
 TEST(AdaptiveCapacityTest, BundleResolvesAutoCapacityFromVenue) {
-  engine::EngineOptions options;
-  options.cache.enabled = true;  // capacity left at the 0 auto sentinel
-  engine::VenueBundle bundle =
-      engine::VenueBundle::Build(testing::RandomSynthVenue(7), {}, options);
-  ASSERT_NE(bundle.distance_cache(), nullptr);
-  EXPECT_EQ(bundle.distance_cache()->options().capacity,
-            AdaptiveCacheCapacity(bundle.venue().NumDoors()));
+  engine::QueryEngine engine(
+      engine::VenueBundle::Build(testing::RandomSynthVenue(7), {}));
+  engine.EnableDistanceCache();  // capacity left at the 0 auto sentinel
+  ASSERT_NE(engine.distance_cache(), nullptr);
+  EXPECT_EQ(engine.distance_cache()->options().capacity,
+            AdaptiveCacheCapacity(engine.venue().NumDoors()));
 
   // An explicit capacity is taken verbatim.
   DistanceCacheOptions fixed;
   fixed.capacity = 12345;
-  bundle.EnableDistanceCache(fixed);
-  EXPECT_EQ(bundle.distance_cache()->options().capacity, 12345u);
+  engine.EnableDistanceCache(fixed);
+  EXPECT_EQ(engine.distance_cache()->options().capacity, 12345u);
 }
 
 TEST(AdaptiveCapacityTest, DirectConstructionWithSentinelStillWorks) {

@@ -15,9 +15,7 @@
 #include <vector>
 
 #include "common/aligned.h"
-#include "engine/query_engine.h"
 #include "engine/venue_bundle.h"
-#include "engine/venue_registry.h"
 #include "io/snapshot.h"
 #include "synth/objects.h"
 #include "synth/random_venue.h"
@@ -610,7 +608,7 @@ TEST_F(SnapshotRejectionTest, DefaultSaveLoadsZeroCopy) {
 }
 
 // ---------------------------------------------------------------------------
-// MmapArena page-residency control.
+// MmapArena: mapped and heap-backed arenas.
 // ---------------------------------------------------------------------------
 
 TEST(MmapArenaPolicyTest, EveryPolicyMapsAndReadsIdenticalBytes) {
@@ -635,28 +633,6 @@ TEST(MmapArenaPolicyTest, EveryPolicyMapsAndReadsIdenticalBytes) {
   std::remove(path.c_str());
 }
 
-TEST(MmapArenaPolicyTest, DropResidentPagesKeepsBytesReadable) {
-  const std::string path = TempPath("arena_drop");
-  std::vector<uint8_t> payload(4096 * 8);
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<uint8_t>(i ^ (i >> 8));
-  }
-  ASSERT_TRUE(io::WriteFileBytes(path, payload).ok());
-  io::MmapArena arena;
-  ASSERT_TRUE(io::MmapArena::Map(path, &arena).ok());
-  if (arena.mapped()) {
-    // Touch every page, drop them all, then re-read: the private read-only
-    // mapping must re-fault identical bytes from the file.
-    volatile uint8_t sink = 0;
-    for (size_t i = 0; i < arena.size(); i += 4096) sink += arena.bytes()[i];
-    (void)sink;
-    EXPECT_EQ(arena.DropResidentPages(), arena.size());
-    EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
-                           arena.bytes().begin()));
-  }
-  std::remove(path.c_str());
-}
-
 TEST(MmapArenaPolicyTest, HeapFallbackIsAlignedAndDropIsANoop) {
   const std::string path = TempPath("arena_heap");
   const std::vector<uint8_t> payload(1000, 0xAB);
@@ -667,54 +643,9 @@ TEST(MmapArenaPolicyTest, HeapFallbackIsAlignedAndDropIsANoop) {
   EXPECT_EQ(reinterpret_cast<uintptr_t>(arena.bytes().data()) %
                 kIndexBufferAlign,
             0u);
-  EXPECT_EQ(arena.DropResidentPages(), 0u);  // heap arenas stay resident
   EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
                          arena.bytes().begin()));
   std::remove(path.c_str());
-}
-
-TEST(MmapArenaPolicyTest, RegistryEvictionDropsPagesUnderDontneedPolicy) {
-  // End-to-end: a registry configured with drop_pages_on_evict serves a
-  // venue, evicts it while a caller still holds the bundle, and the
-  // outstanding bundle keeps answering (pages re-fault on demand).
-  Venue venue = synth::RandomVenue(21);
-  Rng rng(9);
-  std::vector<IndoorPoint> objects = synth::PlaceObjects(venue, 8, rng);
-  const eng::VenueBundle built =
-      eng::VenueBundle::Build(std::move(venue), std::move(objects));
-  const std::string snap = TempPath("evict_venue") + ".snap";
-  const std::string manifest = TempPath("evict_manifest");
-  ASSERT_TRUE(built.Save(snap).ok());
-  ASSERT_TRUE(
-      eng::VenueRegistry::UpsertManifestEntry(manifest, "v", snap).ok());
-
-  eng::VenueBundle::LoadOptions load;
-  load.drop_pages_on_evict = true;
-  std::string error;
-  std::optional<eng::VenueRegistry> registry =
-      eng::VenueRegistry::Open(manifest, &error, load);
-  ASSERT_TRUE(registry.has_value()) << error;
-
-  std::shared_ptr<const eng::VenueBundle> bundle =
-      registry->Acquire("v", &error);
-  ASSERT_NE(bundle, nullptr) << error;
-  const IndoorPoint probe = bundle->objects().object(0);
-  eng::QueryEngine engine(bundle);
-  const eng::Result before = engine.Run(eng::Query::Knn(probe, 3));
-
-  registry->Evict("v");
-  EXPECT_FALSE(registry->IsResident("v"));
-  // The held bundle must still answer identically after its pages were
-  // returned to the OS.
-  const eng::Result after = engine.Run(eng::Query::Knn(probe, 3));
-  ASSERT_EQ(after.objects.size(), before.objects.size());
-  for (size_t i = 0; i < before.objects.size(); ++i) {
-    EXPECT_EQ(after.objects[i].object, before.objects[i].object);
-    EXPECT_EQ(after.objects[i].distance, before.objects[i].distance);
-  }
-
-  std::remove(snap.c_str());
-  std::remove(manifest.c_str());
 }
 
 }  // namespace

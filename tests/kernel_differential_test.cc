@@ -3,12 +3,11 @@
 // random venues an interleaved stream of distance / path / kNN / range /
 // boolean-kNN queries and live-object delta publishes must produce
 // EXACTLY (==, not NEAR) the same distances, door sequences and object
-// ids under forced-scalar and default dispatch. A second sweep loads the
-// same snapshot and replays it with and without its mapped pages dropped
-// (madvise) — page residency must be just as invisible in the output as
-// the instruction set. On
-// hosts without AVX2 both dispatch runs take the scalar path and the
-// suite degenerates to a determinism check.
+// ids under forced-scalar and default dispatch. A second sweep saves the
+// venue as a snapshot and replays it from the mmap'd load under both
+// dispatch modes — the arena-aliased rows must be just as invisible in the
+// output as the instruction set. On hosts without AVX2 both dispatch runs
+// take the scalar path and the suite degenerates to a determinism check.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +21,6 @@
 #include "engine/query_engine.h"
 #include "engine/venue_bundle.h"
 #include "ground_truth.h"
-#include "io/mmap_arena.h"
 #include "synth/objects.h"
 
 namespace viptree {
@@ -157,10 +155,10 @@ TEST_P(KernelDifferentialTest, ScalarAndDispatchBitIdenticalWithUpdates) {
                              /*compare_visited=*/false);
 }
 
-// Snapshot round trip with and without the mapped pages dropped, each
-// replayed under both dispatch modes, all compared against the in-memory scalar
-// reference — the mmap'd (8-byte-aligned, arena-aliased) rows must feed
-// the kernels exactly like the owning 64-byte buffers do.
+// Snapshot round trip replayed under both dispatch modes, compared against
+// the in-memory scalar reference — the mmap'd (8-byte-aligned,
+// arena-aliased) rows must feed the kernels exactly like the owning
+// 64-byte buffers do.
 TEST_P(KernelDifferentialTest, MadvisePoliciesBitIdenticalOnBothPaths) {
   const uint64_t seed = GetParam();
   if (seed % 3 != 0) {
@@ -185,21 +183,15 @@ TEST_P(KernelDifferentialTest, MadvisePoliciesBitIdenticalOnBothPaths) {
     reference = Replay(engine, steps);
   }
 
-  // Default paging, then with every mapped page handed back to the OS
-  // (MADV_DONTNEED, as registry eviction under drop_pages_on_evict does)
-  // before the replay, so every row the kernels read is re-faulted.
-  for (const bool drop_pages : {false, true}) {
-    for (const bool force : {true, false}) {
-      ScalarGuard guard(force);
-      eng::QueryEngine engine(eng::VenueBundle::Load(path));
-      if (drop_pages) engine.bundle().ReleaseResidentPages();
-      const std::vector<eng::Result> results = Replay(engine, steps);
-      testing::ExpectSameResults(
-          reference, results,
-          std::string(force ? "mmap-scalar" : "mmap-dispatch") + " seed " +
-              std::to_string(seed),
-          /*compare_visited=*/false);
-    }
+  for (const bool force : {true, false}) {
+    ScalarGuard guard(force);
+    eng::QueryEngine engine(eng::VenueBundle::Load(path));
+    const std::vector<eng::Result> results = Replay(engine, steps);
+    testing::ExpectSameResults(
+        reference, results,
+        std::string(force ? "mmap-scalar" : "mmap-dispatch") + " seed " +
+            std::to_string(seed),
+        /*compare_visited=*/false);
   }
   std::remove(path.c_str());
 }

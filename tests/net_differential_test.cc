@@ -5,8 +5,9 @@
 // server, and the router add transport, never semantics. Plus the
 // operational paths: kill-a-shard failover re-routes to the surviving
 // shard, a router with no healthy shard rejects cleanly, a draining router
-// answers every request it forwarded before closing, and garbage on one
-// router client connection poisons only that connection.
+// answers every request it forwarded before closing, a client's stats
+// probe through the router counts every request answered before it, and
+// garbage on one router client connection poisons only that connection.
 
 #include <gtest/gtest.h>
 
@@ -281,6 +282,49 @@ TEST_F(NetDifferentialTest, LoopbackShardAndRouterMatchInProcessBitForBit) {
       shard_b.Stop();
     }
   }
+}
+
+// A stats probe sent right after a run must count the whole run, not the
+// shard stats of the last probe tick: the probe interval here is far
+// longer than the test, so only the startup tick ever runs.
+TEST_F(NetDifferentialTest, RouterStatsCountEveryAnsweredRequest) {
+  net::ShardServerOptions shard_options;
+  shard_options.service.num_threads = 1;
+  net::ShardServer shard_a(OpenRegistry(), shard_options);
+  net::ShardServer shard_b(OpenRegistry(), shard_options);
+  ASSERT_TRUE(shard_a.Start().ok());
+  ASSERT_TRUE(shard_b.Start().ok());
+  net::RouterOptions router_options;
+  router_options.probe_interval_ms = 600000.0;
+  net::Router router({"127.0.0.1:" + std::to_string(shard_a.port()),
+                      "127.0.0.1:" + std::to_string(shard_b.port())},
+                     *ids_, router_options);
+  ASSERT_TRUE(router.Start().ok());
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (router.healthy_shards() < 2) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const std::vector<eng::Request> requests = MakeWorkload(5, 40);
+  const std::vector<Outcome> outcomes =
+      RunThroughEndpoint(":" + std::to_string(router.port()), requests);
+  ASSERT_EQ(outcomes.size(), requests.size());
+
+  std::string error;
+  std::unique_ptr<net::Client> client = net::Client::Connect(
+      ":" + std::to_string(router.port()), &error);
+  ASSERT_NE(client, nullptr) << error;
+  net::WireStats stats;
+  ASSERT_TRUE(client->Stats(&stats).ok());
+  EXPECT_EQ(stats.submitted, requests.size());
+  EXPECT_EQ(stats.completed + stats.updates, requests.size());
+  EXPECT_EQ(stats.failed, 0u);
+
+  router.Stop();
+  shard_a.Stop();
+  shard_b.Stop();
 }
 
 TEST_F(NetDifferentialTest, KilledShardFailsOverToTheSurvivor) {

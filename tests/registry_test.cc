@@ -1,6 +1,6 @@
-// engine::VenueRegistry: manifest parsing, lazy zero-copy loading, bundle
-// sharing and eviction — the multi-venue serving layer (one process, a
-// fleet of venues, O(resident-pages) per venue until queried).
+// engine::VenueRegistry: manifest parsing, lazy zero-copy loading and
+// bundle sharing — the multi-venue serving layer (one process, a fleet of
+// venues, O(resident-pages) per venue until queried).
 
 #include "engine/venue_registry.h"
 
@@ -88,9 +88,6 @@ TEST_F(RegistryTest, OpensManifestAndListsVenues) {
   EXPECT_EQ(ids[2], "venue-11");
   // Nothing is loaded until Acquire.
   EXPECT_EQ(registry->NumResident(), 0u);
-  EXPECT_EQ(registry->ResidentIndexBytes(), 0u);
-  EXPECT_FALSE(registry->IsResident("venue-3"));
-  EXPECT_FALSE(registry->IsResident("venue-404"));
 }
 
 TEST_F(RegistryTest, AcquireLoadsLazilyAndShares) {
@@ -104,7 +101,7 @@ TEST_F(RegistryTest, AcquireLoadsLazilyAndShares) {
   ASSERT_NE(a, nullptr) << error;
   EXPECT_TRUE(a->zero_copy());  // v2 snapshot => mmap-backed
   EXPECT_EQ(registry->NumResident(), 1u);
-  EXPECT_GT(registry->ResidentIndexBytes(), 0u);
+  EXPECT_GT(a->IndexMemoryBytes(), 0u);
 
   // A second Acquire returns the *same* shared bundle, not a second copy.
   const std::shared_ptr<const eng::VenueBundle> b =
@@ -117,68 +114,6 @@ TEST_F(RegistryTest, AcquireLoadsLazilyAndShares) {
   EXPECT_NE(other.get(), a.get());
   EXPECT_TRUE(other->has_keywords());
   EXPECT_EQ(registry->NumResident(), 2u);
-}
-
-TEST_F(RegistryTest, EvictionDropsTheCacheButNotOutstandingRefs) {
-  std::string error;
-  std::optional<eng::VenueRegistry> registry =
-      eng::VenueRegistry::Open(Manifest(), &error);
-  ASSERT_TRUE(registry.has_value()) << error;
-
-  std::shared_ptr<const eng::VenueBundle> held =
-      registry->Acquire("venue-3", &error);
-  ASSERT_NE(held, nullptr) << error;
-  registry->Evict("venue-3");
-  EXPECT_EQ(registry->NumResident(), 0u);
-  // The held bundle stays fully usable (shared ownership).
-  EXPECT_GT(held->venue().NumDoors(), 0u);
-
-  // Re-acquire maps the snapshot afresh.
-  const std::shared_ptr<const eng::VenueBundle> fresh =
-      registry->Acquire("venue-3", &error);
-  ASSERT_NE(fresh, nullptr) << error;
-  EXPECT_NE(fresh.get(), held.get());
-  registry->Evict("venue-404");  // unknown id: no-op
-}
-
-TEST_F(RegistryTest, LruEvictionCapsResidentVenues) {
-  std::string error;
-  eng::RegistryOptions options;
-  options.max_resident_venues = 2;
-  std::optional<eng::VenueRegistry> registry = eng::VenueRegistry::Open(
-      Manifest(), &error, eng::VenueBundle::LoadOptions{}, options);
-  ASSERT_TRUE(registry.has_value()) << error;
-
-  const std::shared_ptr<const eng::VenueBundle> a =
-      registry->Acquire("venue-3", &error);
-  ASSERT_NE(a, nullptr) << error;
-  const std::shared_ptr<const eng::VenueBundle> b =
-      registry->Acquire("venue-8", &error);
-  ASSERT_NE(b, nullptr) << error;
-  EXPECT_EQ(registry->NumResident(), 2u);
-
-  // Touch venue-3 so venue-8 becomes the least recently acquired; loading
-  // the third venue must evict venue-8, not venue-3.
-  ASSERT_NE(registry->Acquire("venue-3", &error), nullptr);
-  const std::shared_ptr<const eng::VenueBundle> c =
-      registry->Acquire("venue-11", &error);
-  ASSERT_NE(c, nullptr) << error;
-  EXPECT_EQ(registry->NumResident(), 2u);
-  EXPECT_TRUE(registry->IsResident("venue-3"));
-  EXPECT_FALSE(registry->IsResident("venue-8"));
-  EXPECT_TRUE(registry->IsResident("venue-11"));
-
-  // The evicted bundle stays fully usable for existing holders, and a
-  // re-Acquire reloads it — displacing the new LRU victim (venue-3).
-  EXPECT_GT(b->venue().NumDoors(), 0u);
-  const std::shared_ptr<const eng::VenueBundle> b2 =
-      registry->Acquire("venue-8", &error);
-  ASSERT_NE(b2, nullptr) << error;
-  EXPECT_NE(b2.get(), b.get());
-  EXPECT_EQ(registry->NumResident(), 2u);
-  EXPECT_FALSE(registry->IsResident("venue-3"));
-  EXPECT_TRUE(registry->IsResident("venue-8"));
-  EXPECT_TRUE(registry->IsResident("venue-11"));
 }
 
 TEST_F(RegistryTest, ConcurrentAcquiresShareOneLoadPerVenue) {

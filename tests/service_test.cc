@@ -553,7 +553,7 @@ TEST(ServiceUpdateTest, UpdatesWithExpiredDeadlinesAreShedUnapplied) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-venue routing through an owned registry, including LRU churn.
+// Multi-venue routing through an owned registry.
 // ---------------------------------------------------------------------------
 
 TEST(ServiceRegistryTest, RoutesAcrossVenuesWithPerVenueStats) {
@@ -585,13 +585,10 @@ TEST(ServiceRegistryTest, RoutesAcrossVenuesWithPerVenueStats) {
     ids.push_back(id);
   }
 
-  // max_resident_venues = 1 forces eviction churn *while serving*; answers
-  // must stay bit-identical to the direct loads regardless.
+  // Answers must stay bit-identical to the direct loads.
   std::string error;
-  eng::RegistryOptions registry_options;
-  registry_options.max_resident_venues = 1;
-  std::optional<eng::VenueRegistry> registry = eng::VenueRegistry::Open(
-      manifest, &error, eng::VenueBundle::LoadOptions{}, registry_options);
+  std::optional<eng::VenueRegistry> registry =
+      eng::VenueRegistry::Open(manifest, &error);
   ASSERT_TRUE(registry.has_value()) << error;
 
   eng::ServiceOptions options;
@@ -646,8 +643,92 @@ TEST(ServiceRegistryTest, RoutesAcrossVenuesWithPerVenueStats) {
   EXPECT_EQ(stats.per_venue.at(ids[0]).completed, 8u);
   EXPECT_EQ(stats.per_venue.at(ids[1]).completed, 8u);
   EXPECT_EQ(stats.per_venue.at("venue-404").failed, 1u);
-  // The LRU cap was honoured throughout.
-  EXPECT_LE(service.registry().NumResident(), 1u);
+  service.Stop();
+
+  for (const std::string& id : ids) {
+    std::remove((dir + "/" + id + ".vipsnap").c_str());
+  }
+  std::remove(manifest.c_str());
+  ::rmdir(dir.c_str());
+}
+
+// A venue keeps one bundle for the service's lifetime: an object moved on
+// venue A stays where it was moved however much traffic venue B gets in
+// between, and every Acquire of A hands out the same bundle.
+TEST(ServiceRegistryTest, OneBundlePerVenueKeepsItsUpdatesAcrossTraffic) {
+  const char* tmp = std::getenv("TMPDIR");
+  if (tmp == nullptr || tmp[0] == '\0') tmp = "/tmp";
+  const std::string dir = std::string(tmp) + "/viptree_service_keep_" +
+                          std::to_string(::getpid());
+  ::mkdir(dir.c_str(), 0755);
+  const std::string manifest = dir + "/registry.txt";
+
+  std::vector<std::string> ids;
+  std::vector<Venue> venues;  // regenerated copies, for point sampling
+  for (const uint64_t seed : {uint64_t{13}, uint64_t{17}}) {
+    Venue venue = testing::RandomSynthVenue(seed);
+    Rng rng(seed);
+    std::vector<IndoorPoint> objects = synth::PlaceObjects(venue, 6, rng);
+    const eng::VenueBundle bundle =
+        eng::VenueBundle::Build(std::move(venue), std::move(objects));
+    const std::string id = "venue-" + std::to_string(seed);
+    ASSERT_TRUE(bundle.Save(dir + "/" + id + ".vipsnap").ok());
+    ASSERT_TRUE(eng::VenueRegistry::UpsertManifestEntry(manifest, id,
+                                                        id + ".vipsnap")
+                    .ok());
+    ids.push_back(id);
+    venues.push_back(testing::RandomSynthVenue(seed));
+  }
+
+  std::string error;
+  std::optional<eng::VenueRegistry> registry =
+      eng::VenueRegistry::Open(manifest, &error);
+  ASSERT_TRUE(registry.has_value()) << error;
+  eng::ServiceOptions options;
+  options.num_threads = 2;
+  eng::Service service(std::move(*registry), options);
+  service.Start();
+
+  // Move object 0 of venue A onto the query point: the 1-NN of that point
+  // is then object 0 at distance exactly 0.
+  Rng rng(0x5A1E);
+  const IndoorPoint probe = synth::RandomIndoorPoint(venues[0], rng);
+  ObjectDelta move;
+  move.moves.push_back({0, probe});
+  const eng::Response moved =
+      service.Submit(eng::Request::Update(ids[0], std::move(move))).Take();
+  ASSERT_TRUE(moved.ok()) << moved.error;
+  const std::shared_ptr<const eng::VenueBundle> a =
+      service.registry().Acquire(ids[0], &error);
+  ASSERT_NE(a, nullptr) << error;
+
+  for (int round = 0; round < 6; ++round) {
+    if (round > 0) {
+      // Traffic to venue B between every query on A.
+      std::vector<eng::Ticket> other;
+      for (int i = 0; i < 4; ++i) {
+        eng::Request request;
+        request.venue_id = ids[1];
+        request.query =
+            eng::Query::Knn(synth::RandomIndoorPoint(venues[1], rng), 2);
+        other.push_back(service.Submit(std::move(request)));
+      }
+      for (eng::Ticket& ticket : other) {
+        ASSERT_TRUE(ticket.Wait().ok()) << ticket.Wait().error;
+      }
+    }
+    eng::Request request;
+    request.venue_id = ids[0];
+    request.query = eng::Query::Knn(probe, 1);
+    const eng::Response response = service.Submit(std::move(request)).Take();
+    ASSERT_TRUE(response.ok()) << response.error;
+    ASSERT_EQ(response.result.objects.size(), 1u);
+    EXPECT_EQ(response.result.objects[0].object, 0u) << "round " << round;
+    EXPECT_EQ(response.result.objects[0].distance, 0.0) << "round " << round;
+    EXPECT_EQ(service.registry().Acquire(ids[0], &error).get(), a.get())
+        << "round " << round;
+  }
+  EXPECT_EQ(service.registry().NumResident(), 2u);
   service.Stop();
 
   for (const std::string& id : ids) {

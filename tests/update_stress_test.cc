@@ -32,14 +32,13 @@ namespace eng = ::viptree::engine;
 
 constexpr size_t kInitialObjects = 12;
 
-std::shared_ptr<const eng::VenueBundle> MakeBundle(
-    uint64_t seed, eng::EngineOptions options = {}) {
+std::shared_ptr<const eng::VenueBundle> MakeBundle(uint64_t seed) {
   Venue venue = testing::RandomSynthVenue(seed);
   Rng rng(seed ^ 0xB0B);
   std::vector<IndoorPoint> objects =
       synth::PlaceObjects(venue, kInitialObjects, rng);
-  return std::make_shared<const eng::VenueBundle>(eng::VenueBundle::Build(
-      std::move(venue), std::move(objects), std::move(options)));
+  return std::make_shared<const eng::VenueBundle>(
+      eng::VenueBundle::Build(std::move(venue), std::move(objects)));
 }
 
 // A writer that publishes `publishes` single-move deltas over the initial
@@ -249,28 +248,26 @@ TEST(UpdateStressTest, ConcurrentWritersSerializeCleanly) {
   }
 }
 
-// Cache contention: every reader engine shares the bundle's one
-// DistanceCache (small capacity + few shards to maximize lock and
-// eviction contention) while a writer churns object epochs at full rate.
+// Cache contention: every reader engine shares one DistanceCache (small
+// capacity + few shards to maximize lock and eviction contention) while a writer churns object epochs at full rate.
 // Distance answers are epoch-independent, so each reader can check its
 // own cached distance queries for exact self-consistency while kNN churns
 // the snapshot underneath; TSan (ctest -L update / -L cache) watches the
 // shard locks and recency lists.
 TEST(UpdateStressTest, ReadersShareCacheUnderWriterChurn) {
-  eng::EngineOptions bundle_options;
-  bundle_options.cache.enabled = true;
-  bundle_options.cache.capacity = 128;  // heavy eviction pressure
-  bundle_options.cache.shards = 2;
-  const std::shared_ptr<const eng::VenueBundle> bundle =
-      MakeBundle(29, bundle_options);
-  ASSERT_NE(bundle->distance_cache(), nullptr);
+  DistanceCacheOptions cache_options;
+  cache_options.capacity = 128;  // heavy eviction pressure
+  cache_options.shards = 2;
+  const auto cache = std::make_shared<DistanceCache>(cache_options);
+  const std::shared_ptr<const eng::VenueBundle> bundle = MakeBundle(29);
   std::atomic<bool> done{false};
 
   std::vector<std::thread> readers;
   for (size_t r = 0; r < 4; ++r) {
-    readers.emplace_back([bundle, r, &done] {
-      const eng::QueryEngine engine(bundle);
-      ASSERT_EQ(engine.distance_cache(), bundle->distance_cache());
+    readers.emplace_back([bundle, cache, r, &done] {
+      eng::QueryEngine engine(bundle);
+      engine.SetDistanceCache(cache);
+      ASSERT_EQ(engine.distance_cache(), cache);
       Rng rng(0xCAC4E ^ r);
       // A small pool of repeated endpoints so this reader both hits
       // entries other readers inserted and races them on inserts.
@@ -311,10 +308,10 @@ TEST(UpdateStressTest, ReadersShareCacheUnderWriterChurn) {
   writer.join();
   for (std::thread& t : readers) t.join();
 
-  const CacheCounters counters = bundle->distance_cache()->Counters();
+  const CacheCounters counters = cache->Counters();
   EXPECT_GT(counters.lookups(), 0u);
   EXPECT_EQ(counters.hits + counters.misses, counters.lookups());
-  EXPECT_LE(bundle->distance_cache()->Size(), bundle_options.cache.capacity);
+  EXPECT_LE(cache->Size(), cache_options.capacity);
   EXPECT_EQ(bundle->live_objects().epoch(), 251u);
 }
 

@@ -3,8 +3,9 @@
 # fronting them, and a 200-request mixed workload (updates included)
 # driven through net::Client (`viptree_query --connect`). Venue ids
 # net-a/net-b rendezvous-hash to different shards, so the router genuinely
-# splits the load. Then SIGTERM one shard: it must drain and exit cleanly,
-# and the rerun must fail over to the survivor with zero failures.
+# splits the load, and its fleet-wide stats count all 200. Then SIGTERM
+# one shard: it must drain and exit cleanly, and the rerun must fail over
+# to the survivor with zero failures.
 #
 # Usage: tools/ci/net_e2e_smoke.sh BIN_DIR PORT_BASE
 #   BIN_DIR    holds viptree_build, viptree_query and viptree_router
@@ -49,6 +50,9 @@ sleep 1
 "$BIN/viptree_query" --connect "127.0.0.1:$ROUTER_PORT" \
   --input "$TMP/net.txt" | tee "$TMP/net1.out"
 grep -q "sent 200 requests to 127.0.0.1:$ROUTER_PORT (160 ok, 40 updates, 0 expired, 0 rejected, 0 failed)" "$TMP/net1.out"
+# The router answers a stats probe from fresh shard replies, so the run
+# just finished is counted in full.
+grep -q "(200 submitted fleet-wide)" "$TMP/net1.out"
 kill -TERM "$S1" && wait "$S1"
 grep -q "shard drained" "$TMP/shard1.out"
 "$BIN/viptree_query" --connect "127.0.0.1:$ROUTER_PORT" \
