@@ -55,21 +55,20 @@ std::vector<ObjectResult> KnnQuery::WithinRange(const IndoorPoint& q,
 
 size_t KnnQuery::LocalObjectDistances(const IndoorPoint& q,
                                       const AscentDistances& ascent,
-                                      Span<const ObjectId> objs,
                                       Span<const OverlayObject> hot,
                                       std::vector<double>& out) const {
   const Venue& venue = tree_.venue();
+  const NodeId leaf = ascent.chain[0];
+  const size_t packed = objects_->ObjectsInLeaf(leaf).size();
   const auto point = [&](size_t i) -> const IndoorPoint& {
-    return i < objs.size() ? objects_->object(objs[i])
-                           : hot[i - objs.size()].point;
+    return i < packed ? objects_->PointInLeaf(leaf, i) : hot[i - packed].point;
   };
-  const size_t n = objs.size() + hot.size();
+  const size_t n = packed + hot.size();
   // One leaf search from q covers every object of the leaf, seeded with
   // the ascent's access-door distances (no second ascent). A settled
   // door's distance does not depend on the target set, so an object
   // scores the same bits whichever other objects share its leaf.
-  LeafSearch search = query_.StartLeafSearch(QuerySource::Point(q),
-                                             ascent.chain[0],
+  LeafSearch search = query_.StartLeafSearch(QuerySource::Point(q), leaf,
                                              &ascent.ad_dist[0]);
   local_targets_.clear();
   for (size_t i = 0; i < n; ++i) {
@@ -261,7 +260,7 @@ std::vector<ObjectResult> KnnQuery::Search(
     if (n == q_leaf) {
       std::vector<double> dists;
       const size_t settled =
-          LocalObjectDistances(q, ascent, objs, hot, dists);
+          LocalObjectDistances(q, ascent, hot, dists);
       if (stats != nullptr) stats->doors_settled = settled;
       for (size_t i = 0; i < objs.size(); ++i) {
         offer(objs[i], dists[i], object_allowed);

@@ -140,12 +140,11 @@ class KnnQuery {
       Span<const OverlayObject> overlay = {}, SearchStats* stats = nullptr,
       const AscentDistances* precomputed = nullptr) const;
 
-  // Exact distances from q to the packed objects `objs` and then the
-  // overlay objects `hot` of q's own leaf (one leaf search seeded from
-  // `ascent`, q's root ascent). Returns the doors the search settled.
+  // Exact distances from q to the packed objects and then the overlay
+  // objects `hot` of q's own leaf (one leaf search seeded from `ascent`,
+  // q's root ascent). Returns the doors the search settled.
   size_t LocalObjectDistances(const IndoorPoint& q,
                               const AscentDistances& ascent,
-                              Span<const ObjectId> objs,
                               Span<const OverlayObject> hot,
                               std::vector<double>& out) const;
 

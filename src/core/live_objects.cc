@@ -44,7 +44,7 @@ LiveObjectIndex::LiveObjectIndex(
   keyword_strings_ = std::move(keywords);
   keyword_strings_.resize(positions_.size());
   removed_flags_.assign(positions_.size(), 0);
-  MergeLocked();
+  RebuildLocked();
   PublishLocked();
 }
 
@@ -91,7 +91,7 @@ void LiveObjectIndex::SetObjects(
   keyword_strings_.resize(positions_.size());
   removed_flags_.assign(positions_.size(), 0);
   removed_ids_.clear();
-  MergeLocked();
+  RebuildLocked();
   PublishLocked();
 }
 
@@ -146,8 +146,16 @@ std::optional<std::string> LiveObjectIndex::ApplyDelta(
     }
   }
 
-  // Apply to the canonical writer state and to the overlay.
+  // Apply to the canonical writer state and to the overlay. An id outside
+  // the overlay (and not removed) still sits where base_ has it: record
+  // that leaf on its first move, for the next merge to rebuild.
   for (const ObjectDelta::Move& move : delta.moves) {
+    if (FindOverlayLocked(move.id) == overlay_.end()) {
+      ObjectIndex::Arrival changed;
+      changed.id = move.id;
+      changed.from_leaf = tree_.LeafOfPartition(positions_[move.id].partition);
+      changed_.push_back(changed);
+    }
     positions_[move.id] = move.to;
     UpsertOverlayLocked(move.id);
   }
@@ -162,14 +170,28 @@ std::optional<std::string> LiveObjectIndex::ApplyDelta(
     positions_.push_back(add.at);
     keyword_strings_.push_back(add.keywords);
     removed_flags_.push_back(0);
+    ObjectIndex::Arrival added;
+    added.id = id;
+    changed_.push_back(added);
     UpsertOverlayLocked(id);
   }
 
   // Velocity partitioning's cold path: once the hot overlay outgrows the
-  // watermark, fold everything back into a packed CSR built aside.
+  // watermark, fold it back into the packed base, rebuilding only the
+  // leaves it touched.
   if (overlay_.size() > options_.merge_watermark) MergeLocked();
   PublishLocked();
   return std::nullopt;
+}
+
+std::vector<ObjectSnapshot::OverlayEntry>::iterator
+LiveObjectIndex::FindOverlayLocked(ObjectId id) {
+  const auto it = std::lower_bound(
+      overlay_.begin(), overlay_.end(), id,
+      [](const ObjectSnapshot::OverlayEntry& e, ObjectId want) {
+        return e.id < want;
+      });
+  return (it != overlay_.end() && it->id == id) ? it : overlay_.end();
 }
 
 void LiveObjectIndex::UpsertOverlayLocked(ObjectId id) {
@@ -193,20 +215,44 @@ void LiveObjectIndex::UpsertOverlayLocked(ObjectId id) {
 }
 
 void LiveObjectIndex::EraseOverlayLocked(ObjectId id) {
-  const auto it = std::lower_bound(
-      overlay_.begin(), overlay_.end(), id,
-      [](const ObjectSnapshot::OverlayEntry& e, ObjectId want) {
-        return e.id < want;
-      });
-  if (it == overlay_.end() || it->id != id) return;
+  const auto it = FindOverlayLocked(id);
+  if (it == overlay_.end()) return;
   overlay_.erase(it);
   overlay_by_leaf_.erase(
       std::find_if(overlay_by_leaf_.begin(), overlay_by_leaf_.end(),
                    [id](const OverlayObject& o) { return o.id == id; }));
 }
 
-void LiveObjectIndex::MergeLocked() {
+void LiveObjectIndex::RebuildLocked() {
   base_ = std::make_shared<const ObjectIndex>(tree_, positions_);
+  changed_.clear();
+  AdoptBaseLocked();
+}
+
+void LiveObjectIndex::MergeLocked() {
+  // Every changed id arrives at its current position; a live one brings
+  // the row its overlay entry already holds (same bits as FillDoorRow).
+  for (ObjectIndex::Arrival& arrival : changed_) {
+    arrival.point = positions_[arrival.id];
+    if (removed_flags_[arrival.id] != 0) continue;
+    const uint32_t dfs =
+        tree_.node(tree_.LeafOfPartition(arrival.point.partition)).leaf_begin;
+    const auto it = std::lower_bound(
+        overlay_by_leaf_.begin(), overlay_by_leaf_.end(),
+        std::make_pair(dfs, arrival.id),
+        [](const OverlayObject& o, const std::pair<uint32_t, ObjectId>& key) {
+          return std::make_pair(o.leaf_dfs, o.id) < key;
+        });
+    VIPTREE_DCHECK(it != overlay_by_leaf_.end() && it->id == arrival.id);
+    arrival.row = it->row.data();
+  }
+  base_ = std::make_shared<const ObjectIndex>(
+      ObjectIndex::Merge(base_, std::move(changed_)));
+  changed_.clear();
+  AdoptBaseLocked();
+}
+
+void LiveObjectIndex::AdoptBaseLocked() {
   base_keywords_.reset();
   if (has_keywords_) {
     base_keywords_ = std::make_shared<const KeywordIndex>(tree_, *base_,

@@ -2,8 +2,8 @@
 // RCU-style epoch-published view of the ObjectIndex, motivated by the
 // velocity-partitioning idea of "Boosting Moving Object Indexing through
 // Velocity Partitioning" — hot (recently moved/added) objects live in a
-// small overlay, cold objects stay in the packed CSR ObjectIndex, and the
-// overlay is merged back into a freshly built CSR once it crosses a low
+// small overlay, cold objects stay in the packed ObjectIndex, and the
+// overlay is merged back into the packed base once it crosses a low
 // watermark. As in that paper, the hot store is queried with the same
 // pruning as the cold one: each overlay entry carries its leaf and its
 // access-door row (ObjectIndex::FillDoorRow, computed once when the entry
@@ -11,14 +11,20 @@
 // it scans that leaf. An entry in a pruned subtree costs a read nothing,
 // and an object's answer is the same bits whether or not it was merged.
 //
+// A merge costs what moved, not what exists (ObjectIndex::Merge): the
+// next base shares every leaf no id entered or left since the last merge
+// with the previous base, and rebuilds the others from the stayers' cells
+// plus the overlay entries' rows. The result is byte-identical to a base
+// built from scratch over the same positions.
+//
 // Concurrency model (the whole point of this file):
 //
 //   writer                           readers (any number, lock-free)
 //   ------                           -------------------------------
 //   lock write_mu_                   snap = Acquire()   (atomic load)
 //   build next ObjectSnapshot        ... answer queries against *snap,
-//   aside (patch overlay / rebuild       which is immutable forever ...
-//   CSR at the watermark)            drop snap          (refcount)
+//   aside (patch overlay / merge         which is immutable forever ...
+//   touched leaves at the watermark) drop snap          (refcount)
 //   atomic_store(snapshot_, next)
 //   unlock
 //
@@ -28,7 +34,7 @@
 // are strictly monotonic, so a reader can also detect publishes.
 //
 // Removals are tombstones: ObjectIndex requires every object id to appear
-// in some leaf, so removed ids stay in the packed CSR at their last known
+// in some leaf, so removed ids stay in the packed base at their last known
 // position and are hidden by the query-side object filter. SubtreeCount
 // therefore over-counts after removals, which only weakens pruning (never
 // correctness). PackedParts() — the Save path — compacts to live objects
@@ -111,7 +117,7 @@ struct ObjectSnapshot {
 
   bool IsRemoved(ObjectId o) const;
   const OverlayEntry* FindOverlay(ObjectId o) const;
-  // In the overlay or tombstoned — i.e. the base CSR's copy of `o` must
+  // In the overlay or tombstoned — i.e. the packed base's copy of `o` must
   // not be reported.
   bool Diverged(ObjectId o) const {
     return IsRemoved(o) || FindOverlay(o) != nullptr;
@@ -121,10 +127,11 @@ struct ObjectSnapshot {
 // Tuning knobs for LiveObjectIndex. Namespace-scope (not nested) so it is
 // complete where the constructors' default arguments need it.
 struct LiveObjectOptions {
-  // Overlay size that triggers a merge (full CSR rebuild) on the next
-  // publish. An entry costs a read what a packed object does (it is
-  // scored only when the search scans its leaf), so the watermark bounds
-  // the overlay's copy-per-publish, not the read cost.
+  // Overlay size that triggers a merge (a rebuild of the leaves the
+  // overlay's ids entered or left) on the next publish. An entry costs a
+  // read what a packed object does (it is scored only when the search
+  // scans its leaf), so the watermark bounds the overlay's copy-per-
+  // publish, not the read cost.
   size_t merge_watermark = 64;
 };
 
@@ -161,7 +168,7 @@ class LiveObjectIndex {
   bool has_keywords() const { return Acquire()->keywords != nullptr; }
   size_t NumLiveObjects() const { return Acquire()->num_live; }
 
-  // Full replacement: rebuilds the packed CSR (and keyword index) from
+  // Full replacement: rebuilds the packed base (and keyword index) from
   // scratch, clears overlay and tombstones, publishes one new epoch.
   void SetObjects(std::vector<IndoorPoint> objects,
                   std::vector<std::vector<std::string>> keywords = {});
@@ -198,9 +205,16 @@ class LiveObjectIndex {
   uint64_t MemoryBytes() const;
 
  private:
-  // Rebuilds base_/base_keywords_ from the canonical writer state and
-  // clears the overlay. Caller holds write_mu_.
+  // Builds base_ from scratch over positions_ (RebuildLocked) or from the
+  // previous base_ and changed_ (MergeLocked), then AdoptBaseLocked. Caller
+  // holds write_mu_.
+  void RebuildLocked();
   void MergeLocked();
+  // Rebuilds base_keywords_ over base_ and clears the overlay base_ has
+  // absorbed. Caller holds write_mu_.
+  void AdoptBaseLocked();
+  std::vector<ObjectSnapshot::OverlayEntry>::iterator FindOverlayLocked(
+      ObjectId id);
   // Inserts or refreshes id's overlay entry from the writer state (its
   // access-door row included), or drops it. Caller holds write_mu_.
   void UpsertOverlayLocked(ObjectId id);
@@ -227,6 +241,9 @@ class LiveObjectIndex {
   std::shared_ptr<const KeywordIndex> base_keywords_;
   std::vector<ObjectSnapshot::OverlayEntry> overlay_;
   std::vector<OverlayObject> overlay_by_leaf_;
+  // Every id moved or added since base_ was built (each once, removed ones
+  // included) with its leaf in base_: the next merge's arrivals.
+  std::vector<ObjectIndex::Arrival> changed_;
 
   // The published snapshot; accessed only through std::atomic_load /
   // std::atomic_store (C++17 shared_ptr atomics).

@@ -503,7 +503,7 @@ TEST(ServiceUpdateTest, InvalidDeltaFailsTheRequestNotTheProcess) {
   // Unknown object id: validated by ApplyDelta, failed as a request.
   // (The ticket owns the response storage, so it must outlive the uses.)
   ObjectDelta bad;
-  bad.moves.push_back({42, bundle->objects().object(0)});
+  bad.moves.push_back({42, bundle->objects().objects()[0]});
   eng::Ticket bad_ticket =
       service.Submit(eng::Request::Update("", std::move(bad)));
   const eng::Response& failed = bad_ticket.Wait();
@@ -515,7 +515,7 @@ TEST(ServiceUpdateTest, InvalidDeltaFailsTheRequestNotTheProcess) {
 
   // The worker survived: a valid update and a query still complete.
   ObjectDelta good;
-  good.moves.push_back({0, bundle->objects().object(1)});
+  good.moves.push_back({0, bundle->objects().objects()[1]});
   EXPECT_TRUE(
       service.Submit(eng::Request::Update("", std::move(good))).Wait().ok());
   eng::Request query;
@@ -537,7 +537,7 @@ TEST(ServiceUpdateTest, UpdatesWithExpiredDeadlinesAreShedUnapplied) {
   eng::Service service(bundle, {});
   // Submit before Start so the deadline provably passes while queued.
   ObjectDelta delta;
-  delta.moves.push_back({0, bundle->objects().object(1)});
+  delta.moves.push_back({0, bundle->objects().objects()[1]});
   eng::Request request = eng::Request::Update("", std::move(delta));
   request.deadline = eng::ServiceClock::now() - std::chrono::milliseconds(1);
   eng::Ticket ticket = service.Submit(std::move(request));
@@ -786,7 +786,7 @@ TEST(ServiceRegistryTest, UpdatesRouteToTheNamedVenueOnly) {
         service.Submit(eng::Request::Update(ids[0], std::move(delta))));
   }
   ObjectDelta stray;
-  stray.moves.push_back({0, target->objects().object(0)});
+  stray.moves.push_back({0, target->objects().objects()[0]});
   eng::Ticket missing =
       service.Submit(eng::Request::Update("venue-404", std::move(stray)));
   service.Drain();

@@ -237,15 +237,114 @@ TEST(UpdateStressTest, ConcurrentWritersSerializeCleanly) {
   // The final snapshot agrees with each writer's last move per id,
   // whether the id sits in the overlay or was merged into the base.
   const std::shared_ptr<const ObjectSnapshot> snap = live.Acquire();
+  const std::vector<IndoorPoint> base_points = snap->base->objects();
   for (ObjectId id = 0; id < static_cast<ObjectId>(kInitialObjects); ++id) {
     if (final_position[id].partition == kInvalidId) continue;  // never moved
     const ObjectSnapshot::OverlayEntry* entry = snap->FindOverlay(id);
     const IndoorPoint& actual =
-        entry != nullptr ? entry->point : snap->base->object(id);
+        entry != nullptr ? entry->point : base_points[id];
     EXPECT_EQ(actual.partition, final_position[id].partition) << "id " << id;
     EXPECT_EQ(actual.position.x, final_position[id].position.x)
         << "id " << id;
   }
+}
+
+// Readers keep up to eight old snapshots pinned while a writer merges on
+// every publish (watermark 0), so the leaf blocks that merged bases share
+// are released in every order, many while older pinned epochs still read
+// them. A pinned snapshot must keep giving the answer it gave when it was
+// pinned; ASan and TSan watch the block lifetimes and refcounts.
+TEST(UpdateStressTest, PinnedSnapshotsOutliveLeafMerges) {
+  const std::shared_ptr<const eng::VenueBundle> bundle = MakeBundle(17);
+  const IPTree& tree = bundle->tree().base();
+  LiveObjectIndex::Options options;
+  options.merge_watermark = 0;
+  LiveObjectIndex live(tree, bundle->objects().objects(), {}, options);
+  std::atomic<bool> done{false};
+  // The writer waits for the readers' progress, so the two interleave.
+  std::atomic<size_t> reads{0};
+  std::atomic<int> readers_running{3};
+
+  struct Pinned {
+    std::shared_ptr<const ObjectSnapshot> snap;
+    IndoorPoint q;
+    std::vector<ObjectResult> answer;
+  };
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      struct Exit {
+        std::atomic<int>* running;
+        ~Exit() { running->fetch_sub(1); }
+      } exit{&readers_running};
+      Rng rng(0x919 + r);
+      SnapshotQuery query(tree, live.Acquire());
+      std::vector<Pinned> pinned;
+      bool final_pass = false;
+      while (!final_pass) {
+        final_pass = done.load(std::memory_order_acquire);
+        Pinned pin{live.Acquire(),
+                   synth::RandomIndoorPoint(bundle->venue(), rng),
+                   {}};
+        query.Repin(pin.snap);
+        pin.answer = query.Knn(pin.q, 3);
+        pinned.push_back(std::move(pin));
+        if (pinned.size() > 8) {
+          pinned.erase(pinned.begin() + rng.UniformIndex(pinned.size()));
+        }
+        const Pinned& old = pinned[rng.UniformIndex(pinned.size())];
+        query.Repin(old.snap);
+        const std::vector<ObjectResult> again = query.Knn(old.q, 3);
+        ASSERT_EQ(again.size(), old.answer.size())
+            << "epoch " << old.snap->epoch;
+        for (size_t j = 0; j < again.size(); ++j) {
+          ASSERT_EQ(again[j].object, old.answer[j].object)
+              << "epoch " << old.snap->epoch;
+          ASSERT_EQ(again[j].distance, old.answer[j].distance)
+              << "epoch " << old.snap->epoch;
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  Rng rng(0x9E1);
+  std::vector<ObjectId> live_ids;
+  for (size_t i = 0; i < kInitialObjects; ++i) {
+    live_ids.push_back(static_cast<ObjectId>(i));
+  }
+  ObjectId next_id = static_cast<ObjectId>(kInitialObjects);
+  size_t merges = 0;
+  std::shared_ptr<const ObjectIndex> last_base = live.Acquire()->base;
+  for (int i = 0; i < 300; ++i) {
+    while (reads.load(std::memory_order_relaxed) < static_cast<size_t>(i) &&
+           readers_running.load() > 0) {
+      std::this_thread::yield();
+    }
+    ObjectDelta delta;
+    const double pick = rng.UniformReal(0.0, 1.0);
+    if (pick < 0.8 || live_ids.size() < 4) {
+      delta.moves.push_back(
+          {live_ids[rng.UniformIndex(live_ids.size())],
+           synth::RandomIndoorPoint(bundle->venue(), rng)});
+    } else if (pick < 0.9) {
+      ObjectDelta::Add add;
+      add.at = synth::RandomIndoorPoint(bundle->venue(), rng);
+      delta.adds.push_back(add);
+      live_ids.push_back(next_id++);
+    } else {
+      const size_t victim = rng.UniformIndex(live_ids.size());
+      delta.removes.push_back(live_ids[victim]);
+      live_ids.erase(live_ids.begin() + victim);
+    }
+    ASSERT_FALSE(live.ApplyDelta(delta).has_value()) << "publish " << i;
+    const std::shared_ptr<const ObjectIndex> base = live.Acquire()->base;
+    if (base != last_base) ++merges;
+    last_base = base;
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_GE(merges, 100u);
 }
 
 // Cache contention: every reader engine shares one DistanceCache (small
