@@ -1,18 +1,16 @@
 // A/B benchmark for the execution planner (engine/exec_plan.h): coalesced
-// vs sequential execution vs the cross-request distance cache on
-// source-skewed batches — the access pattern coalescing exists for (many
-// concurrent queries leaving the same entrance/lobby/POI, a zipfian
-// distribution over a small hot source pool).
+// vs sequential execution on source-skewed batches — the access pattern
+// coalescing exists for (many concurrent queries leaving the same
+// entrance/lobby/POI, a zipfian distribution over a small hot source
+// pool).
 //
-// Three configurations per workload, all on the calling thread through
+// Two configurations per workload, both on the calling thread through
 // QueryEngine directly, so the ratio isolates the planner (no Service
 // queue, no parallelism):
-//   sequential  RunSequential, cache off — the baseline;
-//   coalesced   RunCoalesced over kWindow-sized spans, cache off;
-//   cache       RunSequential with the LRU distance cache on — the
-//               alternative way to exploit repetition, for context.
+//   sequential  RunSequential — the baseline;
+//   coalesced   RunCoalesced over kWindow-sized spans.
 //
-// Results are bit-identical across all configurations (the planner's
+// Results are bit-identical across both configurations (the planner's
 // contract); the bench CHECKs coalesced against sequential as it runs and
 // prints the planner's group/ascent accounting. Respects VIPTREE_SCALE /
 // VIPTREE_QUERIES like every other bench.
@@ -26,7 +24,6 @@
 
 #include "bench_common.h"
 #include "common/check.h"
-#include "core/distance_cache.h"
 #include "engine/query_engine.h"
 
 namespace viptree {
@@ -137,7 +134,7 @@ RunResult RunOnce(const engine::QueryEngine& engine,
   return run;
 }
 
-void RunWorkload(engine::QueryEngine& engine, const char* label,
+void RunWorkload(const engine::QueryEngine& engine, const char* label,
                  const std::vector<engine::Query>& queries) {
   // Warm-up pass so lazily-built structures don't bias the first timing.
   RunOnce(engine, queries, /*coalesce=*/false);
@@ -150,13 +147,6 @@ void RunWorkload(engine::QueryEngine& engine, const char* label,
         "coalesced execution diverged from sequential");
   }
 
-  // The caching alternative: same sequential execution, exact memoization.
-  DistanceCacheOptions cache_options;
-  cache_options.enabled = true;
-  engine.EnableDistanceCache(cache_options);
-  const RunResult cached = RunOnce(engine, queries, /*coalesce=*/false);
-  engine.SetDistanceCache(nullptr);
-
   const engine::PlanStats& plan = coalesced.plan;
   std::printf("%s: %zu queries\n", label, queries.size());
   std::printf("  %-10s %10.2f ms %12.0f q/s\n", "sequential",
@@ -164,8 +154,6 @@ void RunWorkload(engine::QueryEngine& engine, const char* label,
   std::printf("  %-10s %10.2f ms %12.0f q/s   %.2fx\n", "coalesced",
               coalesced.wall_ms, coalesced.qps,
               coalesced.qps / sequential.qps);
-  std::printf("  %-10s %10.2f ms %12.0f q/s   %.2fx\n", "cache",
-              cached.wall_ms, cached.qps, cached.qps / sequential.qps);
   std::printf(
       "  plan: %llu groups over %llu queries, %llu ascents computed, "
       "%llu reused\n",

@@ -1,17 +1,11 @@
 // A/B benchmark for the cross-request distance cache
-// (core/distance_cache.h): cache off vs the LRU cache on zone-skewed
-// repeat workloads — the access pattern the cache exists for (venue users
-// keep asking about the same lobby/entrance/POI doors, with a uniform
-// cold tail on top).
-//
-// Two workloads:
-//   (a) door-pair: VIPDistanceQuery::DoorDistance over pairs where 90% of
-//       endpoints come from a small hot door set and 10% are uniform cold
-//       scans. Capacity is set well below the total key population so the
-//       cold tail applies real eviction pressure.
-//   (b) engine-level: the mixed serving workload (distance/path/kNN/range)
-//       through engine::QueryEngine with query points drawn from a small
-//       hot pool 90% of the time.
+// (core/distance_cache.h): cache off vs the LRU cache on a zone-skewed
+// door-pair workload — VIPDistanceQuery::DoorDistance, the only call that
+// reaches the cache, over pairs where 90% of endpoints come from a small
+// hot door set and 10% are uniform cold scans. Capacity is set well below
+// the total key population so the cold tail applies real eviction
+// pressure. (Point queries never touch the cache, so an engine-level A/B
+// would compare identical code.)
 //
 // Prints p50/avg latency, hit rate and evictions per configuration.
 // Results are bit-identical with and without the cache (it memoizes exact
@@ -28,7 +22,6 @@
 #include "core/distance_cache.h"
 #include "core/distance_query.h"
 #include "core/vip_tree.h"
-#include "engine/query_engine.h"
 
 namespace viptree {
 namespace bench {
@@ -36,7 +29,6 @@ namespace {
 
 constexpr double kHotFraction = 0.9;
 constexpr size_t kHotDoors = 32;
-constexpr size_t kHotPoints = 64;
 constexpr size_t kChunk = 32;  // queries per latency sample
 
 struct CacheRun {
@@ -110,66 +102,6 @@ CacheRun RunDoorPairs(const VIPTree& tree,
   return run;
 }
 
-// The engine-level mixed workload with hot-pool repeats: 90% of queries
-// reuse one of kHotPoints query points, 10% are fresh uniform points.
-std::vector<engine::Query> SkewedEngineWorkload(const Venue& venue, size_t n,
-                                                uint64_t seed) {
-  Rng rng(seed);
-  std::vector<IndoorPoint> pool;
-  pool.reserve(kHotPoints);
-  for (size_t i = 0; i < kHotPoints; ++i) {
-    pool.push_back(synth::RandomIndoorPoint(venue, rng));
-  }
-  auto point = [&]() -> IndoorPoint {
-    if (rng.Chance(kHotFraction)) return pool[rng.UniformIndex(pool.size())];
-    return synth::RandomIndoorPoint(venue, rng);
-  };
-  std::vector<engine::Query> queries;
-  queries.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const IndoorPoint a = point();
-    const IndoorPoint b = point();
-    switch (i % 10) {
-      case 0: case 1: case 2: case 3:
-        queries.push_back(engine::Query::Distance(a, b));
-        break;
-      case 4: case 5:
-        queries.push_back(engine::Query::Path(a, b));
-        break;
-      case 6: case 7: case 8:
-        queries.push_back(engine::Query::Knn(a, 5));
-        break;
-      default:
-        queries.push_back(engine::Query::Range(a, 100.0));
-        break;
-    }
-  }
-  return queries;
-}
-
-CacheRun RunEngineWorkload(engine::QueryEngine& engine,
-                            const std::vector<engine::Query>& queries,
-                            const char* name) {
-  CacheRun run;
-  run.name = name;
-  run.cached = engine.distance_cache() != nullptr;
-  std::vector<double> samples;
-  samples.reserve(queries.size() / kChunk + 1);
-  double total = 0.0;
-  for (size_t i = 0; i < queries.size(); i += kChunk) {
-    const size_t end = std::min(queries.size(), i + kChunk);
-    const Timer timer;
-    for (size_t j = i; j < end; ++j) engine.Run(queries[j]);
-    const double elapsed = timer.ElapsedMicros();
-    total += elapsed;
-    samples.push_back(elapsed / static_cast<double>(end - i));
-  }
-  run.latency_micros = Summarize(samples);
-  run.avg_micros = total / static_cast<double>(queries.size());
-  if (run.cached) run.counters = engine.distance_cache()->Counters();
-  return run;
-}
-
 void PrintTable(const char* title, const std::vector<CacheRun>& runs) {
   std::printf("%s\n", title);
   std::printf("  %-8s %12s %12s %10s %12s\n", "cache", "p50 us", "avg us",
@@ -203,7 +135,6 @@ int main() {
 
   const VIPTree tree = VIPTree::Build(data.venue, data.graph, {});
   const size_t door_queries = NumQueries() * 20;
-  const size_t engine_queries = NumQueries() * 4;
 
   const std::vector<std::pair<DoorId, DoorId>> pairs =
       DoorPairWorkload(data.venue, door_queries, /*seed=*/0x5EED);
@@ -215,38 +146,19 @@ int main() {
   cache_options.enabled = true;
   cache_options.capacity = 2048;
 
-  {
-    std::vector<CacheRun> runs;
-    std::vector<double> reference;
-    std::vector<double> answers;
-    runs.push_back(
-        RunDoorPairs(tree, pairs, "off", nullptr, nullptr, &reference));
-    DistanceCache cache(cache_options);
-    runs.push_back(
-        RunDoorPairs(tree, pairs, "lru", &cache, &reference, &answers));
-    PrintTable(
-        ("door-pair workload: " + std::to_string(pairs.size()) +
-         " queries, 90% over " + std::to_string(kHotDoors) +
-         " hot doors, capacity " + std::to_string(cache_options.capacity))
-            .c_str(),
-        runs);
-  }
-
-  {
-    engine::QueryEngine engine(
-        engine::VenueBundle::BuildFrom(data.venue, data.graph,
-                                       Objects(dataset, 50)));
-    const std::vector<engine::Query> queries =
-        SkewedEngineWorkload(data.venue, engine_queries, /*seed=*/0xCAFE);
-    std::vector<CacheRun> runs;
-    runs.push_back(RunEngineWorkload(engine, queries, "off"));
-    engine.EnableDistanceCache(cache_options);
-    runs.push_back(RunEngineWorkload(engine, queries, "lru"));
-    PrintTable(("engine mixed workload: " + std::to_string(queries.size()) +
-                " queries, 90% over " + std::to_string(kHotPoints) +
-                " hot points")
-                   .c_str(),
-               runs);
-  }
+  std::vector<CacheRun> runs;
+  std::vector<double> reference;
+  std::vector<double> answers;
+  runs.push_back(
+      RunDoorPairs(tree, pairs, "off", nullptr, nullptr, &reference));
+  DistanceCache cache(cache_options);
+  runs.push_back(
+      RunDoorPairs(tree, pairs, "lru", &cache, &reference, &answers));
+  PrintTable(
+      ("door-pair workload: " + std::to_string(pairs.size()) +
+       " queries, 90% over " + std::to_string(kHotDoors) +
+       " hot doors, capacity " + std::to_string(cache_options.capacity))
+          .c_str(),
+      runs);
   return 0;
 }

@@ -33,13 +33,12 @@ size_t DistanceCache::KeyHash::operator()(const Key& key) const {
   return static_cast<size_t>(x);
 }
 
-// One value slot per kind family; which member is live is implied by the
-// key's kind, so no discriminant is stored. `pos` is the entry's place in
-// its shard's recency list.
+// One value slot per kind family (scalar, distance vector); which member
+// is live is implied by the key's kind, so no discriminant is stored.
+// `pos` is the entry's place in its shard's recency list.
 struct DistanceCache::Entry {
   double scalar = 0.0;
   std::vector<double> dist;
-  std::vector<int32_t> index;
   std::list<Key>::iterator pos;
 };
 
@@ -144,20 +143,6 @@ void DistanceCache::InsertDistVector(CacheKind kind, int32_t a, int32_t b,
                                      const std::vector<double>& value) {
   Key key{static_cast<uint8_t>(kind), a, b};
   InsertInternal(key, [&value](Entry& e) { e.dist = value; });
-}
-
-bool DistanceCache::LookupIndexVector(CacheKind kind, int32_t a, int32_t b,
-                                      std::vector<int32_t>* out) {
-  Key key{static_cast<uint8_t>(kind), a, b};
-  return LookupInternal(key, [out](const Entry& e) {
-    out->assign(e.index.begin(), e.index.end());
-  });
-}
-
-void DistanceCache::InsertIndexVector(CacheKind kind, int32_t a, int32_t b,
-                                      const std::vector<int32_t>& value) {
-  Key key{static_cast<uint8_t>(kind), a, b};
-  InsertInternal(key, [&value](Entry& e) { e.index = value; });
 }
 
 CacheCounters DistanceCache::Counters() const {

@@ -1,12 +1,14 @@
-// Cross-request distance cache (ROADMAP item 3): memoizes the door-to-door
-// legs the VIP-/IP-Tree distance path recomputes for every request from the
-// same zones. Exact by construction — the D2D graph and every tree matrix
-// are immutable after load (only *objects* move, through LiveObjectIndex),
-// so a cached leg can never go stale; and every cached value is the bitwise
-// result of the one deterministic computation it replaces (a memo, never a
-// recomposition), so cache-on and cache-off answers are bit-identical.
+// Cross-request distance cache: memoizes IPDistanceQuery::DoorDistance and
+// VIPDistanceQuery::DoorDistance, the only calls that reach it (point
+// queries cannot key it, and the access-door positions their matrix joins
+// read are tree structure: IPTree::ParentMatrixPositions). Exact by
+// construction — the D2D graph and every tree matrix are immutable after
+// load (only *objects* move, through LiveObjectIndex), so a cached leg can
+// never go stale; and every cached value is the bitwise result of the one
+// deterministic computation it replaces (a memo, never a recomposition),
+// so cache-on and cache-off answers are bit-identical.
 //
-// Entry kinds (all keyed on small dense ids, never on continuous points):
+// Entry kinds (all keyed on small dense ids):
 //
 //   kIpDoorPair / kVipDoorPair  (door, door) -> distance
 //       the full result of IPDistanceQuery::DoorDistance /
@@ -18,12 +20,6 @@
 //       dist(door -> every access door of `node`), the Algorithm 2 ascent
 //       vector of a door source (IP variant only; the VIP variant reads
 //       these in O(1) from the extended matrices already).
-//   kIndexMap      (node n, node m) -> index vector
-//       position of each access door of `m` in `n`'s matrix_doors — the
-//       rho^2 log rho binary searches of every LCA join and of the kNN
-//       Lemma 8/9 derivation. Integer-valued, so trivially exact; this is
-//       the kind that also accelerates *point* queries, whose continuous
-//       coordinates cannot key a cache.
 //
 // Sharded and thread-safe: a key hashes to one of `shards` independent
 // (mutex, hash map, recency list, counters) quadruples, so concurrent
@@ -72,7 +68,6 @@ enum class CacheKind : uint8_t {
   kIpDoorPair = 0,
   kVipDoorPair = 1,
   kIpDoorAscent = 2,
-  kIndexMap = 3,
 };
 
 class DistanceCache {
@@ -84,7 +79,7 @@ class DistanceCache {
   DistanceCache& operator=(const DistanceCache&) = delete;
 
   // Lookups copy the value out under the shard lock (into the caller's
-  // reusable scratch for the vector kinds) and count a hit or miss; a miss
+  // reusable scratch for the vector kind) and count a hit or miss; a miss
   // is expected to be followed by the corresponding Insert. All methods
   // are safe from any number of threads.
   bool LookupScalar(CacheKind kind, int32_t a, int32_t b, double* out);
@@ -94,11 +89,6 @@ class DistanceCache {
                         std::vector<double>* out);
   void InsertDistVector(CacheKind kind, int32_t a, int32_t b,
                         const std::vector<double>& value);
-
-  bool LookupIndexVector(CacheKind kind, int32_t a, int32_t b,
-                         std::vector<int32_t>* out);
-  void InsertIndexVector(CacheKind kind, int32_t a, int32_t b,
-                         const std::vector<int32_t>& value);
 
   // Counters summed over shards; monotonic (Clear resets entries, not
   // counters, so long-running stats stay continuous).

@@ -25,33 +25,30 @@ NodeId ChildToward(const IPTree& tree, NodeId ancestor, NodeId leaf) {
   return cur;
 }
 
+// Algorithm 3's join at the LCA of children ns and nt: min over (i, j) of
+// (sd[i] + lca_cell) + td[j], one kernel join per finite source door.
+double JoinAtLca(const IPTree& tree, NodeId lca, NodeId ns, NodeId nt,
+                 const double* sd, const double* td) {
+  const FlatMatrix<float>& dist = tree.node(lca).dist;
+  const Span<const int32_t> rows = tree.ParentMatrixPositions(ns);
+  const Span<const int32_t> cols = tree.ParentMatrixPositions(nt);
+  double best = kInfDistance;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (sd[i] == kInfDistance) continue;
+    const double cand = kernels::JoinMinIndexedF32(
+        sd[i], dist.row(static_cast<size_t>(rows[i])).data(), cols.data(), td,
+        cols.size());
+    if (cand < best) best = cand;
+  }
+  return best;
+}
+
 }  // namespace
 
 IPDistanceQuery::IPDistanceQuery(const IPTree& tree,
                                  const DistanceQueryOptions& options,
                                  DistanceCache* cache)
     : tree_(tree), options_(options), cache_(cache), dijkstra_(tree.graph()) {}
-
-void IPDistanceQuery::AccessDoorIndexMap(NodeId n, NodeId m,
-                                         std::vector<int32_t>& out) const {
-  if (cache_ != nullptr &&
-      cache_->LookupIndexVector(CacheKind::kIndexMap, n, m, &out)) {
-    return;
-  }
-  const TreeNode& nn = tree_.node(n);
-  const TreeNode& mn = tree_.node(m);
-  out.resize(mn.access_doors.size());
-  for (size_t i = 0; i < mn.access_doors.size(); ++i) {
-    const int idx = IPTree::IndexOf(nn.matrix_doors, mn.access_doors[i]);
-    // An access door of m (a descendant-or-self of n) must appear in n's
-    // matrix; -1 here would silently read a wrong matrix row below.
-    VIPTREE_DCHECK(idx >= 0);
-    out[i] = idx;
-  }
-  if (cache_ != nullptr) {
-    cache_->InsertIndexVector(CacheKind::kIndexMap, n, m, out);
-  }
-}
 
 void IPDistanceQuery::DoorAscent(DoorId door, NodeId target,
                                  std::vector<double>& out) const {
@@ -142,9 +139,9 @@ AscentDistances IPDistanceQuery::GetDistances(const QuerySource& source,
     std::vector<double> pdist(nc, kInfDistance);
     std::vector<PathBack> pback(nc);
     // rows: child access doors, cols: parent access doors, both positioned
-    // in the parent matrix once per level instead of per cell.
-    AccessDoorIndexMap(parent, cur, step_rows_);
-    AccessDoorIndexMap(parent, parent, step_cols_);
+    // in the parent matrix.
+    const Span<const int32_t> rows = tree_.ParentMatrixPositions(cur);
+    const Span<const int32_t> cols = tree_.OwnMatrixPositions(parent);
     // Row-outer kernel form of the min-plus step: one gather per child
     // door over its parent-matrix row, folded into per-column accumulators
     // with the source door recorded on strict improvement. Ascending-b
@@ -156,8 +153,8 @@ AscentDistances IPDistanceQuery::GetDistances(const QuerySource& source,
       if (cdist[b] == kInfDistance) continue;  // inf + cell never improves
       kernels::MinPlusGatherArgF32(
           step_dist_.data(), step_src_.data(), static_cast<int32_t>(b),
-          pnode.dist.row(static_cast<size_t>(step_rows_[b])).data(),
-          step_cols_.data(), cdist[b], nc);
+          pnode.dist.row(static_cast<size_t>(rows[b])).data(), cols.data(),
+          cdist[b], nc);
     }
     for (size_t c = 0; c < nc; ++c) {
       const DoorId a = pnode.access_doors[c];
@@ -275,25 +272,8 @@ double IPDistanceQuery::Distance(const IndoorPoint& s,
   const NodeId nt = ChildToward(tree_, lca, lt);
   const AscentDistances as = GetDistances(QuerySource::Point(s), ns);
   const AscentDistances at = GetDistances(QuerySource::Point(t), nt);
-
-  const TreeNode& lca_node = tree_.node(lca);
-  const TreeNode& ns_node = tree_.node(ns);
-  const TreeNode& nt_node = tree_.node(nt);
-  AccessDoorIndexMap(lca, ns, row_idx_);
-  AccessDoorIndexMap(lca, nt, col_idx_);
-  // One kernel join per source door: min over j of
-  // (s[i] + lca_cell) + t[j], keeping the historical association.
-  const std::vector<double>& sd = as.ad_dist.back();
-  const std::vector<double>& td = at.ad_dist.back();
-  double best = kInfDistance;
-  for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
-    if (sd[i] == kInfDistance) continue;
-    const double cand = kernels::JoinMinIndexedF32(
-        sd[i], lca_node.dist.row(static_cast<size_t>(row_idx_[i])).data(),
-        col_idx_.data(), td.data(), nt_node.access_doors.size());
-    if (cand < best) best = cand;
-  }
-  return best;
+  return JoinAtLca(tree_, lca, ns, nt, as.ad_dist.back().data(),
+                   at.ad_dist.back().data());
 }
 
 double IPDistanceQuery::DoorDistance(DoorId s, DoorId t) const {
@@ -333,21 +313,7 @@ double IPDistanceQuery::DoorDistanceUncached(DoorId s, DoorId t) const {
   const NodeId nt = ChildToward(tree_, lca, lt);
   DoorAscent(s, ns, s_ascent_);
   DoorAscent(t, nt, t_ascent_);
-  const TreeNode& lca_node = tree_.node(lca);
-  const TreeNode& ns_node = tree_.node(ns);
-  const TreeNode& nt_node = tree_.node(nt);
-  AccessDoorIndexMap(lca, ns, row_idx_);
-  AccessDoorIndexMap(lca, nt, col_idx_);
-  double best = kInfDistance;
-  for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
-    if (s_ascent_[i] == kInfDistance) continue;
-    const double cand = kernels::JoinMinIndexedF32(
-        s_ascent_[i],
-        lca_node.dist.row(static_cast<size_t>(row_idx_[i])).data(),
-        col_idx_.data(), t_ascent_.data(), nt_node.access_doors.size());
-    if (cand < best) best = cand;
-  }
-  return best;
+  return JoinAtLca(tree_, lca, ns, nt, s_ascent_.data(), t_ascent_.data());
 }
 
 // ---------------------------------------------------------------------------
@@ -459,8 +425,8 @@ void VIPDistanceQuery::DistanceViaLcaMulti(const double* sdist, NodeId lca,
   const size_t ni = ns_node.access_doors.size();
   const size_t nj = nt_node.access_doors.size();
   const size_t num_targets = targets.size();
-  AccessDoorIndexMap(lca, ns, row_idx_);
-  AccessDoorIndexMap(lca, nt, col_idx_);
+  const Span<const int32_t> rows = tree.ParentMatrixPositions(ns);
+  const Span<const int32_t> cols = tree.ParentMatrixPositions(nt);
 
   // Source-side fold: joined_[j] = min over finite i of sdist[i] +
   // lca_cell(i, j), keeping the sequential join's sum association with the
@@ -472,8 +438,8 @@ void VIPDistanceQuery::DistanceViaLcaMulti(const double* sdist, NodeId lca,
     if (sdist[i] == kInfDistance) continue;
     kernels::MinPlusGatherF32(
         joined_.data(),
-        lca_node.dist.row(static_cast<size_t>(row_idx_[i])).data(),
-        col_idx_.data(), sdist[i], nj);
+        lca_node.dist.row(static_cast<size_t>(rows[i])).data(),
+        cols.data(), sdist[i], nj);
   }
 
   // Per-target descents, stacked row-major for one batched reduce.
@@ -620,22 +586,7 @@ double VIPDistanceQuery::Distance(const IndoorPoint& s,
   const NodeId nt = ChildToward(tree, lca, lt);
   DistancesToNodeAd(QuerySource::Point(s), ns, sdist_, sback_);
   DistancesToNodeAd(QuerySource::Point(t), nt, tdist_, tback_);
-
-  const TreeNode& lca_node = tree.node(lca);
-  const TreeNode& ns_node = tree.node(ns);
-  const TreeNode& nt_node = tree.node(nt);
-  AccessDoorIndexMap(lca, ns, row_idx_);
-  AccessDoorIndexMap(lca, nt, col_idx_);
-  double best = kInfDistance;
-  for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
-    if (sdist_[i] == kInfDistance) continue;
-    const double cand = kernels::JoinMinIndexedF32(
-        sdist_[i],
-        lca_node.dist.row(static_cast<size_t>(row_idx_[i])).data(),
-        col_idx_.data(), tdist_.data(), nt_node.access_doors.size());
-    if (cand < best) best = cand;
-  }
-  return best;
+  return JoinAtLca(tree, lca, ns, nt, sdist_.data(), tdist_.data());
 }
 
 double VIPDistanceQuery::DoorDistance(DoorId s, DoorId t) const {
@@ -670,21 +621,7 @@ double VIPDistanceQuery::DoorDistanceUncached(DoorId s, DoorId t) const {
   const NodeId nt = ChildToward(tree, lca, t_leaves[0].leaf);
   DistancesToNodeAd(QuerySource::Door(s), ns, sdist_, sback_);
   DistancesToNodeAd(QuerySource::Door(t), nt, tdist_, tback_);
-  const TreeNode& lca_node = tree.node(lca);
-  const TreeNode& ns_node = tree.node(ns);
-  const TreeNode& nt_node = tree.node(nt);
-  AccessDoorIndexMap(lca, ns, row_idx_);
-  AccessDoorIndexMap(lca, nt, col_idx_);
-  double best = kInfDistance;
-  for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
-    if (sdist_[i] == kInfDistance) continue;
-    const double cand = kernels::JoinMinIndexedF32(
-        sdist_[i],
-        lca_node.dist.row(static_cast<size_t>(row_idx_[i])).data(),
-        col_idx_.data(), tdist_.data(), nt_node.access_doors.size());
-    if (cand < best) best = cand;
-  }
-  return best;
+  return JoinAtLca(tree, lca, ns, nt, sdist_.data(), tdist_.data());
 }
 
 }  // namespace viptree

@@ -135,8 +135,8 @@ struct MultiDistanceStats {
 class IPDistanceQuery {
  public:
   // `cache` (optional, may be shared across engines — it is internally
-  // thread-safe) memoizes door-pair results, door ascent vectors and
-  // access-door index maps. It is a separate parameter rather than a
+  // thread-safe) memoizes DoorDistance and its door ascents; no point
+  // query reads it. It is a separate parameter rather than a
   // DistanceQueryOptions field because the options struct is serialized
   // into snapshots (VenueBundle::Save). Cache-on and cache-off answers are
   // bit-identical; see core/distance_cache.h.
@@ -181,13 +181,6 @@ class IPDistanceQuery {
   // The leaf a query source belongs to.
   NodeId LeafOf(const QuerySource& source) const;
 
-  // out[i] = position of node(m).access_doors[i] in node(n).matrix_doors.
-  // This is the index triple every LCA join / ascent step / kNN bound
-  // derivation recomputes with per-cell binary searches; every position is
-  // checked >= 0 (a miss would otherwise silently index row -1 of the
-  // matrix). Memoized under CacheKind::kIndexMap when a cache is attached.
-  void AccessDoorIndexMap(NodeId n, NodeId m, std::vector<int32_t>& out) const;
-
   const IPTree& tree() const { return tree_; }
   DistanceCache* distance_cache() const { return cache_; }
 
@@ -209,9 +202,7 @@ class IPDistanceQuery {
   mutable std::vector<DijkstraSource> leaf_sources_;  // StartLeafSearch
   mutable std::vector<double> leaf_seed_dist_;
   mutable std::vector<PathBack> leaf_seed_back_;
-  mutable std::vector<int32_t> row_idx_, col_idx_;      // LCA joins
-  mutable std::vector<int32_t> step_rows_, step_cols_;  // ascent steps
-  mutable std::vector<double> s_ascent_, t_ascent_;     // DoorDistance
+  mutable std::vector<double> s_ascent_, t_ascent_;  // DoorDistance
   // Kernel accumulators of the ascent step (common/kernels.h): per-column
   // best distance and the child door (index) that produced it.
   mutable std::vector<double> step_dist_;
@@ -220,10 +211,10 @@ class IPDistanceQuery {
 
 class VIPDistanceQuery {
  public:
-  // `cache` as in IPDistanceQuery; it is also forwarded to the embedded
-  // IP fallback engine. IP and VIP door-pair results are memoized under
-  // distinct kinds (the materialized float matrices can differ from the
-  // iterative ascent in the last ulp), so one cache may safely serve both.
+  // `cache` as in IPDistanceQuery (DoorDistance only); also forwarded to
+  // the IP fallback engine. IP and VIP door-pair results use distinct
+  // kinds (the float matrices can differ from the iterative ascent in the
+  // last ulp), so one cache may safely serve both.
   explicit VIPDistanceQuery(const VIPTree& tree,
                             const DistanceQueryOptions& options = {},
                             DistanceCache* cache = nullptr);
@@ -260,12 +251,6 @@ class VIPDistanceQuery {
                      Span<const IndoorPoint> targets, double* out,
                      MultiDistanceStats* stats = nullptr) const;
 
-  // See IPDistanceQuery::AccessDoorIndexMap (the VIP tree shares the base
-  // IP tree's node matrices, so the map is identical).
-  void AccessDoorIndexMap(NodeId n, NodeId m, std::vector<int32_t>& out) const {
-    ip_.AccessDoorIndexMap(n, m, out);
-  }
-
   const VIPTree& tree() const { return vip_; }
   DistanceCache* distance_cache() const { return cache_; }
 
@@ -285,7 +270,6 @@ class VIPDistanceQuery {
   DistanceQueryOptions options_;
   DistanceCache* cache_ = nullptr;
   IPDistanceQuery ip_;  // same-leaf fallback + seeding helpers
-  mutable std::vector<int32_t> row_idx_, col_idx_;
   mutable std::vector<double> sdist_, tdist_;
   mutable std::vector<PathBack> sback_, tback_;
   // Coalesced-path scratch (DistanceMulti and helpers).

@@ -18,6 +18,37 @@ IPTree IPTree::Build(const Venue& venue, const D2DGraph& graph,
 
 namespace {
 
+// Fills the flat arrays behind IPTree::ParentMatrixPositions and
+// OwnMatrixPositions: per node, the parent-matrix span, then its own. An
+// access door missing from a matrix it must sit in is an error (a query
+// would read matrix row -1 for it).
+std::optional<std::string> MatrixPositions(const std::vector<TreeNode>& nodes,
+                                           std::vector<uint32_t>& offsets,
+                                           std::vector<int32_t>& positions) {
+  offsets.assign(1, 0);
+  positions.clear();
+  for (const TreeNode& node : nodes) {
+    // nullptr: the root has no parent matrix, a leaf no matrix_doors.
+    for (const TreeNode* m :
+         {node.parent == kInvalidId ? nullptr : &nodes[node.parent],
+          node.is_leaf() ? nullptr : &node}) {
+      if (m != nullptr) {
+        for (DoorId d : node.access_doors) {
+          const int idx = IPTree::IndexOf(m->matrix_doors, d);
+          if (idx < 0) {
+            return "tree node " + std::to_string(node.id) +
+                   " has an access door missing from " +
+                   (m == &node ? "its own" : "its parent's") + " matrix";
+          }
+          positions.push_back(idx);
+        }
+      }
+      offsets.push_back(static_cast<uint32_t>(positions.size()));
+    }
+  }
+  return std::nullopt;
+}
+
 // Structural check of one node's door lists and matrix shapes; `full` adds
 // the per-cell matrix sweep (see IPTree::ValidationLevel).
 std::optional<std::string> ValidateNode(const TreeNode& node,
@@ -133,6 +164,11 @@ std::optional<std::string> IPTree::ValidateParts(const Venue& venue,
   if (parts.nodes[parts.root].parent != kInvalidId) {
     return "tree root has a parent";
   }
+  std::vector<uint32_t> offsets;
+  std::vector<int32_t> positions;
+  if (auto error = MatrixPositions(parts.nodes, offsets, positions)) {
+    return error;
+  }
   if (parts.leaf_of_partition.size() != num_partitions) {
     return "leaf_of_partition has the wrong size";
   }
@@ -202,7 +238,14 @@ IPTree IPTree::FromValidatedParts(const Venue& venue, const D2DGraph& graph,
   tree.is_access_door_ = std::move(parts.is_access_door);
   tree.superior_offsets_ = std::move(parts.superior_offsets);
   tree.superior_doors_ = std::move(parts.superior_doors);
+  tree.DeriveMatrixPositions();
   return tree;
+}
+
+void IPTree::DeriveMatrixPositions() {
+  const std::optional<std::string> error =
+      MatrixPositions(nodes_, position_offsets_, positions_);
+  VIPTREE_CHECK_MSG(!error.has_value(), error->c_str());
 }
 
 IPTree::Parts IPTree::ToParts() const {
@@ -308,6 +351,8 @@ uint64_t IPTree::MemoryBytes() const {
   bytes += is_access_door_.MemoryBytes();
   bytes += superior_offsets_.MemoryBytes();
   bytes += superior_doors_.MemoryBytes();
+  bytes += position_offsets_.size() * sizeof(uint32_t);
+  bytes += positions_.size() * sizeof(int32_t);
   return bytes;
 }
 

@@ -193,6 +193,21 @@ class IPTree {
   // Index of `d` within `doors` (binary search); -1 if absent.
   static int IndexOf(Span<const DoorId> doors, DoorId d);
 
+  // Where a node's access doors sit in a matrix, as row/column indices:
+  // ParentMatrixPositions(n)[i] is the index of node(n).access_doors[i] in
+  // its parent's matrix_doors (empty for the root), OwnMatrixPositions(n)[i]
+  // its index in n's own matrix_doors (empty for a leaf). Every LCA join,
+  // ascent step and kNN Lemma 8/9 bound reads one of these two; they are
+  // derived once per tree and never persisted.
+  Span<const int32_t> ParentMatrixPositions(NodeId n) const {
+    return {positions_.data() + position_offsets_[2 * n],
+            positions_.data() + position_offsets_[2 * n + 1]};
+  }
+  Span<const int32_t> OwnMatrixPositions(NodeId n) const {
+    return {positions_.data() + position_offsets_[2 * n + 1],
+            positions_.data() + position_offsets_[2 * n + 2]};
+  }
+
   // Aggregate statistics (Table 1 / Fig. 7 reporting).
   struct Stats {
     size_t num_nodes = 0;
@@ -214,6 +229,10 @@ class IPTree {
   friend class VIPTree;  // takes ownership in VIPTree::Extend
   IPTree() = default;
 
+  // Fills the arrays behind ParentMatrixPositions / OwnMatrixPositions;
+  // the last step of both construction paths (build and FromParts).
+  void DeriveMatrixPositions();
+
   const Venue* venue_ = nullptr;
   const D2DGraph* graph_ = nullptr;
   std::vector<TreeNode> nodes_;
@@ -225,6 +244,10 @@ class IPTree {
   // CSR of partition -> superior doors.
   Storage<uint32_t> superior_offsets_;
   Storage<DoorId> superior_doors_;
+  // Node n's parent-matrix positions are [offsets[2n], offsets[2n+1]),
+  // its own-matrix ones [offsets[2n+1], offsets[2n+2]).
+  std::vector<uint32_t> position_offsets_;
+  std::vector<int32_t> positions_;
 };
 
 }  // namespace viptree

@@ -166,27 +166,25 @@ std::vector<ObjectResult> KnnQuery::Search(
     VIPTREE_DCHECK(parent != kInvalidId);
     const TreeNode& pnode = tree_.node(parent);
 
+    // The source's access doors index rows of the parent matrix, n's its
+    // columns.
     const std::vector<double>* source_dist = nullptr;
     const TreeNode* source_node = nullptr;
-    NodeId source_id = kInvalidId;
+    Span<const int32_t> rows;
     const auto chain_it = chain_pos.find(parent);
     if (chain_it != chain_pos.end() && chain_it->second > 0) {
       // Parent contains q: use the sibling on q's chain (Lemma 8).
       const NodeId sibling = ascent.chain[chain_it->second - 1];
       source_dist = &ad_dist.at(sibling);
       source_node = &tree_.node(sibling);
-      source_id = sibling;
+      rows = tree_.ParentMatrixPositions(sibling);
     } else {
       // Parent does not contain q: use the parent itself (Lemma 9).
       source_dist = &ad_dist.at(parent);
       source_node = &pnode;
-      source_id = parent;
+      rows = tree_.OwnMatrixPositions(parent);
     }
-    // Row/col positions in the parent matrix, resolved once per node (and
-    // memoized across queries when a cache is attached) instead of one
-    // binary search per matrix cell.
-    query_.AccessDoorIndexMap(parent, n, bound_cols_);
-    query_.AccessDoorIndexMap(parent, source_id, bound_rows_);
+    const Span<const int32_t> cols = tree_.ParentMatrixPositions(n);
     const size_t nc = node.access_doors.size();
     const size_t nb = source_node->access_doors.size();
     std::vector<double> dist(nc, kInfDistance);
@@ -198,12 +196,12 @@ std::vector<ObjectResult> KnnQuery::Search(
       if (add == kInfDistance) continue;  // inf + cell never improves
       if (b + 1 < nb) {
         kernels::PrefetchRead(
-            pnode.dist.row(static_cast<size_t>(bound_rows_[b + 1])).data());
+            pnode.dist.row(static_cast<size_t>(rows[b + 1])).data());
       }
       kernels::MinPlusGatherF32(
           dist.data(),
-          pnode.dist.row(static_cast<size_t>(bound_rows_[b])).data(),
-          bound_cols_.data(), add, nc);
+          pnode.dist.row(static_cast<size_t>(rows[b])).data(),
+          cols.data(), add, nc);
     }
     return ad_dist.emplace(n, std::move(dist)).first->second;
   };

@@ -53,9 +53,8 @@ struct SearchStats {
 
 class KnnQuery {
  public:
-  // `cache` as in IPDistanceQuery: memoizes the access-door index maps of
-  // the Lemma 8/9 bound derivation (and everything the internal distance
-  // engine caches); nullptr disables memoization.
+  // `cache` is forwarded to the internal IPDistanceQuery; no kNN search
+  // reads it (see IPDistanceQuery).
   KnnQuery(const IPTree& tree, const ObjectIndex& objects,
            const DistanceQueryOptions& options = {},
            DistanceCache* cache = nullptr);
@@ -152,7 +151,6 @@ class KnnQuery {
   const ObjectIndex* objects_;
   IPDistanceQuery query_;  // also owns the Dijkstra scratch of the leaf search
   mutable std::vector<DoorId> local_targets_;  // LocalObjectDistances
-  mutable std::vector<int32_t> bound_rows_, bound_cols_;  // Lemma 8/9
 };
 
 }  // namespace viptree

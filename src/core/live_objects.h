@@ -258,9 +258,8 @@ class LiveObjectIndex {
 // snapshot: the scratch is kept, so only construction allocates it.
 class SnapshotQuery {
  public:
-  // `cache` as in KnnQuery (object positions are per-snapshot state and
-  // are never cached; only immutable tree/graph legs are — see
-  // core/distance_cache.h); nullptr disables memoization.
+  // `cache` as in KnnQuery: forwarded, but no search here reads it
+  // (object positions are per-snapshot state and are never cached).
   SnapshotQuery(const IPTree& tree,
                 std::shared_ptr<const ObjectSnapshot> snapshot,
                 const DistanceQueryOptions& options = {},

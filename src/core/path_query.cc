@@ -189,12 +189,12 @@ IndoorPath IPPathQuery::CrossLeafPath(const QuerySource& s,
   IndoorPath path;
   size_t best_i = 0;
   size_t best_j = 0;
-  query_.AccessDoorIndexMap(lca, ns, row_idx_);
-  query_.AccessDoorIndexMap(lca, nt, col_idx_);
+  const Span<const int32_t> rows = tree_.ParentMatrixPositions(ns);
+  const Span<const int32_t> cols = tree_.ParentMatrixPositions(nt);
   for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
-    const int row = row_idx_[i];
+    const int row = rows[i];
     for (size_t j = 0; j < nt_node.access_doors.size(); ++j) {
-      const int col = col_idx_[j];
+      const int col = cols[j];
       const double cand = as.ad_dist.back()[i] + lca_node.dist.at(row, col) +
                           at.ad_dist.back()[j];
       if (cand < path.distance) {
@@ -322,12 +322,12 @@ IndoorPath VIPPathQuery::CrossLeafPath(const QuerySource& s,
   const TreeNode& nt_node = tree.node(nt);
   IndoorPath path;
   size_t best_i = 0, best_j = 0;
-  query_.AccessDoorIndexMap(lca, ns, row_idx_);
-  query_.AccessDoorIndexMap(lca, nt, col_idx_);
+  const Span<const int32_t> rows = tree.ParentMatrixPositions(ns);
+  const Span<const int32_t> cols = tree.ParentMatrixPositions(nt);
   for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
-    const int row = row_idx_[i];
+    const int row = rows[i];
     for (size_t j = 0; j < nt_node.access_doors.size(); ++j) {
-      const int col = col_idx_[j];
+      const int col = cols[j];
       const double cand =
           sdist[i] + lca_node.dist.at(row, col) + tdist[j];
       if (cand < path.distance) {

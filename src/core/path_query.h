@@ -63,8 +63,7 @@ class IPPathQuery {
 
   const IPTree& tree_;
   IPDistanceQuery query_;
-  mutable std::vector<int32_t> row_idx_, col_idx_;  // CrossLeafPath join
-  mutable std::vector<double> seed_dist_;            // LocalPath seeds
+  mutable std::vector<double> seed_dist_;  // LocalPath seeds
   mutable std::vector<PathBack> seed_back_;
 };
 
@@ -88,7 +87,6 @@ class VIPPathQuery {
   const VIPTree& vip_;
   VIPDistanceQuery query_;
   IPPathQuery ip_path_;  // leaf-level and fallback expansion
-  mutable std::vector<int32_t> row_idx_, col_idx_;
 };
 
 }  // namespace viptree

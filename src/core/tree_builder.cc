@@ -112,6 +112,7 @@ IPTree TreeBuilder::BuildIPTree() {
   BuildLeafMatricesAndSuperiorDoors();
   BuildNonLeafMatrices();
   RenumberNodesTraversalOrder();
+  tree_.DeriveMatrixPositions();
   return std::move(tree_);
 }
 

@@ -54,7 +54,6 @@ TEST(DistanceCacheTest, KindsDoNotCollide) {
   cache.InsertScalar(CacheKind::kIpDoorPair, 3, 4, 1.0);
   cache.InsertScalar(CacheKind::kVipDoorPair, 3, 4, 2.0);
   cache.InsertDistVector(CacheKind::kIpDoorAscent, 3, 4, {3.0, 4.0});
-  cache.InsertIndexVector(CacheKind::kIndexMap, 3, 4, {5, 6});
 
   double s = 0.0;
   ASSERT_TRUE(cache.LookupScalar(CacheKind::kIpDoorPair, 3, 4, &s));
@@ -64,10 +63,7 @@ TEST(DistanceCacheTest, KindsDoNotCollide) {
   std::vector<double> dist;
   ASSERT_TRUE(cache.LookupDistVector(CacheKind::kIpDoorAscent, 3, 4, &dist));
   EXPECT_EQ(dist, (std::vector<double>{3.0, 4.0}));
-  std::vector<int32_t> index;
-  ASSERT_TRUE(cache.LookupIndexVector(CacheKind::kIndexMap, 3, 4, &index));
-  EXPECT_EQ(index, (std::vector<int32_t>{5, 6}));
-  EXPECT_EQ(cache.Size(), 4u);
+  EXPECT_EQ(cache.Size(), 3u);
 
   // Ordered keys: (4, 3) is not (3, 4).
   EXPECT_FALSE(cache.LookupScalar(CacheKind::kIpDoorPair, 4, 3, &s));
@@ -142,12 +138,12 @@ TEST(DistanceCacheTest, ShardCountClampedToPowerOfTwo) {
     options.shards = shards;
     DistanceCache cache(options);  // must not crash; keys must all resolve
     for (int32_t i = 0; i < 64; ++i) {
-      cache.InsertScalar(CacheKind::kIndexMap, i, 0, i);
+      cache.InsertScalar(CacheKind::kIpDoorPair, i, 0, i);
     }
     int hits = 0;
     for (int32_t i = 0; i < 64; ++i) {
       double value;
-      if (cache.LookupScalar(CacheKind::kIndexMap, i, 0, &value)) ++hits;
+      if (cache.LookupScalar(CacheKind::kIpDoorPair, i, 0, &value)) ++hits;
     }
     EXPECT_GT(hits, 0) << "shards=" << shards;
   }

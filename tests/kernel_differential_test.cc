@@ -159,7 +159,7 @@ TEST_P(KernelDifferentialTest, ScalarAndDispatchBitIdenticalWithUpdates) {
 // the in-memory scalar reference — the mmap'd (8-byte-aligned,
 // arena-aliased) rows must feed the kernels exactly like the owning
 // 64-byte buffers do.
-TEST_P(KernelDifferentialTest, MadvisePoliciesBitIdenticalOnBothPaths) {
+TEST_P(KernelDifferentialTest, MmapReplayBitIdenticalUnderBothDispatchModes) {
   const uint64_t seed = GetParam();
   if (seed % 3 != 0) {
     GTEST_SKIP() << "snapshot sweep runs on every 3rd seed";

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -175,8 +176,9 @@ TEST(SnapshotTest, SetObjectsAfterLoadMatchesSetObjectsAfterBuild) {
 TEST(SnapshotTest, TamperedPartsAreRejectedByStructuralValidation) {
   // Direct ValidateParts coverage for inconsistencies a checksum cannot
   // catch (they would have to be *written* by a buggy or hostile producer,
-  // not flipped in transit): cyclic parent links, doors with no leaf,
-  // duplicate keyword dictionary entries.
+  // not flipped in transit): cyclic parent links, doors with no leaf, an
+  // access door outside its parent's matrix, duplicate keyword dictionary
+  // entries.
   Venue venue = synth::RandomVenue(5);
   Rng rng(8);
   std::vector<IndoorPoint> objects = synth::PlaceObjects(venue, 4, rng);
@@ -195,6 +197,32 @@ TEST(SnapshotTest, TamperedPartsAreRejectedByStructuralValidation) {
     IPTree::Parts parts = tree.ToParts();
     parts.door_leaves[0][0].leaf = kInvalidId;  // door with no leaf
     EXPECT_TRUE(IPTree::ValidateParts(engine.venue(), parts).has_value());
+  }
+  {
+    // A leaf's access door swapped for an in-range door missing from its
+    // parent's matrix_doors: every size and shape stays valid, but the
+    // queries would index parent-matrix row -1 with it.
+    IPTree::Parts parts = tree.ToParts();
+    const auto leaf = std::find_if(
+        parts.nodes.begin(), parts.nodes.end(), [](const TreeNode& n) {
+          return n.is_leaf() && n.parent != kInvalidId &&
+                 !n.access_doors.empty();
+        });
+    ASSERT_NE(leaf, parts.nodes.end());
+    const std::vector<DoorId>& in_parent =
+        parts.nodes[leaf->parent].matrix_doors;
+    DoorId stray = 0;
+    while (std::binary_search(in_parent.begin(), in_parent.end(), stray)) {
+      ++stray;
+    }
+    ASSERT_LT(static_cast<size_t>(stray), engine.venue().NumDoors());
+    leaf->access_doors.back() = stray;
+    const auto error = IPTree::ValidateParts(
+        engine.venue(), parts, IPTree::ValidationLevel::kStructure);
+    ASSERT_TRUE(error.has_value());
+    EXPECT_NE(error->find("missing from its parent's matrix"),
+              std::string::npos)
+        << *error;
   }
   {
     KeywordIndex::Parts parts =

@@ -1,21 +1,28 @@
 // Structural invariants of the IP-Tree across a parameterized sweep of
 // venue shapes and minimum degrees — the properties the §3 algorithms rely
 // on (access-door nesting, matrix door sets, next-hop consistency, DFS
-// interval partitioning, superior-door definition). Two sweeps share the
-// suite: four hand-picked venue shapes, and randomized synthetic venues
-// drawn from seeds (the same generator the differential tests use).
+// interval partitioning, superior-door definition, the derived access-door
+// matrix positions). Two sweeps share the suite: four hand-picked venue
+// shapes, and randomized synthetic venues drawn from seeds (the same
+// generator the differential tests use).
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/ip_tree.h"
+#include "engine/venue_bundle.h"
 #include "graph/dijkstra.h"
 #include "ground_truth.h"
 #include "synth/building_generator.h"
 #include "synth/campus_generator.h"
+#include "synth/objects.h"
 #include "synth/replicate.h"
 #include "common/span.h"
 
@@ -238,6 +245,50 @@ TEST_P(TreeInvariantTest, MinDegreeRespectedBelowRoot) {
   const IPTree::Stats stats = tree_.ComputeStats();
   EXPECT_GT(stats.num_leaves, 0u);
   EXPECT_GT(stats.memory_bytes, 0u);
+}
+
+// matrix_doors[pos[i]] == access_doors[i] for every (parent, child) and
+// (node, itself) pair, with a span exactly where such a matrix exists.
+void ExpectMatrixPositionsMatch(const IPTree& tree, const std::string& label) {
+  for (const TreeNode& n : tree.nodes()) {
+    const Span<const int32_t> in_parent = tree.ParentMatrixPositions(n.id);
+    const Span<const int32_t> in_own = tree.OwnMatrixPositions(n.id);
+    ASSERT_EQ(in_parent.size(),
+              n.parent == kInvalidId ? 0 : n.access_doors.size())
+        << label << " node " << n.id;
+    ASSERT_EQ(in_own.size(), n.is_leaf() ? 0 : n.access_doors.size())
+        << label << " node " << n.id;
+    for (size_t i = 0; i < in_parent.size(); ++i) {
+      EXPECT_EQ(tree.node(n.parent).matrix_doors.at(in_parent[i]),
+                n.access_doors[i])
+          << label << " node " << n.id << " in its parent";
+    }
+    for (size_t i = 0; i < in_own.size(); ++i) {
+      EXPECT_EQ(n.matrix_doors.at(in_own[i]), n.access_doors[i])
+          << label << " node " << n.id << " in its own matrix";
+    }
+  }
+}
+
+TEST_P(TreeInvariantTest, MatrixPositionsIndexAccessDoors) {
+  ExpectMatrixPositionsMatch(tree_, "built");
+
+  // The positions are derived, not persisted: a zero-copy snapshot load
+  // must derive the same ones.
+  engine::EngineOptions options;
+  options.tree.min_degree = GetParam().min_degree;
+  Rng rng(GetParam().seed);
+  const engine::VenueBundle built = engine::VenueBundle::BuildFrom(
+      venue_, graph_, synth::PlaceObjects(venue_, 4, rng), options);
+  const char* dir = std::getenv("TMPDIR");
+  const std::string path =
+      std::string(dir != nullptr && dir[0] != '\0' ? dir : "/tmp") +
+      "/viptree_tree_invariants_" + std::to_string(::getpid()) + ".snap";
+  ASSERT_TRUE(built.Save(path).ok());
+  const engine::VenueBundle loaded = engine::VenueBundle::Load(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(loaded.zero_copy());
+  ExpectMatrixPositionsMatch(loaded.tree().base(), "mmap");
 }
 
 TEST_P(TreeInvariantTest, AccessDoorCountsStaySmall) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/distance_cache.h"
+#include "core/distance_query.h"
 #include "core/live_objects.h"
 #include "engine/query_engine.h"
 #include "engine/service.h"
@@ -348,11 +349,14 @@ TEST(UpdateStressTest, PinnedSnapshotsOutliveLeafMerges) {
 }
 
 // Cache contention: every reader engine shares one DistanceCache (small
-// capacity + few shards to maximize lock and eviction contention) while a writer churns object epochs at full rate.
-// Distance answers are epoch-independent, so each reader can check its
-// own cached distance queries for exact self-consistency while kNN churns
-// the snapshot underneath; TSan (ctest -L update / -L cache) watches the
-// shard locks and recency lists.
+// capacity + few shards to maximize lock and eviction contention) while a
+// writer churns object epochs at full rate. Point queries never reach the
+// cache, so each reader also asks door-pair distances (DoorDistance, the
+// calls that do) through the same cache. Distance answers are
+// epoch-independent, so each reader can check its own distance queries
+// for exact self-consistency while kNN churns the snapshot underneath;
+// TSan (ctest -L update / -L cache) watches the shard locks and recency
+// lists.
 TEST(UpdateStressTest, ReadersShareCacheUnderWriterChurn) {
   DistanceCacheOptions cache_options;
   cache_options.capacity = 128;  // heavy eviction pressure
@@ -367,6 +371,8 @@ TEST(UpdateStressTest, ReadersShareCacheUnderWriterChurn) {
       eng::QueryEngine engine(bundle);
       engine.SetDistanceCache(cache);
       ASSERT_EQ(engine.distance_cache(), cache);
+      const VIPDistanceQuery doors(bundle->tree(), bundle->query_options(),
+                                   cache.get());
       Rng rng(0xCAC4E ^ r);
       // A small pool of repeated endpoints so this reader both hits
       // entries other readers inserted and races them on inserts.
@@ -374,8 +380,15 @@ TEST(UpdateStressTest, ReadersShareCacheUnderWriterChurn) {
       for (int i = 0; i < 8; ++i) {
         pool.push_back(synth::RandomIndoorPoint(bundle->venue(), rng));
       }
+      std::vector<DoorId> door_pool;
+      for (size_t i = 0; i < pool.size(); ++i) {
+        door_pool.push_back(static_cast<DoorId>(
+            rng.UniformIndex(bundle->venue().NumDoors())));
+      }
       std::vector<double> first_answer(pool.size() * pool.size(),
                                        kInfDistance);
+      std::vector<double> first_door_answer(door_pool.size() * door_pool.size(),
+                                            kInfDistance);
       bool final_pass = false;
       while (!final_pass) {
         final_pass = done.load(std::memory_order_acquire);
@@ -391,6 +404,13 @@ TEST(UpdateStressTest, ReadersShareCacheUnderWriterChurn) {
           seen = d;
         } else {
           ASSERT_EQ(d, seen) << "cached distance drifted under churn";
+        }
+        const double dd = doors.DoorDistance(door_pool[i], door_pool[j]);
+        double& seen_door = first_door_answer[i * door_pool.size() + j];
+        if (seen_door == kInfDistance) {
+          seen_door = dd;
+        } else {
+          ASSERT_EQ(dd, seen_door) << "cached door distance drifted";
         }
         const auto knn =
             engine.Run(eng::Query::Knn(pool[i], 3)).objects;

@@ -91,8 +91,8 @@ inline Flag StringFlag(std::string name, std::string* target) {
           }};
 }
 
-// `implies`, when set, is switched on by naming this flag (e.g. a cache
-// capacity implies the cache).
+// `implies`, when set, is switched on by naming this flag (e.g. a
+// coalesce window implies coalescing).
 template <typename T>
 Flag UnsignedFlag(std::string name, T* target,
                   uint64_t max = std::numeric_limits<T>::max(),

@@ -56,7 +56,6 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
-#include "core/distance_cache.h"
 #include "engine/service.h"
 #include "engine/venue_registry.h"
 #include "engine/workload_text.h"
@@ -88,10 +87,6 @@ struct Args {
   size_t threads = 1;
   uint64_t seed = 0xC0FFEE;
   std::string mix = "mixed";  // mixed | distance | path | knn | range
-  // Cross-request distance cache (core/distance_cache.h). Off by default:
-  // the cache only pays off on workloads that repeat door pairs.
-  bool cache = false;
-  size_t cache_capacity = DistanceCacheOptions{}.capacity;
   // Execution-planner coalescing (engine/exec_plan.h), forwarded to the
   // Service workers. Off by default.
   bool coalesce = false;
@@ -105,14 +100,12 @@ void Usage(const char* argv0) {
       "          [--queries N] [--updates U] [--seed S]\n"
       "          [--mix mixed|distance|path|knn|range]\n"
       "          [--threads T] [--deadline-ms D] [--queue-capacity C]\n"
-      "          [--cache] [--cache-capacity N]\n"
       "          [--coalesce] [--coalesce-window K] [--emit-workload]\n"
       "       %s (--snapshot PATH | --registry MANIFEST) --serve\n"
       "          [--input FILE] [--threads T] [--deadline-ms D]\n"
-      "          [--queue-capacity C] [--cache] [--cache-capacity N]\n"
-      "          [--coalesce] [--coalesce-window K]\n"
+      "          [--queue-capacity C] [--coalesce] [--coalesce-window K]\n"
       "       %s (--snapshot PATH | --registry MANIFEST) --listen PORT\n"
-      "          [--threads T] [--queue-capacity C] [--cache] [--coalesce]\n"
+      "          [--threads T] [--queue-capacity C] [--coalesce]\n"
       "       %s --connect HOST:PORT [--input FILE] [--deadline-ms D]\n"
       "       %s --registry MANIFEST --list-venues\n"
       "\n"
@@ -132,10 +125,7 @@ void Usage(const char* argv0) {
       "instead of running it. The mixed workload is 40%% distance, 20%%\n"
       "path, 20%% kNN, 10%% range and 10%% boolean keyword kNN (keyword\n"
       "queries fall back to kNN when the snapshot has no keyword index).\n"
-      "--cache turns on the exact cross-request door-pair distance cache\n"
-      "(results are bit-identical with and without it; LRU eviction);\n"
-      "--cache-capacity 0 (default) sizes the cache from the venue's door\n"
-      "count. --coalesce turns on the execution planner: workers pull up\n"
+      "--coalesce turns on the execution planner: workers pull up\n"
       "to --coalesce-window K (default %zu) queued same-venue queries into\n"
       "one group and share their source ascents through the multi-target\n"
       "kernels — results stay bit-identical to sequential execution.\n",
@@ -160,9 +150,6 @@ bool Parse(int argc, char** argv, Args* args) {
       tools::UnsignedFlag("--threads", &args->threads),
       tools::UnsignedFlag("--seed", &args->seed),
       tools::StringFlag("--mix", &args->mix),
-      tools::SwitchFlag("--cache", &args->cache),
-      tools::UnsignedFlag("--cache-capacity", &args->cache_capacity,
-                          std::numeric_limits<size_t>::max(), &args->cache),
       tools::SwitchFlag("--coalesce", &args->coalesce),
       tools::UnsignedFlag("--coalesce-window", &args->coalesce_window,
                           std::numeric_limits<size_t>::max(),
@@ -231,8 +218,6 @@ eng::ServiceOptions ServiceOptionsFrom(const Args& args) {
   eng::ServiceOptions options;
   options.num_threads = args.threads;
   options.queue_capacity = args.queue_capacity;
-  options.cache.enabled = args.cache;
-  options.cache.capacity = args.cache_capacity;
   options.coalesce.enabled = args.coalesce;
   options.coalesce.window = args.coalesce_window;
   return options;
@@ -594,14 +579,6 @@ int ServeMain(const Args& args, eng::Service* service,
   std::printf("  latency p99   %10.2f us\n", stats.latency_micros.p99);
   if (stats.updates > 0) {
     std::printf("  update p99    %10.2f us\n", stats.update_micros.p99);
-  }
-  if (args.cache) {
-    std::printf("  cache          %llu hits, %llu misses (%.1f%% hit rate), "
-                "%llu evictions\n",
-                static_cast<unsigned long long>(stats.cache.hits),
-                static_cast<unsigned long long>(stats.cache.misses),
-                100.0 * stats.cache.hit_rate(),
-                static_cast<unsigned long long>(stats.cache.evictions));
   }
   if (args.coalesce) PrintPlanStats(stats.plan);
   for (const auto& [venue_id, counters] : stats.per_venue) {
