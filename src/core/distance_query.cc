@@ -15,14 +15,87 @@ namespace viptree {
 
 namespace {
 
-// The child of `ancestor` whose subtree contains `leaf`.
-NodeId ChildToward(const IPTree& tree, NodeId ancestor, NodeId leaf) {
-  NodeId cur = leaf;
-  while (tree.node(cur).parent != ancestor) {
-    cur = tree.node(cur).parent;
-    VIPTREE_DCHECK(cur != kInvalidId);
+// A doors x access-doors distance matrix, the one shape Eq. (1) reads: the
+// IP leaf matrix at a leaf, the VIP extended matrix above the leaves (§2.2).
+struct AccessMatrix {
+  Span<const DoorId> rows;  // sorted; holds every seed door of the source
+  const FlatMatrix<float>& dist;
+  Span<const DoorId> cols;  // the node's access doors
+
+  // One binary search per seed door, then a contiguous row of |cols| cells.
+  Span<const float> RowOf(DoorId d) const {
+    const int row = IPTree::IndexOf(rows, d);
+    VIPTREE_DCHECK(row >= 0);
+    return dist.row(static_cast<size_t>(row));
   }
-  return cur;
+};
+
+AccessMatrix ExtAccessMatrix(const VIPTree& vip, NodeId node) {
+  return {vip.ExtDoors(node), vip.ExtDistMatrix(node),
+          vip.base().node(node).access_doors};
+}
+
+// The doors Eq. (1) seeds a point of partition p from: its superior doors
+// (§3.1.1, Definition 2), or all of its doors when those are turned off.
+Span<const DoorId> SeedDoors(const IPTree& tree,
+                             const DistanceQueryOptions& options,
+                             PartitionId p) {
+  return options.use_superior_doors ? tree.SuperiorDoors(p)
+                                    : tree.venue().DoorsOf(p);
+}
+
+// Eq. (1)'s trivial case for points sharing one partition: every access
+// door of that partition is reached directly, so dist[k * |cols| + c] =
+// dist(points[k], cols[c]) for each such c. Other cells are left as is.
+void DirectLegs(const Venue& venue, Span<const IndoorPoint> points,
+                Span<const DoorId> cols, double* dist) {
+  const Span<const DoorId> partition_doors =
+      venue.DoorsOf(points[0].partition);
+  const size_t m = cols.size();
+  for (size_t c = 0; c < m; ++c) {
+    if (std::find(partition_doors.begin(), partition_doors.end(), cols[c]) ==
+        partition_doors.end()) {
+      continue;
+    }
+    for (size_t k = 0; k < points.size(); ++k) {
+      VIPTREE_DCHECK(points[k].partition == points[0].partition);
+      dist[k * m + c] = venue.DistanceToDoor(points[k], cols[c]);
+    }
+  }
+}
+
+// Eq. (1), the one descent: dist(source, a) and its PathBack for every
+// access door a of `matrix`. A door source copies its row. A point source
+// takes its direct legs, then folds one row per seed door u, in order,
+// strict-<: each column sees the direct leg and then the seed doors in the
+// order Eq. (1) lists them cell by cell, so ties keep the first.
+void AccessDoorDistances(const IPTree& tree,
+                         const DistanceQueryOptions& options,
+                         const QuerySource& source, const AccessMatrix& matrix,
+                         std::vector<double>& dist,
+                         std::vector<PathBack>& back) {
+  const size_t m = matrix.cols.size();
+  dist.assign(m, kInfDistance);
+  back.assign(m, PathBack{});  // pred kInvalidId: straight from the source
+  if (source.door != kInvalidId) {
+    const Span<const float> row = matrix.RowOf(source.door);
+    std::copy(row.begin(), row.end(), dist.begin());
+    return;
+  }
+  const Venue& venue = tree.venue();
+  const IndoorPoint& s = *source.point;
+  DirectLegs(venue, Span<const IndoorPoint>(&s, 1), matrix.cols, dist.data());
+  for (DoorId u : SeedDoors(tree, options, s.partition)) {
+    const double add = venue.DistanceToDoor(s, u);
+    const Span<const float> row = matrix.RowOf(u);
+    for (size_t c = 0; c < m; ++c) {
+      const double cand = add + row[c];
+      if (cand < dist[c]) {
+        dist[c] = cand;
+        back[c] = PathBack{u, -1};
+      }
+    }
+  }
 }
 
 // Algorithm 3's join at the LCA of children ns and nt: min over (i, j) of
@@ -73,46 +146,8 @@ NodeId IPDistanceQuery::LeafOf(const QuerySource& source) const {
 void IPDistanceQuery::SeedLeaf(const QuerySource& source, const TreeNode& leaf,
                                std::vector<double>& dist,
                                std::vector<PathBack>& back) const {
-  const size_t m = leaf.access_doors.size();
-  dist.assign(m, kInfDistance);
-  back.assign(m, PathBack{});
-
-  if (source.door != kInvalidId) {
-    // A door source reads its row of the leaf matrix directly.
-    const int row = IPTree::IndexOf(leaf.doors, source.door);
-    VIPTREE_DCHECK(row >= 0);
-    const Span<const float> door_row = leaf.dist.row(static_cast<size_t>(row));
-    for (size_t c = 0; c < m; ++c) {
-      dist[c] = door_row[c];
-      back[c] = PathBack{kInvalidId, -1};
-    }
-    return;
-  }
-
-  const Venue& venue = tree_.venue();
-  const IndoorPoint& s = *source.point;
-  const Span<const DoorId> partition_doors = venue.DoorsOf(s.partition);
-  const Span<const DoorId> seeds = options_.use_superior_doors
-                                            ? tree_.SuperiorDoors(s.partition)
-                                            : partition_doors;
-  for (size_t c = 0; c < m; ++c) {
-    const DoorId a = leaf.access_doors[c];
-    // Local access door: reachable directly through the partition (Eq. 1's
-    // trivial case).
-    if (std::find(partition_doors.begin(), partition_doors.end(), a) !=
-        partition_doors.end()) {
-      dist[c] = venue.DistanceToDoor(s, a);
-      back[c] = PathBack{kInvalidId, -1};
-    }
-    for (DoorId u : seeds) {
-      const double cand =
-          venue.DistanceToDoor(s, u) + tree_.LeafMatrixDist(leaf, u, a);
-      if (cand < dist[c]) {
-        dist[c] = cand;
-        back[c] = PathBack{u, -1};
-      }
-    }
-  }
+  AccessDoorDistances(tree_, options_, source,
+                      {leaf.doors, leaf.dist, leaf.access_doors}, dist, back);
 }
 
 AscentDistances IPDistanceQuery::GetDistances(const QuerySource& source,
@@ -156,11 +191,13 @@ AscentDistances IPDistanceQuery::GetDistances(const QuerySource& source,
           pnode.dist.row(static_cast<size_t>(rows[b])).data(), cols.data(),
           cdist[b], nc);
     }
+    // "Marked" doors of Algorithm 2, already computed at the child level:
+    // both access-door lists are sorted, so one merge walk finds them.
+    size_t in_child = 0;
     for (size_t c = 0; c < nc; ++c) {
       const DoorId a = pnode.access_doors[c];
-      // "Marked" doors of Algorithm 2: already computed at the child level.
-      const int in_child = IPTree::IndexOf(cnode.access_doors, a);
-      if (in_child >= 0) {
+      while (in_child < nb && cnode.access_doors[in_child] < a) ++in_child;
+      if (in_child < nb && cnode.access_doors[in_child] == a) {
         pdist[c] = cdist[in_child];
         pback[c] = out.back.back()[in_child];
         continue;
@@ -268,8 +305,8 @@ double IPDistanceQuery::Distance(const IndoorPoint& s,
   if (ls == lt) return LocalDistance(s, t);
 
   const NodeId lca = tree_.Lca(ls, lt);
-  const NodeId ns = ChildToward(tree_, lca, ls);
-  const NodeId nt = ChildToward(tree_, lca, lt);
+  const NodeId ns = tree_.ChildToward(lca, ls);
+  const NodeId nt = tree_.ChildToward(lca, lt);
   const AscentDistances as = GetDistances(QuerySource::Point(s), ns);
   const AscentDistances at = GetDistances(QuerySource::Point(t), nt);
   return JoinAtLca(tree_, lca, ns, nt, as.ad_dist.back().data(),
@@ -295,22 +332,17 @@ double IPDistanceQuery::DoorDistance(DoorId s, DoorId t) const {
 }
 
 double IPDistanceQuery::DoorDistanceUncached(DoorId s, DoorId t) const {
-  const auto s_leaves = tree_.LeavesOfDoor(s);
-  const auto t_leaves = tree_.LeavesOfDoor(t);
-  for (const auto& sl : s_leaves) {
-    for (const auto& tl : t_leaves) {
-      if (sl.leaf == tl.leaf) {
-        LeafSearch search = StartLeafSearch(QuerySource::Door(s), sl.leaf);
-        search.RunTo(Span<const DoorId>(&t, 1));
-        return search.DistanceTo(t);
-      }
-    }
+  const NodeId leaf = tree_.CommonLeaf(s, t);
+  if (leaf != kInvalidId) {
+    LeafSearch search = StartLeafSearch(QuerySource::Door(s), leaf);
+    search.RunTo(Span<const DoorId>(&t, 1));
+    return search.DistanceTo(t);
   }
-  const NodeId ls = s_leaves[0].leaf;
-  const NodeId lt = t_leaves[0].leaf;
+  const NodeId ls = tree_.LeavesOfDoor(s)[0].leaf;
+  const NodeId lt = tree_.LeavesOfDoor(t)[0].leaf;
   const NodeId lca = tree_.Lca(ls, lt);
-  const NodeId ns = ChildToward(tree_, lca, ls);
-  const NodeId nt = ChildToward(tree_, lca, lt);
+  const NodeId ns = tree_.ChildToward(lca, ls);
+  const NodeId nt = tree_.ChildToward(lca, lt);
   DoorAscent(s, ns, s_ascent_);
   DoorAscent(t, nt, t_ascent_);
   return JoinAtLca(tree_, lca, ns, nt, s_ascent_.data(), t_ascent_.data());
@@ -332,84 +364,32 @@ void VIPDistanceQuery::DistancesToNodeAd(const QuerySource& source,
                                          NodeId node,
                                          std::vector<double>& dist,
                                          std::vector<PathBack>& back) const {
-  const IPTree& tree = vip_.base();
-  const TreeNode& n = tree.node(node);
-  const size_t m = n.access_doors.size();
-  dist.assign(m, kInfDistance);
-  back.assign(m, PathBack{});
-
-  if (source.door != kInvalidId) {
-    for (size_t c = 0; c < m; ++c) {
-      dist[c] = vip_.ExtDist(node, source.door, c);
-      back[c] = PathBack{kInvalidId, -1};
-    }
-    return;
-  }
-
-  const Venue& venue = tree.venue();
-  const IndoorPoint& s = *source.point;
-  const Span<const DoorId> partition_doors = venue.DoorsOf(s.partition);
-  const Span<const DoorId> seeds = options_.use_superior_doors
-                                            ? tree.SuperiorDoors(s.partition)
-                                            : partition_doors;
-  for (size_t c = 0; c < m; ++c) {
-    const DoorId a = n.access_doors[c];
-    if (std::find(partition_doors.begin(), partition_doors.end(), a) !=
-        partition_doors.end()) {
-      dist[c] = venue.DistanceToDoor(s, a);
-      back[c] = PathBack{kInvalidId, -1};
-    }
-    for (DoorId u : seeds) {
-      const double cand = venue.DistanceToDoor(s, u) + vip_.ExtDist(node, u, c);
-      if (cand < dist[c]) {
-        dist[c] = cand;
-        back[c] = PathBack{u, -1};
-      }
-    }
-  }
+  AccessDoorDistances(vip_.base(), options_, source,
+                      ExtAccessMatrix(vip_, node), dist, back);
 }
 
 void VIPDistanceQuery::DistancesToNodeAdMulti(Span<const IndoorPoint> points,
                                               NodeId node,
                                               std::vector<double>& dist) const {
-  const IPTree& tree = vip_.base();
-  const TreeNode& n = tree.node(node);
-  const size_t m = n.access_doors.size();
+  const AccessMatrix matrix = ExtAccessMatrix(vip_, node);
+  const size_t m = matrix.cols.size();
   const size_t np = points.size();
   dist.assign(np * m, kInfDistance);
   if (np == 0) return;
 
-  const Venue& venue = tree.venue();
-  const PartitionId partition = points[0].partition;
-  const Span<const DoorId> partition_doors = venue.DoorsOf(partition);
-  const Span<const DoorId> seeds = options_.use_superior_doors
-                                            ? tree.SuperiorDoors(partition)
-                                            : partition_doors;
-  // Local access doors first: the single-point descent assigns the direct
-  // leg before any seed-door candidate competes.
-  for (size_t c = 0; c < m; ++c) {
-    const DoorId a = n.access_doors[c];
-    if (std::find(partition_doors.begin(), partition_doors.end(), a) ==
-        partition_doors.end()) {
-      continue;
-    }
-    for (size_t k = 0; k < np; ++k) {
-      VIPTREE_DCHECK(points[k].partition == partition);
-      dist[k * m + c] = venue.DistanceToDoor(points[k], a);
-    }
-  }
-  // Seed-door loop hoisted outermost: one extended-matrix row feeds every
-  // point's accumulator row. Per (point, column) the candidate sequence —
-  // direct leg, then the seed doors in order, strict-< — matches the
-  // sequential loop, so every row is bit-identical to DistancesToNodeAd.
+  const Venue& venue = vip_.base().venue();
+  DirectLegs(venue, points, matrix.cols, dist.data());
+  // AccessDoorDistances with the points stacked: one row per seed door
+  // feeds every point's accumulator row. Per (point, column) the
+  // candidate sequence (direct leg, then the seed doors in order,
+  // strict-<) is the single-point one, so every row is bit-identical to
+  // DistancesToNodeAd.
   multi_adds_.resize(np);
-  for (DoorId u : seeds) {
-    const int row = vip_.ExtRowOf(node, u);
-    VIPTREE_DCHECK(row >= 0);
+  for (DoorId u : SeedDoors(vip_.base(), options_, points[0].partition)) {
     for (size_t k = 0; k < np; ++k) {
       multi_adds_[k] = venue.DistanceToDoor(points[k], u);
     }
-    kernels::MinPlusRowMulti(dist.data(), vip_.ExtDistRow(node, row).data(),
+    kernels::MinPlusRowMulti(dist.data(), matrix.RowOf(u).data(),
                              multi_adds_.data(), np, m);
   }
 }
@@ -491,8 +471,8 @@ void VIPDistanceQuery::DistanceMulti(Span<const IndoorPoint> sources,
       continue;
     }
     const NodeId lca = tree.Lca(ls, lt);
-    cross.push_back({k, lca, ChildToward(tree, lca, ls),
-                     ChildToward(tree, lca, lt), bits_of(sources[k])});
+    cross.push_back({k, lca, tree.ChildToward(lca, ls),
+                     tree.ChildToward(lca, lt), bits_of(sources[k])});
   }
 
   // Same-leaf pairs dominate skewed batches (each one is a leaf search,
@@ -582,8 +562,8 @@ double VIPDistanceQuery::Distance(const IndoorPoint& s,
   if (ls == lt) return ip_.LocalDistance(s, t);
 
   const NodeId lca = tree.Lca(ls, lt);
-  const NodeId ns = ChildToward(tree, lca, ls);
-  const NodeId nt = ChildToward(tree, lca, lt);
+  const NodeId ns = tree.ChildToward(lca, ls);
+  const NodeId nt = tree.ChildToward(lca, lt);
   DistancesToNodeAd(QuerySource::Point(s), ns, sdist_, sback_);
   DistancesToNodeAd(QuerySource::Point(t), nt, tdist_, tback_);
   return JoinAtLca(tree, lca, ns, nt, sdist_.data(), tdist_.data());
@@ -609,16 +589,12 @@ double VIPDistanceQuery::DoorDistance(DoorId s, DoorId t) const {
 
 double VIPDistanceQuery::DoorDistanceUncached(DoorId s, DoorId t) const {
   const IPTree& tree = vip_.base();
-  const auto s_leaves = tree.LeavesOfDoor(s);
-  const auto t_leaves = tree.LeavesOfDoor(t);
-  for (const auto& sl : s_leaves) {
-    for (const auto& tl : t_leaves) {
-      if (sl.leaf == tl.leaf) return ip_.DoorDistance(s, t);
-    }
-  }
-  const NodeId lca = tree.Lca(s_leaves[0].leaf, t_leaves[0].leaf);
-  const NodeId ns = ChildToward(tree, lca, s_leaves[0].leaf);
-  const NodeId nt = ChildToward(tree, lca, t_leaves[0].leaf);
+  if (tree.CommonLeaf(s, t) != kInvalidId) return ip_.DoorDistance(s, t);
+  const NodeId ls = tree.LeavesOfDoor(s)[0].leaf;
+  const NodeId lt = tree.LeavesOfDoor(t)[0].leaf;
+  const NodeId lca = tree.Lca(ls, lt);
+  const NodeId ns = tree.ChildToward(lca, ls);
+  const NodeId nt = tree.ChildToward(lca, lt);
   DistancesToNodeAd(QuerySource::Door(s), ns, sdist_, sback_);
   DistancesToNodeAd(QuerySource::Door(t), nt, tdist_, tback_);
   return JoinAtLca(tree, lca, ns, nt, sdist_.data(), tdist_.data());

@@ -167,6 +167,8 @@ class IPDistanceQuery {
 
   // Seed of Algorithm 2: distances from the source to every access door of
   // `leaf` (the source's leaf, or for a door source any leaf holding it).
+  // Eq. (1) over the leaf matrix; VIPDistanceQuery::DistancesToNodeAd runs
+  // the same routine, so at a leaf the two agree bit for bit.
   void SeedLeaf(const QuerySource& source, const TreeNode& leaf,
                 std::vector<double>& dist, std::vector<PathBack>& back) const;
 
@@ -223,9 +225,9 @@ class VIPDistanceQuery {
   double DoorDistance(DoorId s, DoorId t) const;
 
   // VIP variant of Algorithm 2's output at one node: distances from the
-  // source to every access door of `node` (an ancestor of the source's
-  // leaf), via O(1) extended-matrix lookups per (superior door, access
-  // door) pair.
+  // source to every access door of `node` (the source's leaf or an
+  // ancestor of it). Eq. (1) over the node's extended matrix: one row per
+  // seed door, read once and folded across every access door.
   void DistancesToNodeAd(const QuerySource& source, NodeId node,
                          std::vector<double>& dist,
                          std::vector<PathBack>& back) const;
@@ -233,11 +235,10 @@ class VIPDistanceQuery {
   // Coalesced descent: the point-source DistancesToNodeAd for every point
   // at once, row-major into `dist` (dist[k * |AD(node)| + c] = distance
   // from points[k] to access door c). All points must lie in the same
-  // partition. The seed-door loop is hoisted outermost so one extended-
-  // matrix row feeds every point's accumulator row via
-  // kernels::MinPlusRowMulti; the per-(point, column) candidate sequence
-  // is that of the sequential loop, so every row is bit-identical to the
-  // per-point call.
+  // partition. Each seed door's extended-matrix row feeds every point's
+  // accumulator row via kernels::MinPlusRowMulti; the per-(point, column)
+  // candidate sequence is that of the single-point descent, so every row
+  // is bit-identical to the per-point call.
   void DistancesToNodeAdMulti(Span<const IndoorPoint> points, NodeId node,
                               std::vector<double>& dist) const;
 

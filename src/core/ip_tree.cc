@@ -276,6 +276,23 @@ NodeId IPTree::Lca(NodeId a, NodeId b) const {
   return a;
 }
 
+NodeId IPTree::ChildToward(NodeId ancestor, NodeId node) const {
+  while (nodes_[node].parent != ancestor) {
+    node = nodes_[node].parent;
+    VIPTREE_DCHECK(node != kInvalidId);
+  }
+  return node;
+}
+
+NodeId IPTree::CommonLeaf(DoorId x, DoorId y) const {
+  for (const DoorLeafEntry& lx : LeavesOfDoor(x)) {
+    for (const DoorLeafEntry& ly : LeavesOfDoor(y)) {
+      if (lx.leaf == ly.leaf) return lx.leaf;
+    }
+  }
+  return kInvalidId;
+}
+
 int IPTree::IndexOf(Span<const DoorId> doors, DoorId d) {
   const auto it = std::lower_bound(doors.begin(), doors.end(), d);
   if (it == doors.end() || *it != d) return -1;

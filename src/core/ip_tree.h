@@ -182,6 +182,11 @@ class IPTree {
 
   // Lowest common ancestor of two nodes.
   NodeId Lca(NodeId a, NodeId b) const;
+  // The child of `ancestor` whose subtree holds `node` (a proper
+  // descendant of it): the join child of Algorithm 3.
+  NodeId ChildToward(NodeId ancestor, NodeId node) const;
+  // A leaf holding both doors, kInvalidId if they share none.
+  NodeId CommonLeaf(DoorId x, DoorId y) const;
 
   // Distance between two doors of the same node matrix; both must be
   // present (rows/cols as described in TreeNode). Helpers for readability:

@@ -10,8 +10,7 @@ namespace viptree {
 
 KeywordIndex::KeywordIndex(
     const IPTree& tree, const ObjectIndex& objects,
-    const std::vector<std::vector<std::string>>& keywords)
-    : tree_(tree), objects_(objects), knn_(tree, objects) {
+    const std::vector<std::vector<std::string>>& keywords) {
   VIPTREE_CHECK(keywords.size() == objects.NumObjects());
 
   object_keywords_.resize(keywords.size());
@@ -62,9 +61,7 @@ KeywordIndex::KeywordIndex(
   }
 }
 
-KeywordIndex::KeywordIndex(FromPartsTag, const IPTree& tree,
-                           const ObjectIndex& objects, Parts parts)
-    : tree_(tree), objects_(objects), knn_(tree, objects) {
+KeywordIndex::KeywordIndex(FromPartsTag, Parts parts) {
   keyword_ids_.reserve(parts.keywords_by_id.size());
   for (size_t i = 0; i < parts.keywords_by_id.size(); ++i) {
     keyword_ids_.emplace(std::move(parts.keywords_by_id[i]),
@@ -133,13 +130,11 @@ KeywordIndex KeywordIndex::FromParts(const IPTree& tree,
       ValidateParts(tree, objects, parts);
   VIPTREE_CHECK_MSG(!error.has_value(),
                     error.has_value() ? error->c_str() : "");
-  return KeywordIndex(FromPartsTag{}, tree, objects, std::move(parts));
+  return FromValidatedParts(std::move(parts));
 }
 
-KeywordIndex KeywordIndex::FromValidatedParts(const IPTree& tree,
-                                              const ObjectIndex& objects,
-                                              Parts parts) {
-  return KeywordIndex(FromPartsTag{}, tree, objects, std::move(parts));
+KeywordIndex KeywordIndex::FromValidatedParts(Parts parts) {
+  return KeywordIndex(FromPartsTag{}, std::move(parts));
 }
 
 KeywordIndex::Parts KeywordIndex::ToParts() const {
@@ -169,12 +164,6 @@ bool KeywordIndex::ObjectHasAll(ObjectId o,
     if (!std::binary_search(have.begin(), have.end(), w)) return false;
   }
   return true;
-}
-
-std::vector<ObjectResult> KeywordIndex::BooleanKnn(
-    const IndoorPoint& q, size_t k,
-    const std::vector<std::string>& query) const {
-  return BooleanKnn(q, k, query, knn_, nullptr);
 }
 
 std::optional<std::vector<KeywordIndex::KeywordId>>

@@ -50,23 +50,15 @@ class KeywordIndex {
 
   // Same, for callers that have *just* run ValidateParts themselves (the
   // snapshot loader): skips the redundant validation pass.
-  static KeywordIndex FromValidatedParts(const IPTree& tree,
-                                         const ObjectIndex& objects,
-                                         Parts parts);
+  static KeywordIndex FromValidatedParts(Parts parts);
 
   Parts ToParts() const;
 
-  // The k nearest objects whose keyword sets contain *all* query keywords.
-  // Unknown keywords yield an empty result. Uses the index's own KnnQuery
-  // engine, so concurrent callers must use the overload below instead.
-  std::vector<ObjectResult> BooleanKnn(
-      const IndoorPoint& q, size_t k,
-      const std::vector<std::string>& query) const;
-
-  // Same query through a caller-supplied KnnQuery engine (one per thread):
-  // the keyword tables themselves are immutable after construction, so a
-  // shared KeywordIndex is safe as long as each thread brings its own
-  // engine.
+  // The k nearest objects whose keyword sets contain *all* query keywords,
+  // through a caller-supplied KnnQuery engine over the same tree and
+  // objects (one per thread). Unknown keywords yield an empty result. The
+  // keyword tables are immutable after construction, so a shared
+  // KeywordIndex is safe as long as each thread brings its own engine.
   std::vector<ObjectResult> BooleanKnn(const IndoorPoint& q, size_t k,
                                        const std::vector<std::string>& query,
                                        const KnnQuery& knn,
@@ -89,12 +81,8 @@ class KeywordIndex {
 
  private:
   struct FromPartsTag {};
-  KeywordIndex(FromPartsTag, const IPTree& tree, const ObjectIndex& objects,
-               Parts parts);
+  KeywordIndex(FromPartsTag, Parts parts);
 
-  const IPTree& tree_;
-  const ObjectIndex& objects_;
-  KnnQuery knn_;
   std::unordered_map<std::string, KeywordId> keyword_ids_;
   std::vector<std::vector<KeywordId>> object_keywords_;  // sorted per object
   std::vector<std::vector<KeywordId>> node_keywords_;    // sorted per node

@@ -82,8 +82,8 @@ class KnnQuery {
     return Search(q, k, kInfDistance, nullptr, {}, stats, &ascent);
   }
 
-  // All objects within `radius` of q, ascending by (distance, id) (the range
-  // query of §3.4, reached through RangeQuery for API symmetry).
+  // All objects within `radius` of q, ascending by (distance, id): the
+  // range query of §3.4.
   std::vector<ObjectResult> WithinRange(const IndoorPoint& q, double radius,
                                         SearchStats* stats = nullptr) const;
 

@@ -9,23 +9,28 @@ namespace viptree {
 
 namespace {
 
-NodeId ChildToward(const IPTree& tree, NodeId ancestor, NodeId leaf) {
-  NodeId cur = leaf;
-  while (tree.node(cur).parent != ancestor) {
-    cur = tree.node(cur).parent;
-    VIPTREE_DCHECK(cur != kInvalidId);
-  }
-  return cur;
-}
+// Algorithm 3's join at the LCA of children ns and nt, keeping its argmin:
+// the access-door pair (i of ns, j of nt) minimizing (sd[i] + lca_cell) +
+// td[j], the first such pair on ties.
+struct LcaJoin {
+  double distance = kInfDistance;
+  size_t i = 0;
+  size_t j = 0;
+};
 
-// A leaf containing both doors, kInvalidId if none.
-NodeId CommonLeaf(const IPTree& tree, DoorId x, DoorId y) {
-  for (const auto& lx : tree.LeavesOfDoor(x)) {
-    for (const auto& ly : tree.LeavesOfDoor(y)) {
-      if (lx.leaf == ly.leaf) return lx.leaf;
+LcaJoin ArgminJoinAtLca(const IPTree& tree, NodeId lca, NodeId ns, NodeId nt,
+                        const double* sd, const double* td) {
+  const FlatMatrix<float>& dist = tree.node(lca).dist;
+  const Span<const int32_t> rows = tree.ParentMatrixPositions(ns);
+  const Span<const int32_t> cols = tree.ParentMatrixPositions(nt);
+  LcaJoin best;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t j = 0; j < cols.size(); ++j) {
+      const double cand = sd[i] + dist.at(rows[i], cols[j]) + td[j];
+      if (cand < best.distance) best = {cand, i, j};
     }
   }
-  return kInvalidId;
+  return best;
 }
 
 }  // namespace
@@ -70,13 +75,8 @@ void IPPathQuery::Expand(DoorId x, DoorId y, NodeId ctx,
   ctx = Descend(x, y, ctx);
   if (!Represents(x, y, ctx)) {
     // Shortest paths that leave a node and re-enter (Example 6's rare
-    // scenario) can hand us a pair no matrix represents; recover the short
-    // remaining segment with a bounded Dijkstra.
-    DijkstraEngine& engine = query_.dijkstra_;
-    engine.Start(x);
-    engine.RunToTargets(Span<const DoorId>(&y, 1));
-    const std::vector<DoorId> seg = engine.PathTo(y);
-    for (size_t i = 1; i + 1 < seg.size(); ++i) out.push_back(seg[i]);
+    // scenario) can hand us a pair no matrix represents.
+    AppendSearchedSegment(x, y, out);
     return;
   }
   const TreeNode& node = tree_.node(ctx);
@@ -104,17 +104,22 @@ void IPPathQuery::Expand(DoorId x, DoorId y, NodeId ctx,
       // entered. A door borders every node its two leaves chain through,
       // so the common node can live under a *different* parent; the
       // segment is then a single level-graph edge: recover it locally.
-      DijkstraEngine& engine = query_.dijkstra_;
-      engine.Start(x);
-      engine.RunToTargets(Span<const DoorId>(&y, 1));
-      const std::vector<DoorId> seg = engine.PathTo(y);
-      for (size_t i = 1; i + 1 < seg.size(); ++i) out.push_back(seg[i]);
+      AppendSearchedSegment(x, y, out);
       return;
     }
   }
   Expand(x, hop, ctx, out);
   out.push_back(hop);
   Expand(hop, y, ctx, out);
+}
+
+void IPPathQuery::AppendSearchedSegment(DoorId x, DoorId y,
+                                        std::vector<DoorId>& out) const {
+  DijkstraEngine& engine = query_.dijkstra_;
+  engine.Start(x);
+  engine.RunToTargets(Span<const DoorId>(&y, 1));
+  const std::vector<DoorId> seg = engine.PathTo(y);
+  for (size_t i = 1; i + 1 < seg.size(); ++i) out.push_back(seg[i]);
 }
 
 IPPathQuery::PartialPath IPPathQuery::Backtrack(const AscentDistances& ascent,
@@ -178,36 +183,20 @@ IndoorPath IPPathQuery::CrossLeafPath(const QuerySource& s,
   const NodeId ls = query_.LeafOf(s);
   const NodeId lt = query_.LeafOf(t);
   const NodeId lca = tree_.Lca(ls, lt);
-  const NodeId ns = ChildToward(tree_, lca, ls);
-  const NodeId nt = ChildToward(tree_, lca, lt);
+  const NodeId ns = tree_.ChildToward(lca, ls);
+  const NodeId nt = tree_.ChildToward(lca, lt);
   const AscentDistances as = query_.GetDistances(s, ns);
   const AscentDistances at = query_.GetDistances(t, nt);
 
-  const TreeNode& lca_node = tree_.node(lca);
-  const TreeNode& ns_node = tree_.node(ns);
-  const TreeNode& nt_node = tree_.node(nt);
+  const LcaJoin join = ArgminJoinAtLca(tree_, lca, ns, nt,
+                                       as.ad_dist.back().data(),
+                                       at.ad_dist.back().data());
   IndoorPath path;
-  size_t best_i = 0;
-  size_t best_j = 0;
-  const Span<const int32_t> rows = tree_.ParentMatrixPositions(ns);
-  const Span<const int32_t> cols = tree_.ParentMatrixPositions(nt);
-  for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
-    const int row = rows[i];
-    for (size_t j = 0; j < nt_node.access_doors.size(); ++j) {
-      const int col = cols[j];
-      const double cand = as.ad_dist.back()[i] + lca_node.dist.at(row, col) +
-                          at.ad_dist.back()[j];
-      if (cand < path.distance) {
-        path.distance = cand;
-        best_i = i;
-        best_j = j;
-      }
-    }
-  }
+  path.distance = join.distance;
   if (path.distance == kInfDistance) return path;
 
-  PartialPath ps = Backtrack(as, best_i);
-  PartialPath pt = Backtrack(at, best_j);
+  PartialPath ps = Backtrack(as, join.i);
+  PartialPath pt = Backtrack(at, join.j);
   // Door-source seeds leave the source door implicit; prepend it.
   if (s.door != kInvalidId && ps.doors.front() != s.door) {
     ps.doors.insert(ps.doors.begin(), s.door);
@@ -224,8 +213,8 @@ IndoorPath IPPathQuery::CrossLeafPath(const QuerySource& s,
     Expand(ps.doors[k], ps.doors[k + 1], ps.edge_ctx[k], out);
     out.push_back(ps.doors[k + 1]);
   }
-  const DoorId a_star = ns_node.access_doors[best_i];
-  const DoorId b_star = nt_node.access_doors[best_j];
+  const DoorId a_star = tree_.node(ns).access_doors[join.i];
+  const DoorId b_star = tree_.node(nt).access_doors[join.j];
   if (a_star != b_star) {
     Expand(a_star, b_star, lca, out);
     out.push_back(b_star);
@@ -250,7 +239,7 @@ IndoorPath IPPathQuery::Path(const IndoorPoint& s,
 
 IndoorPath IPPathQuery::DoorPath(DoorId s, DoorId t) const {
   if (s == t) return IndoorPath{0.0, {s}};
-  const NodeId leaf = CommonLeaf(tree_, s, t);
+  const NodeId leaf = tree_.CommonLeaf(s, t);
   if (leaf != kInvalidId) {
     return LocalPath(QuerySource::Door(s), QuerySource::Door(t), leaf);
   }
@@ -275,12 +264,8 @@ void VIPPathQuery::WalkToAncestorAd(DoorId x, NodeId ancestor, size_t col,
   while (x != target) {
     if (vip_.ExtRowOf(ancestor, x) < 0) {
       // The path excursed outside the ancestor's subtree (§3.3's "very
-      // rare" case): finish the remaining segment with a bounded Dijkstra.
-      DijkstraEngine& engine = ip_path_.query_.dijkstra_;
-      engine.Start(x);
-      engine.RunToTargets(Span<const DoorId>(&target, 1));
-      const std::vector<DoorId> seg = engine.PathTo(target);
-      for (size_t i = 1; i + 1 < seg.size(); ++i) out.push_back(seg[i]);
+      // rare" case): search the remaining segment.
+      ip_path_.AppendSearchedSegment(x, target, out);
       return;
     }
     const DoorId hop = vip_.ExtNextHop(ancestor, x, col);
@@ -288,7 +273,7 @@ void VIPPathQuery::WalkToAncestorAd(DoorId x, NodeId ancestor, size_t col,
     // x -> hop normally stays within one leaf (hop is either the immediate
     // next door or the first access door, with only non-access doors in
     // between).
-    const NodeId leaf = CommonLeaf(tree, x, hop);
+    const NodeId leaf = tree.CommonLeaf(x, hop);
     if (leaf != kInvalidId) {
       ip_path_.Expand(x, hop, leaf, out);
     } else {
@@ -302,53 +287,34 @@ void VIPPathQuery::WalkToAncestorAd(DoorId x, NodeId ancestor, size_t col,
 IndoorPath VIPPathQuery::CrossLeafPath(const QuerySource& s,
                                        const QuerySource& t) const {
   const IPTree& tree = vip_.base();
-  const NodeId ls = s.point != nullptr
-                        ? tree.LeafOfPartition(s.point->partition)
-                        : tree.LeavesOfDoor(s.door)[0].leaf;
-  const NodeId lt = t.point != nullptr
-                        ? tree.LeafOfPartition(t.point->partition)
-                        : tree.LeavesOfDoor(t.door)[0].leaf;
+  const IPDistanceQuery& ip = ip_path_.query_;
+  const NodeId ls = ip.LeafOf(s);
+  const NodeId lt = ip.LeafOf(t);
   const NodeId lca = tree.Lca(ls, lt);
-  const NodeId ns = ChildToward(tree, lca, ls);
-  const NodeId nt = ChildToward(tree, lca, lt);
+  const NodeId ns = tree.ChildToward(lca, ls);
+  const NodeId nt = tree.ChildToward(lca, lt);
 
   std::vector<double> sdist, tdist;
   std::vector<PathBack> sback, tback;
   query_.DistancesToNodeAd(s, ns, sdist, sback);
   query_.DistancesToNodeAd(t, nt, tdist, tback);
 
-  const TreeNode& lca_node = tree.node(lca);
-  const TreeNode& ns_node = tree.node(ns);
-  const TreeNode& nt_node = tree.node(nt);
+  const LcaJoin join =
+      ArgminJoinAtLca(tree, lca, ns, nt, sdist.data(), tdist.data());
   IndoorPath path;
-  size_t best_i = 0, best_j = 0;
-  const Span<const int32_t> rows = tree.ParentMatrixPositions(ns);
-  const Span<const int32_t> cols = tree.ParentMatrixPositions(nt);
-  for (size_t i = 0; i < ns_node.access_doors.size(); ++i) {
-    const int row = rows[i];
-    for (size_t j = 0; j < nt_node.access_doors.size(); ++j) {
-      const int col = cols[j];
-      const double cand =
-          sdist[i] + lca_node.dist.at(row, col) + tdist[j];
-      if (cand < path.distance) {
-        path.distance = cand;
-        best_i = i;
-        best_j = j;
-      }
-    }
-  }
+  path.distance = join.distance;
   if (path.distance == kInfDistance) return path;
 
-  const DoorId a_star = ns_node.access_doors[best_i];
-  const DoorId b_star = nt_node.access_doors[best_j];
+  const DoorId a_star = tree.node(ns).access_doors[join.i];
+  const DoorId b_star = tree.node(nt).access_doors[join.j];
   std::vector<DoorId>& out = path.doors;
 
   // s -> first door -> a*.
-  DoorId s_first = sback[best_i].pred;
+  DoorId s_first = sback[join.i].pred;
   if (s_first == kInvalidId) s_first = s.door;  // door source or direct
   if (s_first != kInvalidId && s_first != a_star) {
     out.push_back(s_first);
-    WalkToAncestorAd(s_first, ns, best_i, out);
+    WalkToAncestorAd(s_first, ns, join.i, out);
   }
   out.push_back(a_star);
 
@@ -358,12 +324,12 @@ IndoorPath VIPPathQuery::CrossLeafPath(const QuerySource& s,
   }
 
   // b* -> ... -> t's first door, computed in t -> b* direction and reversed.
-  DoorId t_first = tback[best_j].pred;
+  DoorId t_first = tback[join.j].pred;
   if (t_first == kInvalidId) t_first = t.door;
   if (t_first != kInvalidId && t_first != b_star) {
     std::vector<DoorId> t_side;
     t_side.push_back(t_first);
-    WalkToAncestorAd(t_first, nt, best_j, t_side);
+    WalkToAncestorAd(t_first, nt, join.j, t_side);
     // t_side = t_first ... (doors approaching b*); reverse and append,
     // dropping b* which is already emitted.
     for (size_t k = t_side.size(); k-- > 0;) {
@@ -385,8 +351,9 @@ IndoorPath VIPPathQuery::Path(const IndoorPoint& s,
 
 IndoorPath VIPPathQuery::DoorPath(DoorId s, DoorId t) const {
   if (s == t) return IndoorPath{0.0, {s}};
-  const IPTree& tree = vip_.base();
-  if (CommonLeaf(tree, s, t) != kInvalidId) return ip_path_.DoorPath(s, t);
+  if (vip_.base().CommonLeaf(s, t) != kInvalidId) {
+    return ip_path_.DoorPath(s, t);
+  }
   return CrossLeafPath(QuerySource::Door(s), QuerySource::Door(t));
 }
 

@@ -48,6 +48,11 @@ class IPPathQuery {
   // using the matrices of `ctx` and below. `ctx` must represent the pair.
   void Expand(DoorId x, DoorId y, NodeId ctx, std::vector<DoorId>& out) const;
 
+  // Appends the doors strictly between x and y on a bounded Dijkstra's
+  // shortest path: the rare segments no matrix walk recovers.
+  void AppendSearchedSegment(DoorId x, DoorId y,
+                             std::vector<DoorId>& out) const;
+
   // Deepest node under `ctx` (inclusive) whose matrix represents (x, y).
   NodeId Descend(DoorId x, DoorId y, NodeId ctx) const;
   bool Represents(DoorId x, DoorId y, NodeId n) const;

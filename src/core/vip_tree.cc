@@ -168,18 +168,15 @@ int VIPTree::ExtRowOf(NodeId n, DoorId d) const {
 }
 
 float VIPTree::ExtDist(NodeId n, DoorId d, size_t col) const {
-  const TreeNode& node = base_.node(n);
   const int row = ExtRowOf(n, d);
   VIPTREE_DCHECK(row >= 0);
-  if (node.is_leaf()) return node.dist.at(row, col);
-  return ext_[n].dist.at(row, col);
+  return ExtDistMatrix(n).at(row, col);
 }
 
-Span<const float> VIPTree::ExtDistRow(NodeId n, int row) const {
+const FlatMatrix<float>& VIPTree::ExtDistMatrix(NodeId n) const {
   const TreeNode& node = base_.node(n);
-  VIPTREE_DCHECK(row >= 0);
-  if (node.is_leaf()) return node.dist.row(static_cast<size_t>(row));
-  return ext_[n].dist.row(static_cast<size_t>(row));
+  if (node.is_leaf()) return node.dist;
+  return ext_[n].dist;
 }
 
 DoorId VIPTree::ExtNextHop(NodeId n, DoorId d, size_t col) const {

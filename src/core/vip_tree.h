@@ -92,10 +92,10 @@ class VIPTree {
   // Row index of door `d` in node `n`'s extended matrix; -1 if absent.
   int ExtRowOf(NodeId n, DoorId d) const;
 
-  // The contiguous distance row at index `row` (from ExtRowOf) of node
-  // `n`'s extended matrix — ExtDist(n, d, c) for every column c at once.
-  // Feeds the coalesced multi-point descent (kernels::MinPlusRowMulti).
-  Span<const float> ExtDistRow(NodeId n, int row) const;
+  // Node `n`'s extended distance matrix (the IP leaf matrix for a leaf):
+  // rows ExtDoors(n), columns AD(n). The §3.1 descent reads it a row per
+  // seed door.
+  const FlatMatrix<float>& ExtDistMatrix(NodeId n) const;
 
   uint64_t MemoryBytes() const;
 

@@ -12,14 +12,11 @@
 namespace viptree {
 namespace engine {
 
-namespace {
-
-// Same accounting as the sequential executor: source + target extended
-// matrices plus the LCA matrix for a cross-leaf distance query, one
-// shared leaf otherwise.
 size_t MatricesConsulted(const IPTree& tree, PartitionId s, PartitionId t) {
   return tree.LeafOfPartition(s) == tree.LeafOfPartition(t) ? 1 : 3;
 }
+
+namespace {
 
 // kNN grouping key: the exact source point, compared by bit pattern —
 // equal bits guarantee an identical root ascent, so sharing it cannot

@@ -92,6 +92,12 @@ PlanStats ExecutePlan(Span<const Query> queries,
                       const std::function<Result(const Query&)>& fallback,
                       std::vector<Result>& results);
 
+// Node matrices a VIP distance/path query consults (§3.1): the source and
+// target extended matrices plus the LCA matrix joining them, or just the
+// shared leaf for a same-leaf query. The visited-node count of both the
+// planner and the sequential executor.
+size_t MatricesConsulted(const IPTree& tree, PartitionId s, PartitionId t);
+
 }  // namespace engine
 }  // namespace viptree
 

@@ -101,18 +101,6 @@ struct QueryEngine::Worker {
   }
 };
 
-namespace {
-
-// Node matrices a VIP distance/path query consults (§3.1): the source and
-// target extended matrices plus the LCA matrix joining them, or just the
-// shared leaf for a same-leaf query. Two array lookups — cheap enough to
-// run per query without skewing latency.
-size_t MatricesConsulted(const IPTree& tree, PartitionId s, PartitionId t) {
-  return tree.LeafOfPartition(s) == tree.LeafOfPartition(t) ? 1 : 3;
-}
-
-}  // namespace
-
 QueryEngine::QueryEngine(VenueBundle bundle)
     : bundle_(std::make_shared<VenueBundle>(std::move(bundle))) {
   RebuildWorker();

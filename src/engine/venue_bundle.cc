@@ -158,9 +158,8 @@ std::optional<VenueBundle> VenueBundle::TryLoad(const std::string& path,
       return fail("invalid snapshot: " + *e);
     }
     keywords =
-        std::make_shared<const KeywordIndex>(KeywordIndex::FromValidatedParts(
-            bundle.tree_->base(), *object_base,
-            std::move(*snapshot.keywords)));
+        std::make_shared<const KeywordIndex>(
+            KeywordIndex::FromValidatedParts(std::move(*snapshot.keywords)));
   }
   // The loaded (possibly arena-aliased) pair becomes epoch 1 of the live
   // object store; updates build later epochs aside in owned memory.

@@ -72,13 +72,14 @@ TEST_P(KeywordQueryTest, BooleanKnnMatchesBruteForce) {
   LabelledEnv env;
   const ObjectIndex index(env.tree, env.objects);
   KeywordIndex keyword_index(env.tree, index, env.keywords);
+  const KnnQuery knn(env.tree, index);
   const std::vector<std::string> query = {GetParam()};
 
   Rng rng(602);
   for (int i = 0; i < 15; ++i) {
     const IndoorPoint q = synth::RandomIndoorPoint(env.venue, rng);
     const auto expected = BruteKeywordKnn(env, q, 3, query);
-    const auto actual = keyword_index.BooleanKnn(q, 3, query);
+    const auto actual = keyword_index.BooleanKnn(q, 3, query, knn);
     ASSERT_EQ(actual.size(), expected.size()) << GetParam();
     for (size_t j = 0; j < actual.size(); ++j) {
       EXPECT_NEAR(
@@ -102,11 +103,12 @@ TEST(KeywordQueryTest, ConjunctiveQuery) {
   LabelledEnv env;
   const ObjectIndex index(env.tree, env.objects);
   KeywordIndex keyword_index(env.tree, index, env.keywords);
+  const KnnQuery knn(env.tree, index);
   Rng rng(603);
   const IndoorPoint q = synth::RandomIndoorPoint(env.venue, rng);
   // "accessible cafe" = the paper's motivating "accessible toilets" query.
   const auto results =
-      keyword_index.BooleanKnn(q, 5, {"cafe", "accessible"});
+      keyword_index.BooleanKnn(q, 5, {"cafe", "accessible"}, knn);
   const auto expected = BruteKeywordKnn(env, q, 5, {"cafe", "accessible"});
   ASSERT_EQ(results.size(), expected.size());
   for (const ObjectResult& r : results) {
@@ -121,9 +123,10 @@ TEST(KeywordQueryTest, UnknownKeywordReturnsEmpty) {
   LabelledEnv env;
   const ObjectIndex index(env.tree, env.objects);
   KeywordIndex keyword_index(env.tree, index, env.keywords);
+  const KnnQuery knn(env.tree, index);
   Rng rng(604);
   const IndoorPoint q = synth::RandomIndoorPoint(env.venue, rng);
-  EXPECT_TRUE(keyword_index.BooleanKnn(q, 3, {"helipad"}).empty());
+  EXPECT_TRUE(keyword_index.BooleanKnn(q, 3, {"helipad"}, knn).empty());
 }
 
 TEST(KeywordQueryTest, EmptyQueryIsPlainKnn) {
@@ -133,7 +136,7 @@ TEST(KeywordQueryTest, EmptyQueryIsPlainKnn) {
   KnnQuery plain(env.tree, index);
   Rng rng(605);
   const IndoorPoint q = synth::RandomIndoorPoint(env.venue, rng);
-  const auto with = keyword_index.BooleanKnn(q, 4, {});
+  const auto with = keyword_index.BooleanKnn(q, 4, {}, plain);
   const auto without = plain.Knn(q, 4);
   ASSERT_EQ(with.size(), without.size());
   for (size_t i = 0; i < with.size(); ++i) {

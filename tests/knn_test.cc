@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/live_objects.h"
-#include "core/range_query.h"
 #include "ground_truth.h"
 #include "synth/building_generator.h"
 #include "synth/campus_generator.h"
@@ -109,7 +108,7 @@ TEST_P(RangePropertyTest, MatchesBruteForce) {
   const double radius = GetParam();
   KnnEnv env = MakeBuildingSetup(20, 43);
   ObjectIndex index(env.tree, env.objects);
-  RangeQuery range(env.tree, index);
+  KnnQuery range(env.tree, index);
 
   Rng rng(903);
   for (int i = 0; i < 20; ++i) {
@@ -120,7 +119,7 @@ TEST_P(RangePropertyTest, MatchesBruteForce) {
     for (const auto& e : expected) {
       if (e.distance <= radius) ++expected_count;
     }
-    const auto actual = range.Range(q, radius);
+    const auto actual = range.WithinRange(q, radius);
     EXPECT_EQ(actual.size(), expected_count) << "radius=" << radius;
     for (const auto& r : actual) {
       EXPECT_LE(r.distance, radius);

@@ -2,7 +2,8 @@
 // venue shapes and minimum degrees — the properties the §3 algorithms rely
 // on (access-door nesting, matrix door sets, next-hop consistency, DFS
 // interval partitioning, superior-door definition, the derived access-door
-// matrix positions). Two sweeps share the suite: four hand-picked venue
+// matrix positions, one Eq. (1) descent at every level). Two sweeps share
+// the suite: four hand-picked venue
 // shapes, and randomized synthetic venues drawn from seeds (the same
 // generator the differential tests use).
 
@@ -10,13 +11,17 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/distance_query.h"
 #include "core/ip_tree.h"
+#include "core/vip_tree.h"
 #include "engine/venue_bundle.h"
 #include "graph/dijkstra.h"
 #include "ground_truth.h"
@@ -289,6 +294,105 @@ TEST_P(TreeInvariantTest, MatrixPositionsIndexAccessDoors) {
   std::remove(path.c_str());
   EXPECT_TRUE(loaded.zero_copy());
   ExpectMatrixPositionsMatch(loaded.tree().base(), "mmap");
+}
+
+// Bit-level equality of two descents, PathBack included.
+void ExpectSameDescent(const std::vector<double>& dist,
+                       const std::vector<PathBack>& back,
+                       const std::vector<double>& want_dist,
+                       const std::vector<PathBack>& want_back,
+                       const std::string& label) {
+  ASSERT_EQ(dist.size(), want_dist.size()) << label;
+  ASSERT_EQ(back.size(), want_back.size()) << label;
+  EXPECT_EQ(std::memcmp(dist.data(), want_dist.data(),
+                        dist.size() * sizeof(double)),
+            0)
+      << label;
+  for (size_t c = 0; c < back.size(); ++c) {
+    EXPECT_EQ(back[c].pred, want_back[c].pred) << label << " column " << c;
+    EXPECT_EQ(back[c].pred_chain_idx, want_back[c].pred_chain_idx)
+        << label << " column " << c;
+  }
+}
+
+// Eq. (1) cell by cell, column-outer: per access door, the direct leg and
+// then every superior door in order, strict-<.
+void ColumnOuterDescent(const VIPTree& vip, const IndoorPoint& s, NodeId node,
+                        std::vector<double>& dist,
+                        std::vector<PathBack>& back) {
+  const IPTree& tree = vip.base();
+  const Venue& venue = tree.venue();
+  const std::vector<DoorId>& cols = tree.node(node).access_doors;
+  const Span<const DoorId> own = venue.DoorsOf(s.partition);
+  dist.assign(cols.size(), kInfDistance);
+  back.assign(cols.size(), PathBack{});
+  for (size_t c = 0; c < cols.size(); ++c) {
+    if (std::find(own.begin(), own.end(), cols[c]) != own.end()) {
+      dist[c] = venue.DistanceToDoor(s, cols[c]);
+    }
+    for (DoorId u : tree.SuperiorDoors(s.partition)) {
+      const double cand = venue.DistanceToDoor(s, u) + vip.ExtDist(node, u, c);
+      if (cand < dist[c]) {
+        dist[c] = cand;
+        back[c] = PathBack{u, -1};
+      }
+    }
+  }
+}
+
+TEST_P(TreeInvariantTest, OneEq1DescentAtTheLeafAndUpTheChain) {
+  // The row-outer descent equals the cell-by-cell Eq. (1) on the leaf and
+  // every ancestor. At a leaf the VIP descent reads the IP leaf matrix, so
+  // it must equal the IP seed bit for bit; the multi-point descent behind
+  // coalesced distance batches must equal the single-point one.
+  const VIPTree vip =
+      VIPTree::Build(venue_, graph_, {.min_degree = GetParam().min_degree});
+  const IPTree& tree = vip.base();
+  const IPDistanceQuery ip(tree);
+  const VIPDistanceQuery query(vip);
+  Rng rng(GetParam().seed * 31 + 7);
+  std::vector<double> want, got, multi;
+  std::vector<PathBack> want_back, got_back;
+  for (int i = 0; i < 10; ++i) {
+    const IndoorPoint p = synth::RandomIndoorPoint(venue_, rng);
+    const NodeId leaf = tree.LeafOfPartition(p.partition);
+    const TreeNode& leaf_node = tree.node(leaf);
+    ip.SeedLeaf(QuerySource::Point(p), leaf_node, want, want_back);
+    query.DistancesToNodeAd(QuerySource::Point(p), leaf, got, got_back);
+    ExpectSameDescent(got, got_back, want, want_back, "point at leaf");
+
+    const DoorId d = leaf_node.doors[rng.UniformIndex(leaf_node.doors.size())];
+    ip.SeedLeaf(QuerySource::Door(d), leaf_node, want, want_back);
+    query.DistancesToNodeAd(QuerySource::Door(d), leaf, got, got_back);
+    ExpectSameDescent(got, got_back, want, want_back, "door at leaf");
+
+    // Points sharing p's partition, p itself repeated among them.
+    std::vector<IndoorPoint> points = {p};
+    for (int k = 0; k < 3; ++k) {
+      IndoorPoint q = p;
+      q.position.x += rng.UniformReal(-1.0, 1.0);
+      q.position.y += rng.UniformReal(-1.0, 1.0);
+      points.push_back(q);
+    }
+    points.push_back(p);
+    for (NodeId n = leaf; n != kInvalidId; n = tree.node(n).parent) {
+      ColumnOuterDescent(vip, p, n, want, want_back);
+      query.DistancesToNodeAd(QuerySource::Point(p), n, got, got_back);
+      ExpectSameDescent(got, got_back, want, want_back,
+                        "node " + std::to_string(n));
+      query.DistancesToNodeAdMulti(points, n, multi);
+      const size_t m = tree.node(n).access_doors.size();
+      ASSERT_EQ(multi.size(), points.size() * m);
+      for (size_t k = 0; k < points.size(); ++k) {
+        query.DistancesToNodeAd(QuerySource::Point(points[k]), n, want,
+                                want_back);
+        EXPECT_EQ(std::memcmp(multi.data() + k * m, want.data(),
+                              m * sizeof(double)),
+                  0)
+            << "node " << n << " point " << k;
+      }
+    }
+  }
 }
 
 TEST_P(TreeInvariantTest, AccessDoorCountsStaySmall) {
