@@ -78,31 +78,6 @@ double JoinMinIndexedF32Scalar(double base, const float* row,
   return best;
 }
 
-void MinPlusRowMultiScalar(double* best, const float* row, const double* adds,
-                           size_t num_targets, size_t n) {
-  for (size_t t = 0; t < num_targets; ++t) {
-    double* best_row = best + t * n;
-    const double add = adds[t];
-    for (size_t c = 0; c < n; ++c) {
-      const double cand = add + row[c];
-      if (cand < best_row[c]) best_row[c] = cand;
-    }
-  }
-}
-
-void JoinMinRowsMultiScalar(const double* joined, const double* addends,
-                            size_t num_targets, size_t n, double* out) {
-  for (size_t t = 0; t < num_targets; ++t) {
-    const double* addend = addends + t * n;
-    double best = out[t];
-    for (size_t j = 0; j < n; ++j) {
-      const double cand = joined[j] + addend[j];
-      if (cand < best) best = cand;
-    }
-    out[t] = best;
-  }
-}
-
 size_t FilterLeqScalar(const double* v, size_t n, double radius,
                        int32_t* out) {
   size_t k = 0;
@@ -271,55 +246,6 @@ __attribute__((target("avx2"))) double JoinMinIndexedF32Avx2(
   return best;
 }
 
-__attribute__((target("avx2"))) void MinPlusRowMultiAvx2(
-    double* best, const float* row, const double* adds, size_t num_targets,
-    size_t n) {
-  for (size_t t = 0; t < num_targets; ++t) {
-    double* best_row = best + t * n;
-    const double add = adds[t];
-    const __m256d vadd = _mm256_set1_pd(add);
-    size_t c = 0;
-    for (; c + 4 <= n; c += 4) {
-      const __m256d cand =
-          _mm256_add_pd(vadd, _mm256_cvtps_pd(_mm_loadu_ps(row + c)));
-      const __m256d b = _mm256_loadu_pd(best_row + c);
-      const __m256d lt = _mm256_cmp_pd(cand, b, _CMP_LT_OQ);
-      _mm256_storeu_pd(best_row + c, _mm256_blendv_pd(b, cand, lt));
-    }
-    for (; c < n; ++c) {
-      const double cand = add + row[c];
-      if (cand < best_row[c]) best_row[c] = cand;
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void JoinMinRowsMultiAvx2(
-    const double* joined, const double* addends, size_t num_targets,
-    size_t n, double* out) {
-  for (size_t t = 0; t < num_targets; ++t) {
-    const double* addend = addends + t * n;
-    __m256d acc = _mm256_set1_pd(kInf);
-    size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const __m256d cand = _mm256_add_pd(_mm256_loadu_pd(joined + j),
-                                         _mm256_loadu_pd(addend + j));
-      const __m256d lt = _mm256_cmp_pd(cand, acc, _CMP_LT_OQ);
-      acc = _mm256_blendv_pd(acc, cand, lt);
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    double best = lanes[0];
-    for (int k = 1; k < 4; ++k) {
-      if (lanes[k] < best) best = lanes[k];
-    }
-    for (; j < n; ++j) {
-      const double cand = joined[j] + addend[j];
-      if (cand < best) best = cand;
-    }
-    if (best < out[t]) out[t] = best;
-  }
-}
-
 __attribute__((target("avx2"))) size_t FilterLeqAvx2(const double* v,
                                                      size_t n, double radius,
                                                      int32_t* out) {
@@ -357,10 +283,6 @@ struct KernelTable {
                                   const int32_t*, double, size_t);
   double (*join_min_indexed_f32)(double, const float*, const int32_t*,
                                  const double*, size_t);
-  void (*min_plus_row_multi)(double*, const float*, const double*, size_t,
-                             size_t);
-  void (*join_min_rows_multi)(const double*, const double*, size_t, size_t,
-                              double*);
   size_t (*filter_leq)(const double*, size_t, double, int32_t*);
   const char* name;
 };
@@ -369,7 +291,6 @@ constexpr KernelTable kScalarTable = {
     MinPlusRowScalar,       RowMinScalar,
     RowArgMinScalar,        MinPlusGatherF32Scalar,
     MinPlusGatherArgF32Scalar, JoinMinIndexedF32Scalar,
-    MinPlusRowMultiScalar,  JoinMinRowsMultiScalar,
     FilterLeqScalar,        "scalar"};
 
 #if VIPTREE_KERNELS_X86
@@ -377,7 +298,6 @@ constexpr KernelTable kAvx2Table = {
     MinPlusRowAvx2,       RowMinAvx2,
     RowArgMinAvx2,        MinPlusGatherF32Avx2,
     MinPlusGatherArgF32Avx2, JoinMinIndexedF32Avx2,
-    MinPlusRowMultiAvx2,  JoinMinRowsMultiAvx2,
     FilterLeqAvx2,        "avx2"};
 #endif
 
@@ -430,16 +350,6 @@ void MinPlusGatherArgF32(double* best, int32_t* best_src, int32_t tag,
 double JoinMinIndexedF32(double base, const float* row, const int32_t* idx,
                          const double* addend, size_t n) {
   return ActiveTable()->join_min_indexed_f32(base, row, idx, addend, n);
-}
-
-void MinPlusRowMulti(double* best, const float* row, const double* adds,
-                     size_t num_targets, size_t n) {
-  ActiveTable()->min_plus_row_multi(best, row, adds, num_targets, n);
-}
-
-void JoinMinRowsMulti(const double* joined, const double* addends,
-                      size_t num_targets, size_t n, double* out) {
-  ActiveTable()->join_min_rows_multi(joined, addends, num_targets, n, out);
 }
 
 size_t FilterLeq(const double* v, size_t n, double radius, int32_t* out) {

@@ -64,26 +64,6 @@ void MinPlusGatherArgF32(double* best, int32_t* best_src, int32_t tag,
 double JoinMinIndexedF32(double base, const float* row, const int32_t* idx,
                          const double* addend, size_t n);
 
-// Multi-target min-plus broadcast: one shared float row folded into
-// `num_targets` stacked double accumulator rows (row-major, stride n):
-//   best[t*n + c] = min(best[t*n + c], adds[t] + row[c])
-// for every target t and column c, strict-< first-wins per cell. The
-// coalesced §3.1 descent: `row` is one seed door's extended-matrix row,
-// adds[t] the per-point point→door leg. Candidates per (t, c) match the
-// single-point loop (`adds[t] + row[c]`, same association), so results
-// are bit-identical to num_targets independent scans.
-void MinPlusRowMulti(double* best, const float* row, const double* adds,
-                     size_t num_targets, size_t n);
-
-// Batched LCA join over `num_targets` target columns sharing one folded
-// source row: out[t] = min(out[t], min over j of joined[j] +
-// addends[t*n + j]) with strict-< first-wins per target. `joined` holds
-// the source-side fold min_i(sdist[i] + cell[i][j]) — min distributes
-// over the monotone rounded add, so this equals the per-target
-// JoinMinIndexedF32 sweep bit-for-bit.
-void JoinMinRowsMulti(const double* joined, const double* addends,
-                      size_t num_targets, size_t n, double* out);
-
 // Appends every index i with v[i] <= radius to out (ascending; caller
 // provides room for n entries) and returns the count. The range-query
 // candidate filter.

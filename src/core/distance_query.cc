@@ -1,10 +1,6 @@
 #include "core/distance_query.h"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
-#include <map>
-#include <tuple>
 #include <utility>
 
 #include "common/check.h"
@@ -30,36 +26,16 @@ struct AccessMatrix {
   }
 };
 
-AccessMatrix ExtAccessMatrix(const VIPTree& vip, NodeId node) {
-  return {vip.ExtDoors(node), vip.ExtDistMatrix(node),
-          vip.base().node(node).access_doors};
-}
-
-// The doors Eq. (1) seeds a point of partition p from: its superior doors
-// (§3.1.1, Definition 2), or all of its doors when those are turned off.
-Span<const DoorId> SeedDoors(const IPTree& tree,
-                             const DistanceQueryOptions& options,
-                             PartitionId p) {
-  return options.use_superior_doors ? tree.SuperiorDoors(p)
-                                    : tree.venue().DoorsOf(p);
-}
-
-// Eq. (1)'s trivial case for points sharing one partition: every access
-// door of that partition is reached directly, so dist[k * |cols| + c] =
-// dist(points[k], cols[c]) for each such c. Other cells are left as is.
-void DirectLegs(const Venue& venue, Span<const IndoorPoint> points,
+// Eq. (1)'s trivial case: every access door of the point's own partition
+// is reached directly, so dist[c] = dist(p, cols[c]) for each such c.
+// Other cells are left as is.
+void DirectLegs(const Venue& venue, const IndoorPoint& p,
                 Span<const DoorId> cols, double* dist) {
-  const Span<const DoorId> partition_doors =
-      venue.DoorsOf(points[0].partition);
-  const size_t m = cols.size();
-  for (size_t c = 0; c < m; ++c) {
-    if (std::find(partition_doors.begin(), partition_doors.end(), cols[c]) ==
+  const Span<const DoorId> partition_doors = venue.DoorsOf(p.partition);
+  for (size_t c = 0; c < cols.size(); ++c) {
+    if (std::find(partition_doors.begin(), partition_doors.end(), cols[c]) !=
         partition_doors.end()) {
-      continue;
-    }
-    for (size_t k = 0; k < points.size(); ++k) {
-      VIPTREE_DCHECK(points[k].partition == points[0].partition);
-      dist[k * m + c] = venue.DistanceToDoor(points[k], cols[c]);
+      dist[c] = venue.DistanceToDoor(p, cols[c]);
     }
   }
 }
@@ -84,8 +60,13 @@ void AccessDoorDistances(const IPTree& tree,
   }
   const Venue& venue = tree.venue();
   const IndoorPoint& s = *source.point;
-  DirectLegs(venue, Span<const IndoorPoint>(&s, 1), matrix.cols, dist.data());
-  for (DoorId u : SeedDoors(tree, options, s.partition)) {
+  DirectLegs(venue, s, matrix.cols, dist.data());
+  // The superior doors of s's partition (§3.1.1, Definition 2), or all of
+  // its doors when those are turned off.
+  const Span<const DoorId> seeds = options.use_superior_doors
+                                       ? tree.SuperiorDoors(s.partition)
+                                       : venue.DoorsOf(s.partition);
+  for (DoorId u : seeds) {
     const double add = venue.DistanceToDoor(s, u);
     const Span<const float> row = matrix.RowOf(u);
     for (size_t c = 0; c < m; ++c) {
@@ -284,20 +265,6 @@ double IPDistanceQuery::LocalDistance(const IndoorPoint& s,
   return search.ToPoint(t);
 }
 
-void IPDistanceQuery::LocalDistanceMulti(const IndoorPoint& s,
-                                         Span<const IndoorPoint> targets,
-                                         double* out) const {
-  LeafSearch search = StartLeafSearch(QuerySource::Point(s),
-                                      tree_.LeafOfPartition(s.partition));
-  for (size_t k = 0; k < targets.size(); ++k) {
-    // Resume the shared search: each call extends the same deterministic
-    // pop sequence, so a door settles at the bits a fresh search stopped
-    // at this target would report.
-    search.RunTo(tree_.venue().DoorsOf(targets[k].partition));
-    out[k] = search.ToPoint(targets[k]);
-  }
-}
-
 double IPDistanceQuery::Distance(const IndoorPoint& s,
                                  const IndoorPoint& t) const {
   const NodeId ls = tree_.LeafOfPartition(s.partition);
@@ -365,193 +332,9 @@ void VIPDistanceQuery::DistancesToNodeAd(const QuerySource& source,
                                          std::vector<double>& dist,
                                          std::vector<PathBack>& back) const {
   AccessDoorDistances(vip_.base(), options_, source,
-                      ExtAccessMatrix(vip_, node), dist, back);
-}
-
-void VIPDistanceQuery::DistancesToNodeAdMulti(Span<const IndoorPoint> points,
-                                              NodeId node,
-                                              std::vector<double>& dist) const {
-  const AccessMatrix matrix = ExtAccessMatrix(vip_, node);
-  const size_t m = matrix.cols.size();
-  const size_t np = points.size();
-  dist.assign(np * m, kInfDistance);
-  if (np == 0) return;
-
-  const Venue& venue = vip_.base().venue();
-  DirectLegs(venue, points, matrix.cols, dist.data());
-  // AccessDoorDistances with the points stacked: one row per seed door
-  // feeds every point's accumulator row. Per (point, column) the
-  // candidate sequence (direct leg, then the seed doors in order,
-  // strict-<) is the single-point one, so every row is bit-identical to
-  // DistancesToNodeAd.
-  multi_adds_.resize(np);
-  for (DoorId u : SeedDoors(vip_.base(), options_, points[0].partition)) {
-    for (size_t k = 0; k < np; ++k) {
-      multi_adds_[k] = venue.DistanceToDoor(points[k], u);
-    }
-    kernels::MinPlusRowMulti(dist.data(), matrix.RowOf(u).data(),
-                             multi_adds_.data(), np, m);
-  }
-}
-
-void VIPDistanceQuery::DistanceViaLcaMulti(const double* sdist, NodeId lca,
-                                           NodeId ns, NodeId nt,
-                                           Span<const IndoorPoint> targets,
-                                           double* out) const {
-  const IPTree& tree = vip_.base();
-  const TreeNode& lca_node = tree.node(lca);
-  const TreeNode& ns_node = tree.node(ns);
-  const TreeNode& nt_node = tree.node(nt);
-  const size_t ni = ns_node.access_doors.size();
-  const size_t nj = nt_node.access_doors.size();
-  const size_t num_targets = targets.size();
-  const Span<const int32_t> rows = tree.ParentMatrixPositions(ns);
-  const Span<const int32_t> cols = tree.ParentMatrixPositions(nt);
-
-  // Source-side fold: joined_[j] = min over finite i of sdist[i] +
-  // lca_cell(i, j), keeping the sequential join's sum association with the
-  // target addend deferred. min commutes with the monotone x -> x + td[j],
-  // so folding before the target add is bit-identical to the per-query
-  // join (common/kernels.h, JoinMinRowsMulti).
-  joined_.assign(nj, kInfDistance);
-  for (size_t i = 0; i < ni; ++i) {
-    if (sdist[i] == kInfDistance) continue;
-    kernels::MinPlusGatherF32(
-        joined_.data(),
-        lca_node.dist.row(static_cast<size_t>(rows[i])).data(),
-        cols.data(), sdist[i], nj);
-  }
-
-  // Per-target descents, stacked row-major for one batched reduce.
-  stacked_tdist_.assign(num_targets * nj, kInfDistance);
-  for (size_t k = 0; k < num_targets; ++k) {
-    DistancesToNodeAd(QuerySource::Point(targets[k]), nt, tdist_, tback_);
-    std::copy(tdist_.begin(), tdist_.end(),
-              stacked_tdist_.begin() + static_cast<ptrdiff_t>(k * nj));
-  }
-  for (size_t k = 0; k < num_targets; ++k) out[k] = kInfDistance;
-  kernels::JoinMinRowsMulti(joined_.data(), stacked_tdist_.data(), num_targets,
-                            nj, out);
-}
-
-void VIPDistanceQuery::DistanceMulti(Span<const IndoorPoint> sources,
-                                     Span<const IndoorPoint> targets,
-                                     double* out,
-                                     MultiDistanceStats* stats) const {
-  const size_t n = sources.size();
-  VIPTREE_DCHECK(targets.size() == n);
-  if (n == 0) return;
-  const IPTree& tree = vip_.base();
-  const PartitionId sp = sources[0].partition;
-  const NodeId ls = tree.LeafOfPartition(sp);
-
-  // Source points compared by bit pattern: equal bits => identical descent
-  // outputs, so the computation can be shared without any tolerance games.
-  using SrcBits = std::array<uint64_t, 3>;
-  const auto bits_of = [](const IndoorPoint& p) {
-    SrcBits b{};
-    static_assert(sizeof(b) == sizeof(p.position), "Point is 3 doubles");
-    std::memcpy(b.data(), &p.position, sizeof(b));
-    return b;
-  };
-
-  struct Cross {
-    size_t query;
-    NodeId lca, ns, nt;
-    SrcBits src;
-  };
-  std::vector<Cross> cross;
-  cross.reserve(n);
-  std::map<SrcBits, std::vector<size_t>> local_groups;
-  for (size_t k = 0; k < n; ++k) {
-    VIPTREE_DCHECK(sources[k].partition == sp);
-    const NodeId lt = tree.LeafOfPartition(targets[k].partition);
-    if (lt == ls) {
-      local_groups[bits_of(sources[k])].push_back(k);
-      continue;
-    }
-    const NodeId lca = tree.Lca(ls, lt);
-    cross.push_back({k, lca, tree.ChildToward(lca, ls),
-                     tree.ChildToward(lca, lt), bits_of(sources[k])});
-  }
-
-  // Same-leaf pairs dominate skewed batches (each one is a leaf search,
-  // dearer than a cross-leaf matrix walk), so queries sharing an exact
-  // source point share one incremental leaf search.
-  if (!local_groups.empty()) {
-    std::vector<IndoorPoint> local_targets;
-    std::vector<double> local_out;
-    size_t local_queries = 0;
-    for (const auto& [src, members] : local_groups) {
-      (void)src;
-      local_queries += members.size();
-      local_targets.clear();
-      for (size_t k : members) local_targets.push_back(targets[k]);
-      local_out.assign(members.size(), kInfDistance);
-      ip_.LocalDistanceMulti(
-          sources[members[0]],
-          Span<const IndoorPoint>(local_targets.data(), local_targets.size()),
-          local_out.data());
-      for (size_t j = 0; j < members.size(); ++j) {
-        out[members[j]] = local_out[j];
-      }
-    }
-    if (stats != nullptr) {
-      stats->ascents_computed += local_groups.size();
-      stats->ascents_reused += local_queries - local_groups.size();
-    }
-  }
-  if (cross.empty()) return;
-
-  // One multi-point descent per join child over its distinct source points.
-  std::map<std::pair<NodeId, SrcBits>, size_t> slot_of;
-  std::map<NodeId, std::vector<IndoorPoint>> points_of;
-  for (const Cross& c : cross) {
-    const auto key = std::make_pair(c.ns, c.src);
-    if (slot_of.count(key) != 0) continue;
-    std::vector<IndoorPoint>& pts = points_of[c.ns];
-    slot_of[key] = pts.size();
-    pts.push_back(sources[c.query]);
-  }
-  std::map<NodeId, std::vector<double>> sdist_of;
-  for (auto& [ns, pts] : points_of) {
-    DistancesToNodeAdMulti(Span<const IndoorPoint>(pts.data(), pts.size()), ns,
-                           sdist_of[ns]);
-  }
-  if (stats != nullptr) {
-    stats->ascents_computed += slot_of.size();
-    stats->ascents_reused += cross.size() - slot_of.size();
-  }
-
-  // Queries sharing (source bits, lca, ns, nt) fold the LCA join once and
-  // batch the target-side reduce.
-  std::map<std::tuple<SrcBits, NodeId, NodeId, NodeId>, std::vector<size_t>>
-      buckets;
-  for (size_t ci = 0; ci < cross.size(); ++ci) {
-    const Cross& c = cross[ci];
-    buckets[std::make_tuple(c.src, c.lca, c.ns, c.nt)].push_back(ci);
-  }
-  std::vector<IndoorPoint> bucket_targets;
-  std::vector<double> bucket_out;
-  for (const auto& [key, members] : buckets) {
-    const Cross& head = cross[members[0]];
-    const size_t m = tree.node(head.ns).access_doors.size();
-    const std::vector<double>& stack = sdist_of[head.ns];
-    const double* sdist =
-        stack.data() + slot_of[std::make_pair(head.ns, head.src)] * m;
-    bucket_targets.clear();
-    for (size_t ci : members) {
-      bucket_targets.push_back(targets[cross[ci].query]);
-    }
-    bucket_out.assign(members.size(), kInfDistance);
-    DistanceViaLcaMulti(
-        sdist, head.lca, head.ns, head.nt,
-        Span<const IndoorPoint>(bucket_targets.data(), bucket_targets.size()),
-        bucket_out.data());
-    for (size_t j = 0; j < members.size(); ++j) {
-      out[cross[members[j]].query] = bucket_out[j];
-    }
-  }
+                      {vip_.ExtDoors(node), vip_.ExtDistMatrix(node),
+                       vip_.base().node(node).access_doors},
+                      dist, back);
 }
 
 double VIPDistanceQuery::Distance(const IndoorPoint& s,

@@ -123,15 +123,6 @@ struct DistanceQueryOptions {
   bool use_superior_doors = true;
 };
 
-// Ascent-sharing accounting of the coalesced entry points: how many source
-// expansions (cross-leaf descents and same-leaf searches) a batch
-// actually computed vs how many per-query runs it avoided. Folded into the
-// execution planner's PlanStats.
-struct MultiDistanceStats {
-  uint64_t ascents_computed = 0;
-  uint64_t ascents_reused = 0;
-};
-
 class IPDistanceQuery {
  public:
   // `cache` (optional, may be shared across engines — it is internally
@@ -154,16 +145,6 @@ class IPDistanceQuery {
 
   // Same-leaf distance: s and t lie in one leaf.
   double LocalDistance(const IndoorPoint& s, const IndoorPoint& t) const;
-
-  // Same-leaf distances from one source point to many targets over a
-  // single leaf search. The settled distance of a door depends only on
-  // the seeding (the heap pops in a deterministic order and resuming
-  // extends that same sequence), so every out[k] is bit-identical to
-  // LocalDistance(s, targets[k]) while the search is paid once per
-  // source instead of once per query. Every target must share the
-  // source's leaf.
-  void LocalDistanceMulti(const IndoorPoint& s, Span<const IndoorPoint> targets,
-                          double* out) const;
 
   // Seed of Algorithm 2: distances from the source to every access door of
   // `leaf` (the source's leaf, or for a door source any leaf holding it).
@@ -232,26 +213,6 @@ class VIPDistanceQuery {
                          std::vector<double>& dist,
                          std::vector<PathBack>& back) const;
 
-  // Coalesced descent: the point-source DistancesToNodeAd for every point
-  // at once, row-major into `dist` (dist[k * |AD(node)| + c] = distance
-  // from points[k] to access door c). All points must lie in the same
-  // partition. Each seed door's extended-matrix row feeds every point's
-  // accumulator row via kernels::MinPlusRowMulti; the per-(point, column)
-  // candidate sequence is that of the single-point descent, so every row
-  // is bit-identical to the per-point call.
-  void DistancesToNodeAdMulti(Span<const IndoorPoint> points, NodeId node,
-                              std::vector<double>& dist) const;
-
-  // Coalesced Algorithm 3 for queries sharing one source partition:
-  // out[k] = Distance(sources[k], targets[k]) for every k, bit-identical
-  // to the sequential calls. Source descents are computed once per
-  // distinct (source point, join child) via DistancesToNodeAdMulti;
-  // targets sharing (source point, lca, ns, nt) are answered by one
-  // source-side fold plus one batched kernels::JoinMinRowsMulti reduce.
-  void DistanceMulti(Span<const IndoorPoint> sources,
-                     Span<const IndoorPoint> targets, double* out,
-                     MultiDistanceStats* stats = nullptr) const;
-
   const VIPTree& tree() const { return vip_; }
   DistanceCache* distance_cache() const { return cache_; }
 
@@ -260,21 +221,12 @@ class VIPDistanceQuery {
 
   double DoorDistanceUncached(DoorId s, DoorId t) const;
 
-  // Batched tail of DistanceMulti for one (shared source descent, lca,
-  // ns, nt) bucket: folds the LCA join rows over `sdist` once, stacks the
-  // per-target descents, and reduces them with one JoinMinRowsMulti.
-  void DistanceViaLcaMulti(const double* sdist, NodeId lca, NodeId ns,
-                           NodeId nt, Span<const IndoorPoint> targets,
-                           double* out) const;
-
   const VIPTree& vip_;
   DistanceQueryOptions options_;
   DistanceCache* cache_ = nullptr;
   IPDistanceQuery ip_;  // same-leaf fallback + seeding helpers
   mutable std::vector<double> sdist_, tdist_;
   mutable std::vector<PathBack> sback_, tback_;
-  // Coalesced-path scratch (DistanceMulti and helpers).
-  mutable std::vector<double> multi_adds_, joined_, stacked_tdist_;
 };
 
 }  // namespace viptree

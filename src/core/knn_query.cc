@@ -12,10 +12,14 @@ namespace viptree {
 namespace {
 
 // The result order every search reports: ascending by (distance, id).
-bool Closer(const ObjectResult& a, const ObjectResult& b) {
-  return a.distance != b.distance ? a.distance < b.distance
-                                  : a.object < b.object;
-}
+// A function object rather than a function pointer, so the heap and the
+// sort can inline it.
+struct Closer {
+  bool operator()(const ObjectResult& a, const ObjectResult& b) const {
+    return a.distance != b.distance ? a.distance < b.distance
+                                    : a.object < b.object;
+  }
+};
 
 // The run of `overlay` (ordered by leaf_dfs) whose leaves have DFS index
 // in [begin, end): the overlay objects of one subtree.
@@ -130,9 +134,7 @@ std::vector<ObjectResult> KnnQuery::Search(
   // The k best so far as a max-heap under (distance, id), so dk (distance
   // to the current kth NN) is O(1) and a tie at the kth place keeps the
   // smaller id.
-  std::priority_queue<ObjectResult, std::vector<ObjectResult>,
-                      decltype(&Closer)>
-      best(&Closer);
+  std::priority_queue<ObjectResult, std::vector<ObjectResult>, Closer> best;
   auto dk = [&]() {
     if (radius != kInfDistance) {
       return best.size() >= k ? std::min(radius, best.top().distance) : radius;
@@ -149,7 +151,7 @@ std::vector<ObjectResult> KnnQuery::Search(
       results.push_back(candidate);
     } else if (best.size() < k) {
       best.push(candidate);
-    } else if (Closer(candidate, best.top())) {
+    } else if (Closer{}(candidate, best.top())) {
       best.pop();
       best.push(candidate);
     }
@@ -256,15 +258,14 @@ std::vector<ObjectResult> KnnQuery::Search(
         OverlayIn(overlay, node.leaf_begin, node.leaf_end);
     if (objs.empty() && hot.empty()) continue;
     if (n == q_leaf) {
-      std::vector<double> dists;
       const size_t settled =
-          LocalObjectDistances(q, ascent, hot, dists);
+          LocalObjectDistances(q, ascent, hot, local_dists_);
       if (stats != nullptr) stats->doors_settled = settled;
       for (size_t i = 0; i < objs.size(); ++i) {
-        offer(objs[i], dists[i], object_allowed);
+        offer(objs[i], local_dists_[i], object_allowed);
       }
       for (size_t j = 0; j < hot.size(); ++j) {
-        offer(hot[j].id, dists[objs.size() + j], overlay_allowed);
+        offer(hot[j].id, local_dists_[objs.size() + j], overlay_allowed);
       }
       continue;
     }
@@ -315,7 +316,7 @@ std::vector<ObjectResult> KnnQuery::Search(
   }
 
   if (collect_all) {
-    std::sort(results.begin(), results.end(), Closer);
+    std::sort(results.begin(), results.end(), Closer{});
     return results;
   }
   results.resize(best.size());

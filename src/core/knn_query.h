@@ -150,7 +150,10 @@ class KnnQuery {
   const IPTree& tree_;
   const ObjectIndex* objects_;
   IPDistanceQuery query_;  // also owns the Dijkstra scratch of the leaf search
-  mutable std::vector<DoorId> local_targets_;  // LocalObjectDistances
+  // Same-leaf scan scratch: LocalObjectDistances' target doors and its
+  // output, reused across searches.
+  mutable std::vector<DoorId> local_targets_;
+  mutable std::vector<double> local_dists_;
 };
 
 }  // namespace viptree

@@ -262,13 +262,15 @@ void VIPPathQuery::WalkToAncestorAd(DoorId x, NodeId ancestor, size_t col,
   const IPTree& tree = vip_.base();
   const DoorId target = tree.node(ancestor).access_doors[col];
   while (x != target) {
-    if (vip_.ExtRowOf(ancestor, x) < 0) {
+    const int row = vip_.ExtRowOf(ancestor, x);
+    if (row < 0) {
       // The path excursed outside the ancestor's subtree (§3.3's "very
       // rare" case): search the remaining segment.
       ip_path_.AppendSearchedSegment(x, target, out);
       return;
     }
-    const DoorId hop = vip_.ExtNextHop(ancestor, x, col);
+    const DoorId hop =
+        vip_.ExtNextHop(ancestor, static_cast<size_t>(row), col);
     if (hop == kInvalidId) return;  // direct final edge x -> target
     // x -> hop normally stays within one leaf (hop is either the immediate
     // next door or the first access door, with only non-access doors in

@@ -179,10 +179,8 @@ const FlatMatrix<float>& VIPTree::ExtDistMatrix(NodeId n) const {
   return ext_[n].dist;
 }
 
-DoorId VIPTree::ExtNextHop(NodeId n, DoorId d, size_t col) const {
+DoorId VIPTree::ExtNextHop(NodeId n, size_t row, size_t col) const {
   const TreeNode& node = base_.node(n);
-  const int row = ExtRowOf(n, d);
-  VIPTREE_DCHECK(row >= 0);
   if (node.is_leaf()) return node.next_hop.at(row, col);
   return ext_[n].next_hop.at(row, col);
 }

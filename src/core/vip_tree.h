@@ -84,13 +84,16 @@ class VIPTree {
   // sorted. For leaves this aliases TreeNode::doors.
   Span<const DoorId> ExtDoors(NodeId n) const;
 
-  // Distance / next-hop for (door `d`, access door index `col` of node
-  // `n`). `d` must be a door inside n's subtree.
+  // Distance for (door `d`, access door index `col` of node `n`). `d` must
+  // be a door inside n's subtree.
   float ExtDist(NodeId n, DoorId d, size_t col) const;
-  DoorId ExtNextHop(NodeId n, DoorId d, size_t col) const;
 
   // Row index of door `d` in node `n`'s extended matrix; -1 if absent.
   int ExtRowOf(NodeId n, DoorId d) const;
+
+  // Next hop for (row `row` of node `n`'s extended matrix, as ExtRowOf
+  // found it; access door index `col` of `n`).
+  DoorId ExtNextHop(NodeId n, size_t row, size_t col) const;
 
   // Node `n`'s extended distance matrix (the IP leaf matrix for a leaf):
   // rows ExtDoors(n), columns AD(n). The §3.1 descent reads it a row per

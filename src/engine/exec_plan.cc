@@ -12,10 +12,6 @@
 namespace viptree {
 namespace engine {
 
-size_t MatricesConsulted(const IPTree& tree, PartitionId s, PartitionId t) {
-  return tree.LeafOfPartition(s) == tree.LeafOfPartition(t) ? 1 : 3;
-}
-
 namespace {
 
 // kNN grouping key: the exact source point, compared by bit pattern —
@@ -57,7 +53,6 @@ void PlanStats::Merge(const PlanStats& other) {
 }
 
 PlanStats ExecutePlan(Span<const Query> queries,
-                      const VIPDistanceQuery& distance,
                       const SnapshotQuery* objects,
                       const std::function<Result(const Query&)>& fallback,
                       std::vector<Result>& results) {
@@ -66,66 +61,15 @@ PlanStats ExecutePlan(Span<const Query> queries,
                     "ExecutePlan results must be pre-sized to the batch");
   PlanStats stats;
 
-  // Group distance queries by source partition and kNN queries by exact
-  // source point; everything else (and every singleton group) takes the
-  // sequential fallback.
-  std::map<PartitionId, std::vector<size_t>> distance_groups;
+  // Group kNN queries by exact source point; everything else (and every
+  // singleton group) takes the sequential fallback.
   std::map<SourceKey, std::vector<size_t>> knn_groups;
   std::vector<size_t> fall;
   for (size_t i = 0; i < n; ++i) {
-    switch (queries[i].type) {
-      case QueryType::kDistance:
-        distance_groups[queries[i].source.partition].push_back(i);
-        break;
-      case QueryType::kKnn:
-        if (objects != nullptr) {
-          knn_groups[KeyOf(queries[i].source)].push_back(i);
-        } else {
-          fall.push_back(i);
-        }
-        break;
-      default:
-        fall.push_back(i);
-        break;
-    }
-  }
-
-  const IPTree& tree = distance.tree().base();
-  std::vector<IndoorPoint> sources, targets;
-  std::vector<double> distances;
-  for (auto& [partition, members] : distance_groups) {
-    (void)partition;
-    if (members.size() < 2) {
-      fall.insert(fall.end(), members.begin(), members.end());
-      continue;
-    }
-    sources.clear();
-    targets.clear();
-    for (size_t i : members) {
-      sources.push_back(queries[i].source);
-      targets.push_back(queries[i].target);
-    }
-    distances.assign(members.size(), kInfDistance);
-    MultiDistanceStats multi_stats;
-    const Timer timer;
-    distance.DistanceMulti(
-        Span<const IndoorPoint>(sources.data(), sources.size()),
-        Span<const IndoorPoint>(targets.data(), targets.size()),
-        distances.data(), &multi_stats);
-    // The group runs as one unit; attribute its wall time evenly so batch
-    // latency summaries stay comparable with the sequential path.
-    const double per_query_micros =
-        timer.ElapsedMicros() / static_cast<double>(members.size());
-    stats.ascents_computed += multi_stats.ascents_computed;
-    stats.ascents_reused += multi_stats.ascents_reused;
-    stats.RecordGroup(members.size());
-    for (size_t j = 0; j < members.size(); ++j) {
-      Result& r = results[members[j]];
-      r.type = QueryType::kDistance;
-      r.distance = distances[j];
-      r.latency_micros = per_query_micros;
-      r.visited_nodes =
-          MatricesConsulted(tree, sources[j].partition, targets[j].partition);
+    if (queries[i].type == QueryType::kKnn && objects != nullptr) {
+      knn_groups[KeyOf(queries[i].source)].push_back(i);
+    } else {
+      fall.push_back(i);
     }
   }
 

@@ -1,28 +1,20 @@
 // The execution planner of the coalesced batch path: takes one span of
-// same-venue queries, groups them by (query kind, source partition /
-// source point), computes each group's source ascent exactly once, and
-// dispatches the groups through the multi-target kernels
-// (common/kernels.h: MinPlusRowMulti, JoinMinRowsMulti).
+// same-venue queries, groups its kNN queries by exact source point, and
+// runs each group's root ascent (KnnQuery::ComputeAscent) exactly once,
+// independent of k. Members that also share k are the same deterministic
+// search, so it runs once per distinct (source, k) and the duplicates copy
+// its answer.
 //
-// Where a sequential batch runs Algorithm 2 / the §3.1 descent once per
-// query, a source-skewed batch (many queries leaving the same partition —
-// the "everyone routes from the entrance" pattern) repeats nearly
-// identical ascents. The planner shares them:
-//
-//   * kDistance: queries grouped by source partition feed
-//     VIPDistanceQuery::DistanceMulti — one multi-point descent per
-//     distinct (source point, LCA join child), one batched LCA join per
-//     (source, lca, ns, nt) bucket;
-//   * kKnn: queries grouped by exact source point share one root ascent
-//     (KnnQuery::ComputeAscent) across their branch-and-bound searches,
-//     independent of k;
-//   * kPath / kRange / kBooleanKnn pass through the sequential executor
-//     unchanged.
+// Where a sequential batch runs the ascent once per query, a source-skewed
+// batch (many queries leaving the same point — the "everyone routes from
+// the entrance" pattern) repeats it. Every other query kind, and every
+// singleton group, passes through the sequential executor unchanged: a
+// VIP distance query is O(rho^2) matrix reads (§3.1), too cheap for a
+// shared descent to pay for its bookkeeping.
 //
 // Bit-identity contract: every grouped answer equals the sequential
-// per-query answer bit for bit (the fold/loop-exchange proofs live with
-// the core entry points and kernels). Grouping changes only the work
-// shared, never the result — enforced by tests/coalesce_differential_test.
+// per-query answer bit for bit. Grouping changes only the work shared,
+// never the result — enforced by tests/coalesce_differential_test.
 //
 // Wiring: QueryEngine::RunCoalesced executes one planned span on the
 // resident worker; engine::Service workers pull up to
@@ -40,7 +32,6 @@
 #include <vector>
 
 #include "common/span.h"
-#include "core/distance_query.h"
 #include "core/live_objects.h"
 
 namespace viptree {
@@ -59,7 +50,7 @@ struct CoalesceOptions {
   size_t window = 64;
 };
 
-// What the planner did with a batch: groups formed, ascent/descent work
+// What the planner did with a batch: kNN groups formed, root ascents
 // shared, and a power-of-two histogram of group sizes. Aggregated into
 // ServiceStats and printed by the serve summary.
 struct PlanStats {
@@ -67,7 +58,7 @@ struct PlanStats {
 
   uint64_t groups = 0;             // multi-query groups formed (size >= 2)
   uint64_t coalesced_queries = 0;  // queries answered through a group
-  uint64_t ascents_computed = 0;   // source ascents/descents actually run
+  uint64_t ascents_computed = 0;   // root ascents actually run
   uint64_t ascents_reused = 0;     // per-query runs avoided by sharing
   // groups_by_size[b] counts groups whose size lies in [2^b, 2^(b+1));
   // the last bucket is open-ended. b = 0 stays empty (singletons are not
@@ -87,16 +78,9 @@ struct PlanStats {
 // non-coalescible query and every singleton group. `results` must already
 // be sized to queries.size().
 PlanStats ExecutePlan(Span<const Query> queries,
-                      const VIPDistanceQuery& distance,
                       const SnapshotQuery* objects,
                       const std::function<Result(const Query&)>& fallback,
                       std::vector<Result>& results);
-
-// Node matrices a VIP distance/path query consults (§3.1): the source and
-// target extended matrices plus the LCA matrix joining them, or just the
-// shared leaf for a same-leaf query. The visited-node count of both the
-// planner and the sequential executor.
-size_t MatricesConsulted(const IPTree& tree, PartitionId s, PartitionId t);
 
 }  // namespace engine
 }  // namespace viptree

@@ -10,6 +10,17 @@
 namespace viptree {
 namespace engine {
 
+namespace {
+
+// Node matrices a VIP distance/path query consults (§3.1): the source and
+// target extended matrices plus the LCA matrix joining them, or just the
+// shared leaf for a same-leaf query.
+size_t MatricesConsulted(const IPTree& tree, PartitionId s, PartitionId t) {
+  return tree.LeafOfPartition(s) == tree.LeafOfPartition(t) ? 1 : 3;
+}
+
+}  // namespace
+
 const char* QueryTypeName(QueryType type) {
   switch (type) {
     case QueryType::kDistance:
@@ -253,7 +264,7 @@ std::vector<Result> QueryEngine::RunCoalesced(Span<const Query> queries,
   }
   const auto fallback = [&](const Query& q) { return Execute(q, worker); };
   const PlanStats plan =
-      ExecutePlan(queries, worker.distance, objects, fallback, results);
+      ExecutePlan(queries, objects, fallback, results);
   if (stats != nullptr) stats->Merge(plan);
   return results;
 }

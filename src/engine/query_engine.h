@@ -183,10 +183,9 @@ class QueryEngine {
   std::vector<Result> RunSequential(Span<const Query> queries) const;
 
   // Answers one group of queries on the resident worker through the
-  // execution planner (engine/exec_plan.h): distance queries sharing a
-  // source partition and kNN queries sharing a source point reuse their
-  // ascents via the multi-target kernels; everything else runs exactly as
-  // Run would. results[i] answers queries[i], bit-identical to
+  // execution planner (engine/exec_plan.h): kNN queries sharing a source
+  // point reuse one root ascent; everything else runs exactly as Run
+  // would. results[i] answers queries[i], bit-identical to
   // RunSequential. Const but not re-entrant, like Run. `stats`, when
   // non-null, has this group's planner accounting merged in.
   std::vector<Result> RunCoalesced(Span<const Query> queries,

@@ -1,18 +1,16 @@
 // Execution-planner differential sweep (engine/exec_plan.h): coalesced
 // execution must be bit-identical to the sequential reference across 24
-// seeded random venues — the planner only ever *shares* work (one descent
-// per distinct source, one leaf Dijkstra per same-leaf source group, one
-// search per duplicated kNN), it never changes a single answer.
+// seeded random venues — the planner only ever *shares* work (one root
+// ascent per distinct kNN source, one search per duplicated kNN), it
+// never changes a single answer.
 //
-// Three layers are swept:
+// Two layers are swept:
 //   1. a coalescing Service with a whole-batch window, one and three
 //      workers, against RunSequential;
 //   2. a one-worker coalescing Service fed queries with interleaved live
 //      object updates, against a twin engine applying the same stream
 //      sequentially (updates are group barriers, so epoch visibility must
-//      be exactly the submission order's);
-//   3. VIPDistanceQuery::DistanceMulti directly, on a same-leaf-heavy
-//      pair set, against per-pair Distance.
+//      be exactly the submission order's).
 //
 // The whole suite also runs under VIPTREE_FORCE_SCALAR=1 in CI (label
 // `coalesce`), pinning the kernels under the planner to the scalar twins.
@@ -22,10 +20,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "core/distance_query.h"
 #include "engine/exec_plan.h"
 #include "engine/query_engine.h"
 #include "engine/service.h"
@@ -38,9 +36,9 @@ namespace {
 namespace eng = ::viptree::engine;
 
 // Source-skewed workload over a hot pool of 3 points: the traffic shape
-// the planner exists for. Heavy on distance + kNN (the grouped types) with
-// duplicated kNN (source, k) pairs, plus path/range so the fallback lane
-// runs interleaved with groups.
+// the planner exists for. Heavy on kNN (the grouped type) with duplicated
+// (source, k) pairs, plus distance/path/range so the fallback lane runs
+// interleaved with groups.
 std::vector<eng::Query> SkewedQueries(const Venue& venue, size_t n,
                                       Rng& rng) {
   std::vector<IndoorPoint> pool;
@@ -109,12 +107,28 @@ TEST_P(CoalesceDifferentialTest, CoalescedServiceMatchesSequential) {
     testing::ExpectSameResults(expected, served,
                                "seed " + std::to_string(seed));
     if (threads == 1) {
-      // One worker pulled the whole batch: on a 3-source skew the planner
-      // must actually form groups and share source expansions.
+      // One worker pulled the whole batch, so the planner saw it as one
+      // span: one group per kNN source point asked at least twice, and
+      // one root ascent per group.
+      std::map<std::tuple<PartitionId, double, double, double>, uint64_t>
+          knn_sources;
+      for (const eng::Query& q : queries) {
+        if (q.type != eng::QueryType::kKnn) continue;
+        const IndoorPoint& p = q.source;
+        ++knn_sources[{p.partition, p.position.x, p.position.y,
+                       p.position.z}];
+      }
+      uint64_t groups = 0, grouped = 0;
+      for (const auto& [source, count] : knn_sources) {
+        (void)source;
+        if (count < 2) continue;
+        ++groups;
+        grouped += count;
+      }
       const eng::PlanStats& plan = stats.plan;
-      EXPECT_GT(plan.groups, 0u) << "seed " << seed;
-      EXPECT_GT(plan.coalesced_queries, plan.groups) << "seed " << seed;
-      EXPECT_GT(plan.ascents_reused, 0u) << "seed " << seed;
+      EXPECT_EQ(plan.groups, groups) << "seed " << seed;
+      EXPECT_EQ(plan.coalesced_queries, grouped) << "seed " << seed;
+      EXPECT_EQ(plan.ascents_reused, grouped - groups) << "seed " << seed;
       uint64_t histogram_total = 0;
       for (size_t b = 0; b < eng::PlanStats::kHistogramBuckets; ++b) {
         histogram_total += plan.groups_by_size[b];
@@ -211,53 +225,6 @@ TEST_P(CoalesceDifferentialTest, CoalescingServiceMatchesSequentialUpdates) {
   // Both stores saw the same deltas: epochs advanced in lockstep.
   EXPECT_EQ(service_bundle->live_objects().epoch(),
             reference_bundle->live_objects().epoch());
-}
-
-TEST_P(CoalesceDifferentialTest, DistanceMultiMatchesDistance) {
-  const uint64_t seed = GetParam();
-  Venue venue = testing::RandomSynthVenue(seed);
-  const D2DGraph graph(venue);
-  const eng::QueryEngine engine(venue, graph, {});
-  const VIPDistanceQuery query(engine.tree());
-
-  // One exact source point repeated across every pair: the strongest
-  // sharing case (one descent per join child, one leaf Dijkstra for the
-  // whole same-leaf group). Targets mix random points (mostly cross-leaf)
-  // with points near the source's leaf (same-leaf, including the
-  // intra-partition seeding branch when target == source partition).
-  Rng rng(seed ^ 0xD15C0);
-  const IndoorPoint source = synth::RandomIndoorPoint(venue, rng);
-  std::vector<IndoorPoint> sources, targets;
-  for (int i = 0; i < 16; ++i) {
-    sources.push_back(source);
-    if (i % 4 == 3) {
-      IndoorPoint near = source;
-      near.position.x += rng.UniformReal(-1.0, 1.0);
-      near.position.y += rng.UniformReal(-1.0, 1.0);
-      targets.push_back(near);
-    } else {
-      targets.push_back(synth::RandomIndoorPoint(venue, rng));
-    }
-  }
-
-  std::vector<double> expected;
-  for (size_t k = 0; k < sources.size(); ++k) {
-    expected.push_back(query.Distance(sources[k], targets[k]));
-  }
-  std::vector<double> actual(sources.size(), kInfDistance);
-  MultiDistanceStats stats;
-  query.DistanceMulti(
-      Span<const IndoorPoint>(sources.data(), sources.size()),
-      Span<const IndoorPoint>(targets.data(), targets.size()), actual.data(),
-      &stats);
-  for (size_t k = 0; k < expected.size(); ++k) {
-    EXPECT_EQ(expected[k], actual[k]) << "seed " << seed << " pair " << k;
-  }
-  // 16 pairs from one source point: expansions must have been shared.
-  EXPECT_GT(stats.ascents_computed, 0u) << "seed " << seed;
-  EXPECT_GT(stats.ascents_reused, 0u) << "seed " << seed;
-  EXPECT_EQ(stats.ascents_computed + stats.ascents_reused, sources.size())
-      << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoalesceDifferentialTest,

@@ -160,9 +160,9 @@ TEST_F(DijkstraPaperTest, AlreadySettledTargetsCountAsReached) {
 }
 
 TEST_F(DijkstraPaperTest, ResumedRunExtendsTheSamePopSequence) {
-  // IPDistanceQuery::LocalDistanceMulti and index construction resume one
-  // search target set by target set; every stop must look exactly like a
-  // fresh search stopped at the same targets.
+  // Index construction resumes one search target set by target set (one
+  // search per access door, stopped at each node's doors in turn); every
+  // stop must look exactly like a fresh search stopped at the same targets.
   const size_t n = example_.graph.NumVertices();
   DijkstraEngine resumed(example_.graph);
   resumed.Start(D(11));

@@ -23,11 +23,9 @@ namespace {
 
 using kernels::FilterLeq;
 using kernels::JoinMinIndexedF32;
-using kernels::JoinMinRowsMulti;
 using kernels::MinPlusGatherArgF32;
 using kernels::MinPlusGatherF32;
 using kernels::MinPlusRow;
-using kernels::MinPlusRowMulti;
 using kernels::RowArgMin;
 using kernels::RowMin;
 
@@ -261,101 +259,6 @@ TEST(KernelTest, JoinMinIndexedKeepsScalarAssociationOnBothPaths) {
                 expected)
           << "n=" << n << " path=" << kernels::ActivePathName();
     }
-  }
-}
-
-TEST(KernelTest, MinPlusRowMultiMatchesPerTargetScansOnBothPaths) {
-  for (const size_t n : kSizes) {
-    for (const size_t targets : {size_t{1}, size_t{3}, size_t{8}}) {
-      Rng rng(0x26 + n + targets);
-      const std::vector<float> row = RandomRowF32(rng, n, 0.15);
-      const std::vector<double> base = RandomRow(rng, targets * n, 0.15);
-      std::vector<double> adds(targets);
-      for (double& a : adds) {
-        a = rng.Chance(0.1) ? kInfDistance : rng.UniformReal(0.0, 100.0);
-      }
-
-      // Reference: `targets` independent single-row scans.
-      std::vector<double> expected = base;
-      for (size_t t = 0; t < targets; ++t) {
-        for (size_t c = 0; c < n; ++c) {
-          const double cand = adds[t] + static_cast<double>(row[c]);
-          if (cand < expected[t * n + c]) expected[t * n + c] = cand;
-        }
-      }
-
-      for (const bool force : {true, false}) {
-        ScalarGuard guard(force);
-        std::vector<double> actual = base;
-        MinPlusRowMulti(actual.data(), row.data(), adds.data(), targets, n);
-        EXPECT_EQ(actual, expected) << "n=" << n << " targets=" << targets
-                                    << " path=" << kernels::ActivePathName();
-      }
-    }
-  }
-}
-
-TEST(KernelTest, MinPlusRowMultiEqualCandidateKeepsIncumbent) {
-  // best already holds exactly adds[t] + row[c]; an equal candidate must
-  // not replace it (strict-< first-wins, per stacked row).
-  const std::vector<float> row = {2.0f, 4.0f};
-  const std::vector<double> adds = {3.0, kInfDistance};
-  for (const bool force : {true, false}) {
-    ScalarGuard guard(force);
-    std::vector<double> best = {5.0, 9.0, 1.0, kInfDistance};
-    MinPlusRowMulti(best.data(), row.data(), adds.data(), /*num_targets=*/2,
-                    /*n=*/2);
-    EXPECT_EQ(best[0], 5.0) << kernels::ActivePathName();  // == 3 + 2, kept
-    EXPECT_EQ(best[1], 7.0) << kernels::ActivePathName();  // 3 + 4 improves
-    // The +inf addend row is a no-op: inf candidates never improve.
-    EXPECT_EQ(best[2], 1.0) << kernels::ActivePathName();
-    EXPECT_EQ(best[3], kInfDistance) << kernels::ActivePathName();
-  }
-}
-
-TEST(KernelTest, JoinMinRowsMultiMatchesPerTargetReduceOnBothPaths) {
-  for (const size_t n : kSizes) {
-    for (const size_t targets : {size_t{1}, size_t{2}, size_t{5}}) {
-      Rng rng(0x37 + n + targets);
-      const std::vector<double> joined = RandomRow(rng, n, 0.15);
-      const std::vector<double> addends = RandomRow(rng, targets * n, 0.15);
-      std::vector<double> init(targets);
-      for (double& x : init) {
-        x = rng.Chance(0.3) ? kInfDistance : rng.UniformReal(0.0, 700.0);
-      }
-
-      std::vector<double> expected = init;
-      for (size_t t = 0; t < targets; ++t) {
-        for (size_t j = 0; j < n; ++j) {
-          const double cand = joined[j] + addends[t * n + j];
-          if (cand < expected[t]) expected[t] = cand;
-        }
-      }
-
-      for (const bool force : {true, false}) {
-        ScalarGuard guard(force);
-        std::vector<double> actual = init;
-        JoinMinRowsMulti(joined.data(), addends.data(), targets, n,
-                         actual.data());
-        EXPECT_EQ(actual, expected) << "n=" << n << " targets=" << targets
-                                    << " path=" << kernels::ActivePathName();
-      }
-    }
-  }
-}
-
-TEST(KernelTest, JoinMinRowsMultiAllInfRowsLeaveOutUntouched) {
-  // An all-inf joined row (unreachable LCA column set) must leave every
-  // accumulator exactly as it was, finite or not.
-  const std::vector<double> joined(9, kInfDistance);
-  const std::vector<double> addends(2 * 9, 1.5);
-  for (const bool force : {true, false}) {
-    ScalarGuard guard(force);
-    std::vector<double> out = {42.0, kInfDistance};
-    JoinMinRowsMulti(joined.data(), addends.data(), /*num_targets=*/2,
-                     /*n=*/9, out.data());
-    EXPECT_EQ(out[0], 42.0) << kernels::ActivePathName();
-    EXPECT_EQ(out[1], kInfDistance) << kernels::ActivePathName();
   }
 }
 

@@ -343,15 +343,14 @@ void ColumnOuterDescent(const VIPTree& vip, const IndoorPoint& s, NodeId node,
 TEST_P(TreeInvariantTest, OneEq1DescentAtTheLeafAndUpTheChain) {
   // The row-outer descent equals the cell-by-cell Eq. (1) on the leaf and
   // every ancestor. At a leaf the VIP descent reads the IP leaf matrix, so
-  // it must equal the IP seed bit for bit; the multi-point descent behind
-  // coalesced distance batches must equal the single-point one.
+  // it must equal the IP seed bit for bit.
   const VIPTree vip =
       VIPTree::Build(venue_, graph_, {.min_degree = GetParam().min_degree});
   const IPTree& tree = vip.base();
   const IPDistanceQuery ip(tree);
   const VIPDistanceQuery query(vip);
   Rng rng(GetParam().seed * 31 + 7);
-  std::vector<double> want, got, multi;
+  std::vector<double> want, got;
   std::vector<PathBack> want_back, got_back;
   for (int i = 0; i < 10; ++i) {
     const IndoorPoint p = synth::RandomIndoorPoint(venue_, rng);
@@ -366,31 +365,11 @@ TEST_P(TreeInvariantTest, OneEq1DescentAtTheLeafAndUpTheChain) {
     query.DistancesToNodeAd(QuerySource::Door(d), leaf, got, got_back);
     ExpectSameDescent(got, got_back, want, want_back, "door at leaf");
 
-    // Points sharing p's partition, p itself repeated among them.
-    std::vector<IndoorPoint> points = {p};
-    for (int k = 0; k < 3; ++k) {
-      IndoorPoint q = p;
-      q.position.x += rng.UniformReal(-1.0, 1.0);
-      q.position.y += rng.UniformReal(-1.0, 1.0);
-      points.push_back(q);
-    }
-    points.push_back(p);
     for (NodeId n = leaf; n != kInvalidId; n = tree.node(n).parent) {
       ColumnOuterDescent(vip, p, n, want, want_back);
       query.DistancesToNodeAd(QuerySource::Point(p), n, got, got_back);
       ExpectSameDescent(got, got_back, want, want_back,
                         "node " + std::to_string(n));
-      query.DistancesToNodeAdMulti(points, n, multi);
-      const size_t m = tree.node(n).access_doors.size();
-      ASSERT_EQ(multi.size(), points.size() * m);
-      for (size_t k = 0; k < points.size(); ++k) {
-        query.DistancesToNodeAd(QuerySource::Point(points[k]), n, want,
-                                want_back);
-        EXPECT_EQ(std::memcmp(multi.data() + k * m, want.data(),
-                              m * sizeof(double)),
-                  0)
-            << "node " << n << " point " << k;
-      }
     }
   }
 }

@@ -90,7 +90,8 @@ TEST_P(VipTreeTest, ExtendedNextHopsDecompose) {
         double walked = 0.0;
         int guard = 0;
         while (cur != target && guard++ < 10000) {
-          if (vip_.ExtRowOf(n.id, cur) < 0) {
+          const int row = vip_.ExtRowOf(n.id, cur);
+          if (row < 0) {
             // The path excursed outside the subtree (rare, §3.3); the
             // walker finishes with a local search, so just add the exact
             // remaining distance.
@@ -98,7 +99,8 @@ TEST_P(VipTreeTest, ExtendedNextHopsDecompose) {
             cur = target;
             break;
           }
-          const DoorId hop = vip_.ExtNextHop(n.id, cur, col);
+          const DoorId hop =
+              vip_.ExtNextHop(n.id, static_cast<size_t>(row), col);
           const DoorId next = hop == kInvalidId ? target : hop;
           walked += ip.DoorDistance(cur, next);
           cur = next;

@@ -127,8 +127,9 @@ void Usage(const char* argv0) {
       "queries fall back to kNN when the snapshot has no keyword index).\n"
       "--coalesce turns on the execution planner: workers pull up\n"
       "to --coalesce-window K (default %zu) queued same-venue queries into\n"
-      "one group and share their source ascents through the multi-target\n"
-      "kernels — results stay bit-identical to sequential execution.\n",
+      "one group; kNN queries from one source point share one root ascent\n"
+      "and a repeated (source, k) runs once. Every other query runs as it\n"
+      "would alone — results stay bit-identical to sequential execution.\n",
       argv0, argv0, argv0, argv0, argv0, eng::CoalesceOptions{}.window);
 }
 
