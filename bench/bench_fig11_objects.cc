@@ -4,10 +4,18 @@
 //   (c) kNN latency across venues                  (k = 5, 50 objects)
 //   (d) range query latency across venues          (r = 100 m, 50 objects)
 //
-// VIP kNN rows also report doors_settled: the mean number of doors the
-// search of q's own leaf settles (SearchStats::doors_settled).
+// VIP kNN rows also report doors_settled and edges_relaxed: the mean
+// number of doors the search of q's own leaf settles and of edges it
+// relaxes (SearchStats), over the first VIPTREE_QUERIES points.
+//
+// kNN and range time a pool of distinct random points at least as large as
+// the iteration count, so no point is timed twice (a small cycled pool
+// would keep its leaves' rows and matrices cache-hot).
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/ip_tree.h"
@@ -31,10 +39,21 @@ QueryEngine& EngineWithObjects(synth::Dataset dataset, EngineKind kind,
   return engine;
 }
 
-// Mean SearchStats::doors_settled over `points`. The VIP engine runs the
-// IP-Tree's kNN search over its base tree, so an IP-Tree built from the
-// same venue reproduces its counter.
-double MeanDoorsSettled(synth::Dataset dataset, size_t num_objects, size_t k,
+// Distinct random query points, at least as many as the iterations the
+// benchmark runs this time.
+std::vector<IndoorPoint> PointPool(synth::Dataset dataset,
+                                   const benchmark::State& state) {
+  return QueryPoints(dataset,
+                     std::max(NumQueries(),
+                              static_cast<size_t>(state.max_iterations)));
+}
+
+// Sets the doors_settled and edges_relaxed counters: means over the first
+// NumQueries() of `points`. The VIP engine runs the IP-Tree's kNN search
+// over its base tree, so an IP-Tree built from the same venue reproduces
+// its counters.
+void LeafSearchCounters(benchmark::State& state, synth::Dataset dataset,
+                        size_t num_objects, size_t k,
                         const std::vector<IndoorPoint>& points) {
   static std::map<synth::Dataset, std::unique_ptr<IPTree>>* trees =
       new std::map<synth::Dataset, std::unique_ptr<IPTree>>();
@@ -45,37 +64,39 @@ double MeanDoorsSettled(synth::Dataset dataset, size_t num_objects, size_t k,
   }
   const ObjectIndex objects(*tree, Objects(dataset, num_objects));
   const KnnQuery knn(*tree, objects);
-  double total = 0.0;
-  for (const IndoorPoint& q : points) {
+  const size_t n = NumQueries();  // PointPool holds at least this many
+  double settled = 0.0;
+  double relaxed = 0.0;
+  for (size_t i = 0; i < n; ++i) {
     SearchStats stats;
-    knn.Knn(q, k, &stats);
-    total += static_cast<double>(stats.doors_settled);
+    knn.Knn(points[i], k, &stats);
+    settled += static_cast<double>(stats.doors_settled);
+    relaxed += static_cast<double>(stats.edges_relaxed);
   }
-  return points.empty() ? 0.0 : total / static_cast<double>(points.size());
+  state.counters["doors_settled"] = settled / static_cast<double>(n);
+  state.counters["edges_relaxed"] = relaxed / static_cast<double>(n);
 }
 
 void BM_Knn(benchmark::State& state, synth::Dataset dataset, EngineKind kind,
             size_t num_objects, size_t k) {
   QueryEngine& engine = EngineWithObjects(dataset, kind, num_objects);
-  const auto points = QueryPoints(dataset, NumQueries());
+  const auto points = PointPool(dataset, state);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.Knn(points[i++ % points.size()], k));
+    benchmark::DoNotOptimize(engine.Knn(points[i++], k));
   }
   if (kind == EngineKind::kVipTree) {
-    state.counters["doors_settled"] =
-        MeanDoorsSettled(dataset, num_objects, k, points);
+    LeafSearchCounters(state, dataset, num_objects, k, points);
   }
 }
 
 void BM_Range(benchmark::State& state, synth::Dataset dataset,
               EngineKind kind, double radius) {
   QueryEngine& engine = EngineWithObjects(dataset, kind, kDefaultObjects);
-  const auto points = QueryPoints(dataset, NumQueries());
+  const auto points = PointPool(dataset, state);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine.Range(points[i++ % points.size()], radius));
+    benchmark::DoNotOptimize(engine.Range(points[i++], radius));
   }
 }
 

@@ -208,13 +208,16 @@ LeafSearch IPDistanceQuery::StartLeafSearch(
   VIPTREE_DCHECK(access_dist->size() == node.access_doors.size());
   const Venue& venue = tree_.venue();
   // The source's own doors first: an access-door seed replaces one only
-  // when strictly shorter (LeafSearch::EnteredFromSeed relies on this).
+  // when strictly shorter (LeafSearch::EnteredFromSeed relies on this). A
+  // point's doors count as entered through its partition, whose run the
+  // seeds already cover (file comment of distance_query.h).
   leaf_sources_.clear();
   if (source.door != kInvalidId) {
     leaf_sources_.push_back({source.door, 0.0});
   } else {
-    for (DoorId u : venue.DoorsOf(source.point->partition)) {
-      leaf_sources_.push_back({u, venue.DistanceToDoor(*source.point, u)});
+    const PartitionId p = source.point->partition;
+    for (DoorId u : venue.DoorsOf(p)) {
+      leaf_sources_.push_back({u, venue.DistanceToDoor(*source.point, u), p});
     }
   }
   for (size_t c = 0; c < node.access_doors.size(); ++c) {

@@ -14,7 +14,13 @@
 // (SeedLeaf), built from the leaf matrix's global distances. That is exact
 // on the undirected D2D graph: a shortest path that leaves the leaf
 // re-enters it through an access door, and the part after the last access
-// door it crosses stays inside the leaf.
+// door it crosses stays inside the leaf. On a geometric graph the search
+// walks each settled door's edges by partition runs and skips the run
+// through the partition the door was entered through (a point source's
+// doors count as entered through its partition): for u -> y -> x inside
+// one partition P, the metric clique gives w(u,x) <= w(u,y) + w(y,x), and
+// y's P-parent u (or the point's seed) already reached x directly. An
+// explicit graph need not be metric and is searched edge by edge.
 //
 // Thread-safety contract (shared by every query engine in core/): the
 // indexes (IPTree / VIPTree / ObjectIndex / KeywordIndex) are immutable
@@ -74,7 +80,11 @@ class LeafSearch {
   // extends the same pop sequence, so a door's distance never depends on
   // the target sets it took to settle it.
   void RunTo(Span<const DoorId> targets) {
-    engine_->RunToTargets(targets, InLeaf{tree_, leaf_});
+    if (by_runs_) {
+      engine_->RunToTargets(targets, LeafRuns{tree_, leaf_});
+    } else {
+      engine_->RunToTargets(targets, InLeaf{tree_, leaf_});
+    }
   }
 
   // dist(source, t) for a point t of the leaf once RunTo has covered the
@@ -91,13 +101,15 @@ class LeafSearch {
   // True when `d` was settled straight from its access-door seed, i.e. the
   // route to it leaves the leaf (the path query then expands the seed).
   bool EnteredFromSeed(DoorId d) const;
-  // Doors settled so far (SearchStats::doors_settled).
+  // Doors settled and edges relaxed so far (SearchStats).
   size_t doors_settled() const { return engine_->NumSettledInSearch(); }
+  size_t edges_relaxed() const { return engine_->NumRelaxedInSearch(); }
 
  private:
   friend class IPDistanceQuery;
 
-  // The confinement: keep the edges walking through a partition of `leaf`.
+  // The confinement of an explicit graph: keep the edges walking through
+  // a partition of `leaf`.
   struct InLeaf {
     const IPTree* tree;
     NodeId leaf;
@@ -106,14 +118,34 @@ class LeafSearch {
     }
   };
 
+  // The confinement of a geometric graph (file comment): relax the runs
+  // through the leaf's partitions, except the one the door was entered
+  // through.
+  struct LeafRuns {
+    const IPTree* tree;
+    NodeId leaf;
+    template <typename Relax>
+    void operator()(DoorId u, PartitionId entered, Relax&& relax) const {
+      tree->graph().ForEachRun(
+          tree->venue(), u, [&](PartitionId p, Span<const D2DEdge> run) {
+            if (p != entered && tree->LeafOfPartition(p) == leaf) relax(run);
+          });
+    }
+  };
+
   LeafSearch(DijkstraEngine& engine, const IPTree& tree, NodeId leaf,
              const QuerySource& source)
-      : engine_(&engine), tree_(&tree), leaf_(leaf), source_(source) {}
+      : engine_(&engine),
+        tree_(&tree),
+        leaf_(leaf),
+        source_(source),
+        by_runs_(tree.graph().kind() == D2DGraph::Kind::kGeometric) {}
 
   DijkstraEngine* engine_;
   const IPTree* tree_;
   NodeId leaf_;
   QuerySource source_;
+  bool by_runs_;
 };
 
 struct DistanceQueryOptions {

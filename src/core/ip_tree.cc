@@ -238,14 +238,16 @@ IPTree IPTree::FromValidatedParts(const Venue& venue, const D2DGraph& graph,
   tree.is_access_door_ = std::move(parts.is_access_door);
   tree.superior_offsets_ = std::move(parts.superior_offsets);
   tree.superior_doors_ = std::move(parts.superior_doors);
-  tree.DeriveMatrixPositions();
+  tree.FinishConstruction();
   return tree;
 }
 
-void IPTree::DeriveMatrixPositions() {
+void IPTree::FinishConstruction() {
   const std::optional<std::string> error =
       MatrixPositions(nodes_, position_offsets_, positions_);
   VIPTREE_CHECK_MSG(!error.has_value(), error->c_str());
+  const std::optional<std::string> runs = graph_->CheckRuns(*venue_);
+  VIPTREE_CHECK_MSG(!runs.has_value(), runs->c_str());
 }
 
 IPTree::Parts IPTree::ToParts() const {

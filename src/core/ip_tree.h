@@ -87,7 +87,7 @@ class IPTree {
     uint32_t row = 0;
   };
   using DoorLeafPair = std::array<DoorLeafEntry, 2>;
-  // Persisted as raw bytes in format-v2 snapshots (aliased out of the
+  // Persisted as raw bytes in format-v3 snapshots (aliased out of the
   // mapped file), so the layout must stay padding-free.
   static_assert(sizeof(DoorLeafPair) == 16,
                 "DoorLeafPair must stay a packed 16 bytes");
@@ -234,9 +234,10 @@ class IPTree {
   friend class VIPTree;  // takes ownership in VIPTree::Extend
   IPTree() = default;
 
-  // Fills the arrays behind ParentMatrixPositions / OwnMatrixPositions;
-  // the last step of both construction paths (build and FromParts).
-  void DeriveMatrixPositions();
+  // The last step of both construction paths (build and FromParts): fills
+  // the arrays behind ParentMatrixPositions / OwnMatrixPositions and checks
+  // the graph's runs (D2DGraph::CheckRuns), which same-leaf searches read.
+  void FinishConstruction();
 
   const Venue* venue_ = nullptr;
   const D2DGraph* graph_ = nullptr;

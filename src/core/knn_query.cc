@@ -39,7 +39,8 @@ KnnQuery::KnnQuery(const IPTree& tree, const ObjectIndex& objects,
                    const DistanceQueryOptions& options, DistanceCache* cache)
     : tree_(tree),
       objects_(&objects),
-      query_(tree, options, cache) {}
+      query_(tree, options, cache),
+      nodes_(tree.nodes().size()) {}
 
 std::vector<ObjectResult> KnnQuery::Knn(const IndoorPoint& q, size_t k,
                                         SearchStats* stats) const {
@@ -57,10 +58,11 @@ std::vector<ObjectResult> KnnQuery::WithinRange(const IndoorPoint& q,
                 stats);
 }
 
-size_t KnnQuery::LocalObjectDistances(const IndoorPoint& q,
-                                      const AscentDistances& ascent,
-                                      Span<const OverlayObject> hot,
-                                      std::vector<double>& out) const {
+void KnnQuery::LocalObjectDistances(const IndoorPoint& q,
+                                    const AscentDistances& ascent,
+                                    Span<const OverlayObject> hot,
+                                    std::vector<double>& out,
+                                    SearchStats* stats) const {
   const Venue& venue = tree_.venue();
   const NodeId leaf = ascent.chain[0];
   const size_t packed = objects_->ObjectsInLeaf(leaf).size();
@@ -87,7 +89,10 @@ size_t KnnQuery::LocalObjectDistances(const IndoorPoint& q,
   search.RunTo(local_targets_);
   out.resize(n);
   for (size_t i = 0; i < n; ++i) out[i] = search.ToPoint(point(i));
-  return search.doors_settled();
+  if (stats != nullptr) {
+    stats->doors_settled = search.doors_settled();
+    stats->edges_relaxed = search.edges_relaxed();
+  }
 }
 
 std::vector<ObjectResult> KnnQuery::Search(
@@ -118,11 +123,36 @@ std::vector<ObjectResult> KnnQuery::Search(
   }
   const AscentDistances& ascent =
       precomputed != nullptr ? *precomputed : computed;
-  std::unordered_map<NodeId, std::vector<double>> ad_dist;
-  std::unordered_map<NodeId, int> chain_pos;  // nodes containing q
+  // dist(q, access doors of n) for each node the search reaches, in
+  // ad_pool_ at nodes_[n].ad_off. A new stamp drops the last query's rows.
+  if (++stamp_ == 0) {  // wrapped: stale stamps could alias
+    std::fill(nodes_.begin(), nodes_.end(), NodeScratch{});
+    stamp_ = 1;
+  }
+  ad_pool_.clear();
+  // Appends n's row (all infinite) and returns it; valid until the next
+  // append, which may move the pool.
+  const auto add_row = [&](NodeId n) {
+    NodeScratch& s = nodes_[n];
+    s.ad_stamp = stamp_;
+    s.ad_off = static_cast<uint32_t>(ad_pool_.size());
+    ad_pool_.resize(ad_pool_.size() + tree_.node(n).access_doors.size(),
+                    kInfDistance);
+    return ad_pool_.data() + s.ad_off;
+  };
+  const auto row = [&](NodeId n) -> const double* {
+    VIPTREE_DCHECK(nodes_[n].ad_stamp == stamp_);
+    return ad_pool_.data() + nodes_[n].ad_off;
+  };
+  const auto contains_q = [&](NodeId n) {
+    return nodes_[n].chain_stamp == stamp_;
+  };
   for (size_t i = 0; i < ascent.chain.size(); ++i) {
-    ad_dist[ascent.chain[i]] = ascent.ad_dist[i];
-    chain_pos[ascent.chain[i]] = static_cast<int>(i);
+    const NodeId c = ascent.chain[i];
+    const std::vector<double>& d = ascent.ad_dist[i];
+    std::copy(d.begin(), d.end(), add_row(c));
+    nodes_[c].chain_stamp = stamp_;
+    nodes_[c].chain_pos = static_cast<int32_t>(i);
   }
   const NodeId q_leaf = ascent.chain[0];
 
@@ -159,10 +189,8 @@ std::vector<ObjectResult> KnnQuery::Search(
 
   // Distance from q to each access door of `n`, deriving missing vectors
   // from the parent (Lemma 9) or the sibling on q's chain (Lemma 8).
-  auto ensure_ad_dist =
-      [&](NodeId n) -> const std::vector<double>& {
-    const auto it = ad_dist.find(n);
-    if (it != ad_dist.end()) return it->second;
+  auto ensure_ad_dist = [&](NodeId n) -> const double* {
+    if (nodes_[n].ad_stamp == stamp_) return row(n);
     const TreeNode& node = tree_.node(n);
     const NodeId parent = node.parent;
     VIPTREE_DCHECK(parent != kInvalidId);
@@ -170,48 +198,42 @@ std::vector<ObjectResult> KnnQuery::Search(
 
     // The source's access doors index rows of the parent matrix, n's its
     // columns.
-    const std::vector<double>* source_dist = nullptr;
-    const TreeNode* source_node = nullptr;
+    NodeId source = parent;
     Span<const int32_t> rows;
-    const auto chain_it = chain_pos.find(parent);
-    if (chain_it != chain_pos.end() && chain_it->second > 0) {
+    if (contains_q(parent) && nodes_[parent].chain_pos > 0) {
       // Parent contains q: use the sibling on q's chain (Lemma 8).
-      const NodeId sibling = ascent.chain[chain_it->second - 1];
-      source_dist = &ad_dist.at(sibling);
-      source_node = &tree_.node(sibling);
-      rows = tree_.ParentMatrixPositions(sibling);
+      source = ascent.chain[nodes_[parent].chain_pos - 1];
+      rows = tree_.ParentMatrixPositions(source);
     } else {
       // Parent does not contain q: use the parent itself (Lemma 9).
-      source_dist = &ad_dist.at(parent);
-      source_node = &pnode;
       rows = tree_.OwnMatrixPositions(parent);
     }
     const Span<const int32_t> cols = tree_.ParentMatrixPositions(n);
     const size_t nc = node.access_doors.size();
-    const size_t nb = source_node->access_doors.size();
-    std::vector<double> dist(nc, kInfDistance);
+    const size_t nb = tree_.node(source).access_doors.size();
+    double* const dist = add_row(n);
+    const double* const source_dist = row(source);
     // Row-outer kernel form: one gather per source door over its parent-
     // matrix row (common/kernels.h); same candidate per output as the
     // historical column-outer loop, folded in the same b order.
     for (size_t b = 0; b < nb; ++b) {
-      const double add = (*source_dist)[b];
+      const double add = source_dist[b];
       if (add == kInfDistance) continue;  // inf + cell never improves
       if (b + 1 < nb) {
         kernels::PrefetchRead(
             pnode.dist.row(static_cast<size_t>(rows[b + 1])).data());
       }
       kernels::MinPlusGatherF32(
-          dist.data(),
-          pnode.dist.row(static_cast<size_t>(rows[b])).data(),
+          dist, pnode.dist.row(static_cast<size_t>(rows[b])).data(),
           cols.data(), add, nc);
     }
-    return ad_dist.emplace(n, std::move(dist)).first->second;
+    return dist;
   };
 
   auto mindist = [&](NodeId n) {
-    if (chain_pos.count(n) > 0) return 0.0;  // node contains q
-    const std::vector<double>& d = ensure_ad_dist(n);
-    return kernels::RowMin(d.data(), d.size());
+    if (contains_q(n)) return 0.0;
+    return kernels::RowMin(ensure_ad_dist(n),
+                           tree_.node(n).access_doors.size());
   };
 
   using HeapEntry = std::pair<double, NodeId>;
@@ -258,9 +280,7 @@ std::vector<ObjectResult> KnnQuery::Search(
         OverlayIn(overlay, node.leaf_begin, node.leaf_end);
     if (objs.empty() && hot.empty()) continue;
     if (n == q_leaf) {
-      const size_t settled =
-          LocalObjectDistances(q, ascent, hot, local_dists_);
-      if (stats != nullptr) stats->doors_settled = settled;
+      LocalObjectDistances(q, ascent, hot, local_dists_, stats);
       for (size_t i = 0; i < objs.size(); ++i) {
         offer(objs[i], local_dists_[i], object_allowed);
       }
@@ -269,7 +289,7 @@ std::vector<ObjectResult> KnnQuery::Search(
       }
       continue;
     }
-    const std::vector<double>& q_to_ad = ensure_ad_dist(n);
+    const double* const q_to_ad = ensure_ad_dist(n);
     const size_t num_cols = node.access_doors.size();
     // An overlay object's row folds exactly as a packed column does:
     // columns in order, infinite ones skipped (MinPlusRow's scalar form).

@@ -14,9 +14,9 @@
 #ifndef VIPTREE_CORE_KNN_QUERY_H_
 #define VIPTREE_CORE_KNN_QUERY_H_
 
+#include <cstdint>
 #include <functional>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/span.h"
@@ -49,6 +49,7 @@ struct SearchStats {
   size_t leaves_scanned = 0;      // leaves whose objects were scored
   size_t objects_considered = 0;  // candidate objects offered to the heap
   size_t doors_settled = 0;       // doors the search of q's own leaf settled
+  size_t edges_relaxed = 0;       // edges that search relaxed
 };
 
 class KnnQuery {
@@ -141,11 +142,20 @@ class KnnQuery {
 
   // Exact distances from q to the packed objects and then the overlay
   // objects `hot` of q's own leaf (one leaf search seeded from `ascent`,
-  // q's root ascent). Returns the doors the search settled.
-  size_t LocalObjectDistances(const IndoorPoint& q,
-                              const AscentDistances& ascent,
-                              Span<const OverlayObject> hot,
-                              std::vector<double>& out) const;
+  // q's root ascent). Fills the search's counters into `stats` when set.
+  void LocalObjectDistances(const IndoorPoint& q,
+                            const AscentDistances& ascent,
+                            Span<const OverlayObject> hot,
+                            std::vector<double>& out,
+                            SearchStats* stats) const;
+
+  // Per-node search state, valid for the query whose stamp it carries.
+  struct NodeScratch {
+    uint32_t ad_stamp = 0;     // ad_off locates this node's access-door row
+    uint32_t chain_stamp = 0;  // the node contains q, at chain_pos
+    uint32_t ad_off = 0;       // offset of the row in ad_pool_
+    int32_t chain_pos = 0;     // index into AscentDistances::chain
+  };
 
   const IPTree& tree_;
   const ObjectIndex* objects_;
@@ -154,6 +164,11 @@ class KnnQuery {
   // output, reused across searches.
   mutable std::vector<DoorId> local_targets_;
   mutable std::vector<double> local_dists_;
+  // Search scratch indexed by node id, stamped per query: dist(q, access
+  // doors) rows live back to back in ad_pool_.
+  mutable std::vector<NodeScratch> nodes_;
+  mutable std::vector<double> ad_pool_;
+  mutable uint32_t stamp_ = 0;
 };
 
 }  // namespace viptree

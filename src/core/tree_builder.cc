@@ -112,7 +112,7 @@ IPTree TreeBuilder::BuildIPTree() {
   BuildLeafMatricesAndSuperiorDoors();
   BuildNonLeafMatrices();
   RenumberNodesTraversalOrder();
-  tree_.DeriveMatrixPositions();
+  tree_.FinishConstruction();
   return std::move(tree_);
 }
 

@@ -130,6 +130,11 @@ std::optional<VenueBundle> VenueBundle::TryLoad(const std::string& path,
                 " vertices for " +
                 std::to_string(bundle.venue_->NumDoors()) + " doors");
   }
+  // Before any tree (or search) over the graph: same-leaf searches read a
+  // geometric graph's edges by run lengths taken from the venue.
+  if (auto e = bundle.graph_->CheckRuns(*bundle.venue_)) {
+    return fail("invalid snapshot: " + *e);
+  }
 
   if (auto e = IPTree::ValidateParts(*bundle.venue_, snapshot.tree, level)) {
     return fail("invalid snapshot: " + *e);

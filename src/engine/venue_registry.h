@@ -1,6 +1,6 @@
 // VenueRegistry: one process serving a *fleet* of venues off disk. A plain
 // text manifest maps venue ids to snapshot files; Acquire(venue_id) lazily
-// loads the snapshot (zero-copy mmap for format-v2 files) and hands out a
+// loads the snapshot (zero-copy mmap for format-v3 files) and hands out a
 // shared immutable VenueBundle, so the process-wide cost of a registered
 // venue is O(resident-pages) of its mapped snapshot until it is queried —
 // the multi-venue deployment shape ROADMAP calls for and the indoor-index

@@ -53,6 +53,7 @@ D2DGraph D2DGraph::FromValidatedParts(Parts parts) {
   graph.num_vertices_ = parts.num_vertices;
   graph.offsets_ = std::move(parts.offsets);
   graph.edges_ = std::move(parts.edges);
+  graph.kind_ = parts.kind;
   return graph;
 }
 
@@ -61,10 +62,30 @@ D2DGraph::Parts D2DGraph::ToParts() const {
   parts.num_vertices = num_vertices_;
   parts.offsets = offsets_;
   parts.edges = edges_;
+  parts.kind = kind_;
   return parts;
 }
 
-D2DGraph::D2DGraph(const Venue& venue) {
+std::optional<std::string> D2DGraph::CheckRuns(const Venue& venue) const {
+  if (kind_ != Kind::kGeometric) return std::nullopt;
+  if (num_vertices_ != venue.NumDoors()) {
+    return "geometric graph has " + std::to_string(num_vertices_) +
+           " vertices for " + std::to_string(venue.NumDoors()) + " doors";
+  }
+  for (const Door& door : venue.doors()) {
+    uint64_t runs = venue.DoorsOf(door.partition_a).size() - 1;
+    if (!door.is_exterior()) runs += venue.DoorsOf(door.partition_b).size() - 1;
+    const uint64_t degree = offsets_[door.id + 1] - offsets_[door.id];
+    if (degree != runs) {
+      return "geometric graph gives door " + std::to_string(door.id) + " " +
+             std::to_string(degree) + " edges, its partitions " +
+             std::to_string(runs);
+    }
+  }
+  return std::nullopt;
+}
+
+D2DGraph::D2DGraph(const Venue& venue) : kind_(Kind::kGeometric) {
   num_vertices_ = venue.NumDoors();
 
   // Pass 1: count directed edges per door. Every unordered pair of distinct
@@ -81,7 +102,8 @@ D2DGraph::D2DGraph(const Venue& venue) {
   }
   edges_.resize(offsets_.back());
 
-  // Pass 2: fill.
+  // Pass 2: fill. Partitions in ascending id order, so each door's edges
+  // come out as one run per partition (ForEachRun).
   std::vector<uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (const Partition& p : venue.partitions()) {
     const Span<const DoorId> doors = venue.DoorsOf(p.id);

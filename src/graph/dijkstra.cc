@@ -25,11 +25,12 @@ DijkstraEngine::DijkstraEngine(const D2DGraph& graph)
 void DijkstraEngine::Start(Span<const DijkstraSource> sources) {
   ++epoch_;
   settled_count_ = 0;
+  relaxed_count_ = 0;
   heap_.clear();
   for (const DijkstraSource& s : sources) {
     VIPTREE_DCHECK(s.door >= 0 &&
                    static_cast<size_t>(s.door) < graph_.NumVertices());
-    Reach(s.door, s.offset, kInvalidId, kInvalidId);
+    Reach(s.door, s.offset, kInvalidId, s.via);
   }
 }
 

@@ -7,12 +7,16 @@
 // Start() then SettleNext() -- because the DistAw kNN/range algorithms need
 // to examine doors in increasing distance order and stop early.
 //
-// SettleNext and RunToTargets take an optional edge filter, passed per
-// call: a search confined to a region relaxes only the edges the filter
-// keeps (the same-leaf queries of core/distance_query.h keep the edges
-// walking through a partition of one leaf). The default keeps every edge
-// and compiles to the unfiltered loop, so index construction pays nothing
-// for it; the engine itself never remembers a filter.
+// SettleNext and RunToTargets take an optional edge selection, passed per
+// call, in one of two forms. An edge filter, bool(const D2DEdge&), keeps
+// single edges: a search confined to a region relaxes only the edges the
+// filter keeps. A run selector, void(DoorId u, PartitionId entered,
+// relax), is handed the settled door and the partition it was entered
+// through (ParentVia), and calls relax(span) on each run of u's edges it
+// keeps (the same-leaf queries of core/distance_query.h walk a geometric
+// graph by partition runs). The default keeps every edge and compiles to
+// the unfiltered loop, so index construction pays nothing for it; the
+// engine itself never remembers a selection.
 //
 // Not thread-safe; use one engine per thread.
 
@@ -22,6 +26,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -37,6 +42,9 @@ namespace viptree {
 struct DijkstraSource {
   DoorId door = kInvalidId;
   double offset = 0.0;
+  // The partition the source counts as entered through (a point source's
+  // own partition), reported as its ParentVia; kInvalidId for none.
+  PartitionId via = kInvalidId;
 };
 
 struct SettledDoor {
@@ -70,7 +78,7 @@ class DijkstraEngine {
 
   // Settles and returns the next-closest door, or a door with
   // id == kInvalidId when the reachable space is exhausted. Only edges
-  // `keep` accepts are relaxed out of the settled door.
+  // `keep` selects (file comment) are relaxed out of the settled door.
   template <typename Keep = AllEdges>
   SettledDoor SettleNext(Keep keep = {});
 
@@ -100,7 +108,7 @@ class DijkstraEngine {
   }
   // Predecessor door on the shortest path from the nearest source
   // (kInvalidId for source doors), and the partition the final edge
-  // traverses.
+  // traverses (a source door's DijkstraSource::via).
   DoorId ParentOf(DoorId d) const { return Settled(d) ? parent_[d] : kInvalidId; }
   PartitionId ParentVia(DoorId d) const {
     return Settled(d) ? parent_via_[d] : kInvalidId;
@@ -111,6 +119,9 @@ class DijkstraEngine {
   std::vector<DoorId> PathTo(DoorId d) const;
 
   size_t NumSettledInSearch() const { return settled_count_; }
+  // Edges the search has relaxed: those its edge filter kept, or those of
+  // the runs its run selector passed (SearchStats::edges_relaxed).
+  size_t NumRelaxedInSearch() const { return relaxed_count_; }
 
  private:
   void Reach(DoorId d, double dist, DoorId parent, PartitionId via);
@@ -123,6 +134,7 @@ class DijkstraEngine {
   std::vector<uint32_t> epoch_mark_;
   uint32_t epoch_ = 0;
   size_t settled_count_ = 0;
+  size_t relaxed_count_ = 0;
   // RunToTargets membership: target_mark_[d] == target_epoch_ marks `d` as
   // a target of the current call.
   std::vector<uint32_t> target_mark_;
@@ -164,10 +176,23 @@ SettledDoor DijkstraEngine::SettleNext(Keep keep) {
     if (d > dist_[u]) continue;                             // stale entry
     settled_[u] = 1;
     ++settled_count_;
-    for (const D2DEdge& e : graph_.EdgesOf(u)) {
-      if (!keep(e)) continue;
-      if (epoch_mark_[e.to] == epoch_ && settled_[e.to]) continue;
+    const auto relax = [&](const D2DEdge& e) {
+      if (epoch_mark_[e.to] == epoch_ && settled_[e.to]) return;
       Reach(e.to, d + e.weight, u, e.via);
+    };
+    if constexpr (std::is_invocable_r_v<bool, Keep, const D2DEdge&>) {
+      size_t kept = 0;
+      for (const D2DEdge& e : graph_.EdgesOf(u)) {
+        if (!keep(e)) continue;
+        ++kept;
+        relax(e);
+      }
+      relaxed_count_ += kept;
+    } else {
+      keep(u, parent_via_[u], [&](Span<const D2DEdge> run) {
+        relaxed_count_ += run.size();
+        for (const D2DEdge& e : run) relax(e);
+      });
     }
     return SettledDoor{u, d};
   }

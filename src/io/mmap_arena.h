@@ -51,7 +51,7 @@ class MmapArena {
                     bool allow_mmap = true);
 
   // The whole arena. data() is at least 64-byte aligned (page-aligned when
-  // mapped, kIndexBufferAlign on the heap path), which lets the v2
+  // mapped, kIndexBufferAlign on the heap path), which lets the
   // snapshot decoder alias u64/f64 arrays in place and keeps them
   // SIMD-loadable.
   Span<const uint8_t> bytes() const { return {data_, size_}; }

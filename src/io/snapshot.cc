@@ -331,12 +331,19 @@ class SectionReader {
 
 void EncodeGraph(Writer& w, const D2DGraph::Parts& parts) {
   w.U64(parts.num_vertices);
+  w.U8(static_cast<uint8_t>(parts.kind));
   WriteAlignedArray<uint64_t>(w, parts.offsets);
   WriteAlignedArray<D2DEdge>(w, parts.edges);
 }
 
 void DecodeGraph(SectionReader& s, D2DGraph::Parts* parts) {
   parts->num_vertices = s.r().U64();
+  const uint8_t kind = s.r().U8();
+  if (kind > static_cast<uint8_t>(D2DGraph::Kind::kGeometric)) {
+    s.r().Fail("graph has unknown kind " + std::to_string(kind));
+    return;
+  }
+  parts->kind = static_cast<D2DGraph::Kind>(kind);
   parts->offsets = s.Array<uint64_t>("graph offsets");
   parts->edges = s.Array<D2DEdge>("graph edges");
 }

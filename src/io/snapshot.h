@@ -5,10 +5,10 @@
 // process without re-running construction (the paper's §4/Fig. 8 point that
 // indexing time is paid separately from query time, made operational).
 //
-// Format version 2 (zero-copy layout; all integers little-endian):
+// Format version 3 (zero-copy layout; all integers little-endian):
 //
 //   8 B   magic "VIPTSNAP"
-//   u32   format version (2)
+//   u32   format version (3)
 //   u32   section count
 //   then one 24-byte TOC entry per section:
 //     u32   tag (four ASCII chars, e.g. 'VENU')
@@ -33,10 +33,14 @@
 // checksum mismatches and version skew are all reported as distinct,
 // human-readable errors.
 //
+// The GRPH section is u64 vertex count, u8 graph kind (D2DGraph::Kind:
+// 0 explicit, 1 geometric), then the offsets and edges arrays.
+//
 // Versioning policy: the format version is bumped on any incompatible
-// change. This build reads version 2 only; anything else is rejected
-// outright with no in-place migration. The older version 1 is no longer
-// read: rebuild such snapshots from the venue with viptree_build.
+// change. This build reads version 3 only; anything else is rejected
+// outright with no in-place migration. Versions 1 and 2 (v2 had no graph
+// kind) are no longer read: rebuild such snapshots from the venue with
+// viptree_build.
 
 #ifndef VIPTREE_IO_SNAPSHOT_H_
 #define VIPTREE_IO_SNAPSHOT_H_
@@ -57,7 +61,7 @@
 namespace viptree {
 namespace io {
 
-inline constexpr uint32_t kFormatVersion = 2;
+inline constexpr uint32_t kFormatVersion = 3;
 
 // The fully deserialized (but not yet assembled) contents of a snapshot:
 // plain part-structs with no cross-references, ready for the FromParts

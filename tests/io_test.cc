@@ -274,14 +274,15 @@ TEST_F(SnapshotRejectionTest, EmptyAndTinyFiles) {
 }
 
 TEST_F(SnapshotRejectionTest, WrongVersion) {
-  // 1 is the retired pre-TOC layout, 3 and 99 are from the future; all are
-  // rejected up front by both the loader and the install-time verifier.
-  for (const uint8_t version : {1, 3, 99}) {
+  // 1 is the retired pre-TOC layout, 2 the retired layout without a graph
+  // kind, 4 and 99 are from the future; all are rejected up front by both
+  // the loader and the install-time verifier.
+  for (const uint8_t version : {1, 2, 4, 99}) {
     std::vector<uint8_t> bytes = *bytes_;
     bytes[8] = version;  // version u32 follows the 8-byte magic
     const std::string expect = "unsupported snapshot format version " +
                                std::to_string(version) +
-                               " (this build reads version 2)";
+                               " (this build reads version 3)";
     ExpectRejected(bytes, expect);
 
     const std::string path = TempPath("wrong_version");
@@ -344,7 +345,7 @@ TEST_F(SnapshotRejectionTest, CorruptByteSweepIsAlwaysCleanlyRejected) {
   }
 }
 
-// --- v2 TOC manipulation helpers (header: 8 B magic, u32 version, u32
+// --- TOC manipulation helpers (header: 8 B magic, u32 version, u32
 // section count; 24-byte TOC entries: u32 tag, u32 crc, u64 offset,
 // u64 size). -----------------------------------------------------------------
 
@@ -417,9 +418,72 @@ TEST_F(SnapshotRejectionTest, ImplausibleSectionCountIsRejected) {
   ExpectRejected(bytes, "section count");
 }
 
+// --- Graph kind (GRPH: u64 vertex count, u8 kind, offsets, edges). A
+// geometric graph's door edges are read by run lengths taken from the
+// venue, so a load must reject one whose runs do not fit. ---------------
+
+// The fixture snapshot decoded, changed by `edit` and encoded again with
+// fresh checksums, so only the edit can make a load fail.
+template <typename Edit>
+std::vector<uint8_t> Reencoded(const std::vector<uint8_t>& bytes, Edit edit) {
+  io::Snapshot snapshot;
+  const io::Status status = io::DecodeSnapshot(bytes, &snapshot);
+  EXPECT_TRUE(status.ok()) << status.error;
+  edit(snapshot);
+  return io::EncodeSnapshot(snapshot);
+}
+
+TEST_F(SnapshotRejectionTest, LoadedGraphKeepsItsKind) {
+  const std::string path = TempPath("kind");
+  ASSERT_TRUE(io::WriteFileBytes(path, *bytes_).ok());
+  std::string error;
+  const std::optional<eng::VenueBundle> loaded =
+      eng::VenueBundle::TryLoad(path, &error);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->graph().kind(), D2DGraph::Kind::kGeometric);
+}
+
+TEST_F(SnapshotRejectionTest, UnknownGraphKindIsRejected) {
+  ExpectRejected(Reencoded(*bytes_,
+                           [](io::Snapshot& s) {
+                             s.graph.kind = static_cast<D2DGraph::Kind>(2);
+                           }),
+                 "graph has unknown kind 2");
+}
+
+TEST_F(SnapshotRejectionTest, GeometricGraphWithWrongDoorDegreeIsRejected) {
+  // The first door with an edge loses its last one. The CSR stays well
+  // formed, so only the run check can tell; without it a same-leaf search
+  // would read one edge past that door's list.
+  const std::vector<uint8_t> bytes = Reencoded(*bytes_, [](io::Snapshot& s) {
+    D2DGraph::Parts& g = s.graph;
+    ASSERT_EQ(g.kind, D2DGraph::Kind::kGeometric);
+    std::vector<uint64_t> offsets(g.offsets.begin(), g.offsets.end());
+    std::vector<D2DEdge> edges(g.edges.begin(), g.edges.end());
+    size_t door = 0;
+    while (offsets[door + 1] == offsets[door]) ++door;
+    edges.erase(edges.begin() + static_cast<ptrdiff_t>(offsets[door + 1] - 1));
+    for (size_t v = door + 1; v < offsets.size(); ++v) --offsets[v];
+    g.offsets = std::move(offsets);
+    g.edges = std::move(edges);
+  });
+  ExpectRejected(bytes, "geometric graph gives door");
+  // The trusted load (no checksums, no deep sweep) runs the check too.
+  const std::string path = TempPath("degree");
+  ASSERT_TRUE(io::WriteFileBytes(path, bytes).ok());
+  std::string error;
+  eng::VenueBundle::LoadOptions trusted;
+  trusted.verify_checksums = false;
+  EXPECT_FALSE(eng::VenueBundle::TryLoad(path, &error, trusted).has_value());
+  std::remove(path.c_str());
+  EXPECT_NE(error.find("geometric graph gives door"), std::string::npos)
+      << error;
+}
+
 // ---------------------------------------------------------------------------
 // Randomized region-targeted fuzz. The deterministic sweeps above probe
-// fixed offsets; this parses the v2 TOC of the saved snapshot and, per
+// fixed offsets; this parses the TOC of the saved snapshot and, per
 // seed, aims random bit flips and random truncations at every structural
 // region — header, TOC entries, each section payload, and the alignment
 // padding between sections. Every mutation must be handled cleanly: a

@@ -9,7 +9,11 @@
 //   * 500 seeded same-leaf queries of each kind on Men-2, the preset with
 //     big leaves, against the same ground truth;
 //   * the work counter: the search of q's leaf never settles more doors
-//     than the leaf has.
+//     than the leaf has;
+//   * entry-partition pruning on geometric graphs (Men-2, CL-2, 24 seeded
+//     random venues) against an unpruned confined oracle, and that an
+//     explicit graph (the paper example, whose P1 clique is not metric)
+//     is never pruned.
 
 #include <gtest/gtest.h>
 
@@ -29,8 +33,10 @@
 #include "graph/dijkstra.h"
 #include "ground_truth.h"
 #include "model/venue_builder.h"
+#include "paper_example.h"
 #include "synth/objects.h"
 #include "synth/presets.h"
+#include "synth/random_venue.h"
 
 namespace viptree {
 namespace {
@@ -389,6 +395,173 @@ TEST_F(Men2LeafSearchTest, LeafSearchSettlesOnlyTheLeafsDoors) {
     EXPECT_LE(stats.doors_settled, tree().node(leaf).doors.size())
         << "query " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Entry-partition pruning. On a geometric graph the leaf search skips, for
+// each settled door, the run of edges through the partition it was
+// entered through. Against an unpruned confined oracle (the same seeds,
+// every edge through a partition of the leaf relaxed) it must settle the
+// same doors, at distances no smaller and at most 1e-6 relatively larger:
+// where collinear doors tie in real arithmetic, float weights can make the
+// detour through the middle door look shorter by one rounding, and only
+// the oracle takes it.
+// ---------------------------------------------------------------------------
+
+// The oracle's confinement: every edge through a partition of `leaf`.
+struct InLeafEdges {
+  const IPTree* tree;
+  NodeId leaf;
+  bool operator()(const D2DEdge& e) const {
+    return tree->LeafOfPartition(e.via) == leaf;
+  }
+};
+
+class PruningCheck {
+ public:
+  explicit PruningCheck(const IPTree& tree)
+      : tree_(tree), query_(tree), oracle_(tree.graph()) {}
+
+  // Runs both searches from `source` over every door of its leaf and
+  // compares them door by door.
+  void Expect(const QuerySource& source, const std::string& where) {
+    const Venue& venue = tree_.venue();
+    const NodeId leaf = query_.LeafOf(source);
+    const TreeNode& node = tree_.node(leaf);
+    std::vector<double> access_dist;
+    std::vector<PathBack> back;
+    query_.SeedLeaf(source, node, access_dist, back);
+    std::vector<DijkstraSource> seeds;
+    if (source.door != kInvalidId) {
+      seeds.push_back({source.door, 0.0});
+    } else {
+      for (DoorId u : venue.DoorsOf(source.point->partition)) {
+        seeds.push_back({u, venue.DistanceToDoor(*source.point, u)});
+      }
+    }
+    for (size_t c = 0; c < node.access_doors.size(); ++c) {
+      if (access_dist[c] == kInfDistance) continue;
+      seeds.push_back({node.access_doors[c], access_dist[c]});
+    }
+    oracle_.Start(seeds);
+    oracle_.RunToTargets(node.doors, InLeafEdges{&tree_, leaf});
+
+    LeafSearch pruned = query_.StartLeafSearch(source, leaf);
+    pruned.RunTo(node.doors);
+    pruned_edges_ += pruned.edges_relaxed();
+    oracle_edges_ += oracle_.NumRelaxedInSearch();
+    for (DoorId d : node.doors) {
+      ASSERT_EQ(pruned.Settled(d), oracle_.Settled(d))
+          << where << " door " << d;
+      if (!oracle_.Settled(d)) continue;
+      const double want = oracle_.DistanceTo(d);
+      const double got = pruned.DistanceTo(d);
+      EXPECT_GE(got, want) << where << " door " << d;
+      EXPECT_LE(got, want * (1.0 + 1e-6)) << where << " door " << d;
+    }
+  }
+
+  // `n` random point sources, then n / 4 + 1 random door sources.
+  void ExpectAll(size_t n, uint64_t seed, const std::string& where) {
+    Rng rng(seed);
+    const Venue& venue = tree_.venue();
+    for (size_t i = 0; i < n; ++i) {
+      const IndoorPoint q = synth::RandomIndoorPoint(venue, rng);
+      Expect(QuerySource::Point(q), where + " point " + std::to_string(i));
+    }
+    for (size_t i = 0; i < n / 4 + 1; ++i) {
+      const DoorId d = static_cast<DoorId>(rng.UniformIndex(venue.NumDoors()));
+      Expect(QuerySource::Door(d), where + " door source " +
+                                       std::to_string(d));
+    }
+  }
+
+  size_t pruned_edges() const { return pruned_edges_; }
+  size_t oracle_edges() const { return oracle_edges_; }
+
+ private:
+  const IPTree& tree_;
+  IPDistanceQuery query_;
+  DijkstraEngine oracle_;
+  size_t pruned_edges_ = 0;
+  size_t oracle_edges_ = 0;
+};
+
+TEST_F(Men2LeafSearchTest, PrunedSearchMatchesUnprunedOracle) {
+  ASSERT_EQ(engine_->graph().kind(), D2DGraph::Kind::kGeometric);
+  PruningCheck check(tree());
+  check.ExpectAll(200, 0x9A2D, "Men-2");
+  // A Men-2 leaf is one big corridor clique: pruning must show.
+  EXPECT_LT(check.pruned_edges() * 5, check.oracle_edges());
+}
+
+TEST(LeafSearchPruningTest, Cl2PrunedSearchMatchesUnprunedOracle) {
+  const Venue venue = synth::MakeDataset(synth::Dataset::kCL2, 0.2);
+  const D2DGraph graph(venue);
+  const IPTree tree = IPTree::Build(venue, graph);
+  PruningCheck check(tree);
+  check.ExpectAll(200, 0xC12, "CL-2");
+  EXPECT_LE(check.pruned_edges(), check.oracle_edges());
+}
+
+TEST(LeafSearchPruningTest, RandomVenuesPrunedSearchMatchesUnprunedOracle) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    const Venue venue = synth::RandomVenue(seed);
+    const D2DGraph graph(venue);
+    const IPTree tree = IPTree::Build(venue, graph);
+    PruningCheck check(tree);
+    check.ExpectAll(40, seed, "random venue " + std::to_string(seed));
+    EXPECT_LE(check.pruned_edges(), check.oracle_edges());
+  }
+}
+
+// The paper example's graph is explicit and its P1 clique is not metric:
+// w(d1,d3) = 5.5 > w(d1,d2) + w(d2,d3) = 2 + 3. Its same-leaf answers must
+// equal brute force, which they can only do unpruned.
+class PaperPruningTest : public ::testing::Test {
+ protected:
+  PaperPruningTest() : example_(testing::MakePaperExample()) {}
+
+  IPTree Tree(const D2DGraph& graph) const {
+    return IPTree::Build(example_.venue, graph,
+                         {.min_degree = 2,
+                          .forced_leaf_assignment = example_.leaf_assignment});
+  }
+
+  testing::PaperExample example_;
+};
+
+TEST_F(PaperPruningTest, ExplicitGraphIsNeverPruned) {
+  ASSERT_EQ(example_.graph.kind(), D2DGraph::Kind::kExplicit);
+  const IPTree tree = Tree(example_.graph);
+  const IPDistanceQuery query(tree);
+  size_t same_leaf_pairs = 0;
+  for (DoorId s = 0; s < 20; ++s) {
+    for (DoorId t = 0; t < 20; ++t) {
+      if (tree.CommonLeaf(s, t) == kInvalidId) continue;
+      ++same_leaf_pairs;
+      EXPECT_EQ(query.DoorDistance(s, t),
+                BruteDoorDistance(example_.graph, s, t))
+          << "d" << s + 1 << " -> d" << t + 1;
+    }
+  }
+  EXPECT_GT(same_leaf_pairs, 20u);
+  EXPECT_EQ(query.DoorDistance(testing::D(1), testing::D(3)), 5.0);
+}
+
+TEST_F(PaperPruningTest, GraphRelabelledGeometricIsPruned) {
+  // The guard above must be able to fail: the same edges labelled
+  // geometric pass the run check (every partition is a full clique) and
+  // the pruned search keeps d1 -> d3 direct instead of the shorter detour
+  // through d2 (d2 was entered through P1, so its P1 run is skipped).
+  D2DGraph::Parts parts = example_.graph.ToParts();
+  parts.kind = D2DGraph::Kind::kGeometric;
+  const D2DGraph relabelled = D2DGraph::FromParts(std::move(parts));
+  ASSERT_FALSE(relabelled.CheckRuns(example_.venue).has_value());
+  const IPTree tree = Tree(relabelled);
+  const IPDistanceQuery query(tree);
+  EXPECT_EQ(BruteDoorDistance(relabelled, testing::D(1), testing::D(3)), 5.0);
+  EXPECT_EQ(query.DoorDistance(testing::D(1), testing::D(3)), 5.5);
 }
 
 }  // namespace

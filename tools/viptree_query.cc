@@ -116,7 +116,7 @@ void Usage(const char* argv0) {
       "of an in-process Service.\n"
       "\n"
       "Loads a VIP-Tree snapshot — directly, or by venue id through a\n"
-      "multi-venue registry manifest (zero-copy mmap for v2 snapshots) —\n"
+      "multi-venue registry manifest (zero-copy mmap for v3 snapshots) —\n"
       "generates a random workload for it (--updates U interleaves U\n"
       "live-object update lines) and submits it through the async\n"
       "engine::Service front-end; --serve instead reads the requests\n"
