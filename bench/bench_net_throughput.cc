@@ -12,6 +12,12 @@
 //      pipelined capacity, independent of completions; sojourn latency
 //      (send -> response) p50/p99 and the achieved rate.
 //
+// After the table, each wire tier's event loops report what the
+// pipelined phase cost them: frames queued per socket write (a loop
+// writes each connection once per pass, so a burst shares one send())
+// and wake-pipe wakeups per frame (a shard worker wakes its loop only
+// when an idle outbox turns busy).
+//
 // VIPTREE_SCALE= / VIPTREE_QUERIES= shrink or grow the workload as with
 // the figure benchmarks.
 
@@ -20,6 +26,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -51,7 +58,18 @@ struct TierReport {
   double offered_rps = 0.0;
   double achieved_rps = 0.0;
   size_t answered = 0;
+  // Per serving loop, what the pipelined phase added to its counters.
+  std::vector<net::LoopCounters> pipelined_loops;
 };
+
+// Reads one serving process's loop counters (a shard or the router).
+using LoopReader = std::function<net::LoopCounters()>;
+
+std::vector<net::LoopCounters> ReadLoops(const std::vector<LoopReader>& loops) {
+  std::vector<net::LoopCounters> out;
+  for (const LoopReader& read : loops) out.push_back(read());
+  return out;
+}
 
 // ---------------------------------------------------------------------------
 // In-process tier: the engine::Service the network layers wrap.
@@ -138,7 +156,8 @@ std::unique_ptr<net::Client> MustConnect(const std::string& endpoint) {
 }
 
 TierReport RunOverWire(const std::string& endpoint,
-                       const std::vector<eng::Request>& requests) {
+                       const std::vector<eng::Request>& requests,
+                       const std::vector<LoopReader>& loops) {
   TierReport report;
   std::vector<net::WireRequest> wire;
   wire.reserve(requests.size());
@@ -171,6 +190,7 @@ TierReport RunOverWire(const std::string& endpoint,
   {
     std::unique_ptr<net::Client> client = MustConnect(endpoint);
     size_t sent = 0, done = 0;
+    const std::vector<net::LoopCounters> before = ReadLoops(loops);
     const Timer wall;
     while (done < wire.size()) {
       while (sent < wire.size() && sent - done < kPipelineWindow) {
@@ -188,6 +208,14 @@ TierReport RunOverWire(const std::string& endpoint,
     }
     const double s = wall.ElapsedSeconds();
     report.pipelined_rps = s > 0.0 ? wire.size() / s : 0.0;
+    report.pipelined_loops = ReadLoops(loops);
+    for (size_t i = 0; i < loops.size(); ++i) {
+      net::LoopCounters& after = report.pipelined_loops[i];
+      after.frames_queued -= before[i].frames_queued;
+      after.accepted_writes -= before[i].accepted_writes;
+      after.dialed_writes -= before[i].dialed_writes;
+      after.wakeups -= before[i].wakeups;
+    }
   }
 
   // Open loop: sends paced at ~70% of pipelined capacity; between
@@ -242,6 +270,19 @@ TierReport RunOverWire(const std::string& endpoint,
     report.answered = received;
   }
   return report;
+}
+
+void PrintLoop(const char* name, const net::LoopCounters& c) {
+  const uint64_t writes = c.accepted_writes + c.dialed_writes;
+  std::printf("%-14s %8lu frames %7lu writes (%lu accepted, %lu dialed) "
+              "%6.2f frames/write %6.3f wakeups/frame\n",
+              name, static_cast<unsigned long>(c.frames_queued),
+              static_cast<unsigned long>(writes),
+              static_cast<unsigned long>(c.accepted_writes),
+              static_cast<unsigned long>(c.dialed_writes),
+              writes > 0 ? double(c.frames_queued) / writes : 0.0,
+              c.frames_queued > 0 ? double(c.wakeups) / c.frames_queued
+                                  : 0.0);
 }
 
 void PrintTier(const char* name, const TierReport& r) {
@@ -332,7 +373,8 @@ int Main() {
       std::fprintf(stderr, "shard start failed\n");
       return 1;
     }
-    direct = RunOverWire(":" + std::to_string(shard.port()), requests);
+    direct = RunOverWire(":" + std::to_string(shard.port()), requests,
+                         {[&] { return shard.loop_counters(); }});
     PrintTier("shard", direct);
     shard.Stop();
   }
@@ -355,7 +397,10 @@ int Main() {
       std::fprintf(stderr, "router start failed\n");
       return 1;
     }
-    routed = RunOverWire(":" + std::to_string(router.port()), requests);
+    routed = RunOverWire(":" + std::to_string(router.port()), requests,
+                         {[&] { return router.counters().loop; },
+                          [&] { return shard_a.loop_counters(); },
+                          [&] { return shard_b.loop_counters(); }});
     PrintTier("router", routed);
     router.Stop();
     shard_a.Stop();
@@ -366,6 +411,12 @@ int Main() {
               "us, router +%.1f us\n",
               direct.serial_micros.p50 - in_process.serial_micros.p50,
               routed.serial_micros.p50 - in_process.serial_micros.p50);
+
+  std::printf("\npipelined event-loop counters:\n");
+  PrintLoop("shard tier", direct.pipelined_loops[0]);
+  PrintLoop("router", routed.pipelined_loops[0]);
+  PrintLoop("  its shard a", routed.pipelined_loops[1]);
+  PrintLoop("  its shard b", routed.pipelined_loops[2]);
 
   for (const std::string& id : venue_ids) {
     std::remove((dir + "/" + id + ".vipsnap").c_str());

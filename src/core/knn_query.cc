@@ -1,7 +1,6 @@
 #include "core/knn_query.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/check.h"
 #include "common/kernels.h"
@@ -163,13 +162,16 @@ std::vector<ObjectResult> KnnQuery::Search(
 
   // The k best so far as a max-heap under (distance, id), so dk (distance
   // to the current kth NN) is O(1) and a tie at the kth place keeps the
-  // smaller id.
-  std::priority_queue<ObjectResult, std::vector<ObjectResult>, Closer> best;
+  // smaller id. The heap operations are std::priority_queue's, step for
+  // step, over storage kept across searches.
+  std::vector<ObjectResult>& best = best_;
+  best.clear();
   auto dk = [&]() {
     if (radius != kInfDistance) {
-      return best.size() >= k ? std::min(radius, best.top().distance) : radius;
+      return best.size() >= k ? std::min(radius, best.front().distance)
+                              : radius;
     }
-    return best.size() >= k ? best.top().distance : kInfDistance;
+    return best.size() >= k ? best.front().distance : kInfDistance;
   };
   // `allowed` is the filter of the object's store (packed or overlay).
   auto offer = [&](ObjectId o, double dist, const auto& allowed) {
@@ -180,10 +182,12 @@ std::vector<ObjectResult> KnnQuery::Search(
     if (collect_all) {
       results.push_back(candidate);
     } else if (best.size() < k) {
-      best.push(candidate);
-    } else if (Closer{}(candidate, best.top())) {
-      best.pop();
-      best.push(candidate);
+      best.push_back(candidate);
+      std::push_heap(best.begin(), best.end(), Closer{});
+    } else if (Closer{}(candidate, best.front())) {
+      std::pop_heap(best.begin(), best.end(), Closer{});
+      best.back() = candidate;
+      std::push_heap(best.begin(), best.end(), Closer{});
     }
   };
 
@@ -236,20 +240,24 @@ std::vector<ObjectResult> KnnQuery::Search(
                            tree_.node(n).access_doors.size());
   };
 
-  using HeapEntry = std::pair<double, NodeId>;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      heap;
-  heap.emplace(0.0, tree_.root());
+  // Min-heap of (mindist, node), kept like `best`.
+  std::vector<NodeBound>& heap = node_heap_;
+  heap.clear();
+  const auto push_node = [&heap](double bound, NodeId n) {
+    heap.emplace_back(bound, n);
+    std::push_heap(heap.begin(), heap.end(), std::greater<NodeBound>{});
+  };
+  push_node(0.0, tree_.root());
 
   // Per-leaf scratch (best distance per object, in-radius indices), reused
-  // across leaf scans so the hot loop below stays allocation-free.
-  std::vector<double> leaf_best;
-  std::vector<int32_t> in_radius;
+  // across leaf scans and searches so the hot loop stays allocation-free.
+  std::vector<double>& leaf_best = leaf_best_;
+  std::vector<int32_t>& in_radius = in_radius_;
 
   while (!heap.empty()) {
-    const auto [bound, n] = heap.top();
-    heap.pop();
+    const auto [bound, n] = heap.front();
+    std::pop_heap(heap.begin(), heap.end(), std::greater<NodeBound>{});
+    heap.pop_back();
     if (bound > dk()) break;  // line 6-7 of Algorithm 5
     const TreeNode& node = tree_.node(n);
     if (stats != nullptr) {
@@ -269,7 +277,7 @@ std::vector<ObjectResult> KnnQuery::Search(
           continue;
         }
         if (!node_allowed(child)) continue;
-        heap.emplace(mindist(child), child);
+        push_node(mindist(child), child);
       }
       continue;
     }
@@ -341,8 +349,9 @@ std::vector<ObjectResult> KnnQuery::Search(
   }
   results.resize(best.size());
   for (size_t i = results.size(); i-- > 0;) {
-    results[i] = best.top();
-    best.pop();
+    results[i] = best.front();
+    std::pop_heap(best.begin(), best.end(), Closer{});
+    best.pop_back();
   }
   return results;
 }

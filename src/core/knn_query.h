@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/span.h"
@@ -169,6 +170,14 @@ class KnnQuery {
   mutable std::vector<NodeScratch> nodes_;
   mutable std::vector<double> ad_pool_;
   mutable uint32_t stamp_ = 0;
+  // Search heaps and per-leaf scratch, cleared (not freed) per search: the
+  // best-first node heap, the k-best result heap, each leaf's best
+  // distance per object and its in-radius indices.
+  using NodeBound = std::pair<double, NodeId>;
+  mutable std::vector<NodeBound> node_heap_;
+  mutable std::vector<ObjectResult> best_;
+  mutable std::vector<double> leaf_best_;
+  mutable std::vector<int32_t> in_radius_;
 };
 
 }  // namespace viptree

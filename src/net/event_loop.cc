@@ -38,9 +38,11 @@ bool Conn::Send(FrameType type, uint64_t tag, Span<const uint8_t> payload) {
   EncodeFrameHeader(type, tag, payload, header);
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_) return false;
+  const bool was_idle = out_pos_ == outbox_.size();
   outbox_.insert(outbox_.end(), header, header + kHeaderBytes);
   outbox_.insert(outbox_.end(), payload.begin(), payload.end());
-  return true;
+  frames_.fetch_add(1, std::memory_order_relaxed);
+  return was_idle;
 }
 
 bool Conn::Flush() {
@@ -50,10 +52,12 @@ bool Conn::Flush() {
     const ssize_t n = ::send(sock_.fd(), outbox_.data() + out_pos_,
                              outbox_.size() - out_pos_, MSG_NOSIGNAL);
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
-      return false;  // peer gone: its replies die with it
+      blocked_ = errno == EAGAIN || errno == EWOULDBLOCK;
+      if (!blocked_) return false;  // peer gone: its replies die with it
+      break;
     }
+    writes_.fetch_add(1, std::memory_order_relaxed);
     out_pos_ += static_cast<size_t>(n);
   }
   if (out_pos_ == outbox_.size()) {
@@ -134,7 +138,7 @@ void EventLoop::Poison(Conn& conn, const std::string& message, uint64_t tag) {
   conn.poisoned_ = true;
   io::Writer payload;  // a kError payload is one string
   payload.String(message);
-  conn.SendNow(FrameType::kError, tag, payload.buffer());
+  conn.Send(FrameType::kError, tag, payload.buffer());
 }
 
 std::shared_ptr<Conn> EventLoop::Dial(const std::string& endpoint,
@@ -142,7 +146,8 @@ std::shared_ptr<Conn> EventLoop::Dial(const std::string& endpoint,
   Socket sock;
   if (!ConnectNonBlocking(endpoint, &sock).ok()) return nullptr;
   auto peer = std::make_unique<Peer>();
-  peer->conn = std::make_shared<Conn>(std::move(sock));
+  peer->conn =
+      std::make_shared<Conn>(std::move(sock), frames_queued_, dialed_writes_);
   peer->callbacks = std::move(callbacks);
   peers_.push_back(std::move(peer));
   return peers_.back()->conn;
@@ -226,6 +231,7 @@ void EventLoop::Run() {
         accepted_.erase(pfd.fd);
       }
     }
+    FlushAll();
     peers_.erase(std::remove_if(peers_.begin(), peers_.end(),
                                 [](const std::unique_ptr<Peer>& peer) {
                                   return peer->conn->closed();
@@ -254,7 +260,9 @@ void EventLoop::AcceptAll() {
     // peer's delayed ACKs stalls pipelined streams.
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    accepted_.emplace(fd, std::make_shared<Conn>(std::move(sock)));
+    accepted_.emplace(fd, std::make_shared<Conn>(std::move(sock),
+                                                 frames_queued_,
+                                                 accepted_writes_));
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -262,7 +270,7 @@ void EventLoop::AcceptAll() {
 bool EventLoop::ServiceAccepted(const std::shared_ptr<Conn>& conn,
                                 short revents) {
   if (revents & (POLLERR | POLLNVAL)) return false;
-  if ((revents & POLLOUT) && !conn->Flush()) return false;
+  if (revents & POLLOUT) conn->blocked_ = false;
   if (revents & (POLLIN | POLLHUP)) {
     if (conn->poisoned_ || draining_) {
       if (revents & POLLHUP) return false;
@@ -279,8 +287,7 @@ bool EventLoop::ServiceAccepted(const std::shared_ptr<Conn>& conn,
       }
     }
   }
-  // A poisoned connection lingers only to flush its kError frame.
-  return !conn->poisoned_ || conn->HasOutput();
+  return true;
 }
 
 bool EventLoop::ServicePeer(Peer& peer, short revents) {
@@ -293,7 +300,7 @@ bool EventLoop::ServicePeer(Peer& peer, short revents) {
     return true;
   }
   if (revents & (POLLERR | POLLNVAL)) return false;
-  if ((revents & POLLOUT) && !conn.Flush()) return false;
+  if (revents & POLLOUT) conn.blocked_ = false;
   if (revents & (POLLIN | POLLHUP)) {
     if (!conn.Read()) return false;
     while (std::optional<Frame> frame = conn.decoder_.Next()) {
@@ -303,6 +310,29 @@ bool EventLoop::ServicePeer(Peer& peer, short revents) {
     return !conn.decoder_.failed();
   }
   return true;
+}
+
+void EventLoop::FlushAll() {
+  // By index: an on_close may Dial, which appends to peers_.
+  for (size_t i = 0; i < peers_.size(); ++i) {
+    Conn& conn = *peers_[i]->conn;
+    if (peers_[i]->connecting || conn.blocked_ || conn.closed()) continue;
+    if (!conn.Flush()) {
+      conn.Close();
+      peers_[i]->callbacks.on_close();
+    }
+  }
+  for (auto it = accepted_.begin(); it != accepted_.end();) {
+    Conn& conn = *it->second;
+    const bool ok = conn.blocked_ || conn.Flush();
+    // A poisoned connection lingers only to flush its kError frame.
+    if (ok && (!conn.poisoned_ || conn.HasOutput())) {
+      ++it;
+    } else {
+      conn.Close();
+      it = accepted_.erase(it);
+    }
+  }
 }
 
 }  // namespace net

@@ -7,14 +7,18 @@
 // a shard), a timed step before each poll (the router's probe tick), and
 // when a drain has nothing left to answer.
 //
-// Threading: one loop thread owns every socket. The only cross-thread
-// surfaces are RequestDrain() / Stop() / Wake() (atomic flag + self-pipe,
-// RequestDrain safe from a signal handler) and Conn::Send, which another
-// thread may call to queue a frame before it calls Wake().
+// Threading: one loop thread owns every socket and makes every write. A
+// sender only queues (Conn::Send, any thread); each loop pass ends by
+// flushing every outbox once, so what a pass queues for a peer leaves in
+// one send(). The other cross-thread surfaces are RequestDrain() / Stop()
+// / Wake() (atomic flag + self-pipe, RequestDrain safe from a signal
+// handler). Off the loop thread, a Send that made an idle outbox busy
+// must Wake() the loop; a busy outbox is already owed a flush.
 //
 // Error containment: a connection the loop accepted that sends a bad frame
 // is poisoned — answered with a kError frame, never read again, and closed
-// once that frame is flushed. Every other connection keeps serving.
+// once that frame is flushed. Every other connection keeps serving. A
+// failed flush closes a connection as a failed read does.
 
 #ifndef VIPTREE_NET_EVENT_LOOP_H_
 #define VIPTREE_NET_EVENT_LOOP_H_
@@ -35,34 +39,43 @@
 namespace viptree {
 namespace net {
 
+// What an EventLoop's writes and wakeups cost (relaxed counters).
+struct LoopCounters {
+  uint64_t frames_queued = 0;    // frames appended to an outbox
+  uint64_t accepted_writes = 0;  // send() calls that moved bytes, accepted
+  uint64_t dialed_writes = 0;    // the same, on dialed connections
+  uint64_t wakeups = 0;          // EventLoop::Wake() calls
+};
+
 // One TCP connection of an EventLoop: the socket, the decoder its bytes
 // feed, and the outbox of encoded frames not yet written. The loop thread
-// owns the socket, the decoder and `poisoned_`; the outbox and `closed_`
-// sit under a mutex, so a Service worker's completion callback may
-// append. Reading and flushing are the loop's (one path each).
+// owns the socket, the decoder, `poisoned_` and `blocked_`; the outbox and
+// `closed_` sit under a mutex, so a Service worker's completion callback
+// may append. Reading and flushing are the loop's (one path each). A
+// closed Conn never counts, so it may outlive its loop (which closes every
+// Conn on exit).
 class Conn {
  public:
-  explicit Conn(Socket sock) : sock_(std::move(sock)) {}
+  // `frames` and `writes` are the owning loop's counters.
+  Conn(Socket sock, std::atomic<uint64_t>& frames,
+       std::atomic<uint64_t>& writes)
+      : sock_(std::move(sock)), frames_(frames), writes_(writes) {}
   Conn(const Conn&) = delete;
   Conn& operator=(const Conn&) = delete;
 
-  // Appends one frame (header, then payload) straight into the outbox.
-  // Thread-safe. Once the connection is closed the frame is dropped and
-  // this returns false.
+  // Appends one frame (header, then payload) to the outbox for the loop's
+  // end-of-pass flush. Thread-safe. True when it made an idle outbox busy;
+  // false when output was already queued, or the connection is closed
+  // (the frame is dropped).
   bool Send(FrameType type, uint64_t tag, Span<const uint8_t> payload);
-  // Loop thread: Send, then write what the socket takes right away. False
-  // when the frame was dropped or the peer is gone.
-  bool SendNow(FrameType type, uint64_t tag, Span<const uint8_t> payload) {
-    return Send(type, tag, payload) && Flush();
-  }
   // Loop thread: closes the socket; later Sends are dropped. Idempotent.
   void Close();
 
  private:
   friend class EventLoop;
 
-  // Writes as much of the outbox as the socket takes. False when the peer
-  // is gone or the connection is closed.
+  // Writes as much of the outbox as the socket takes; sets `blocked_` when
+  // it takes less. False when the peer is gone or the connection is closed.
   bool Flush();
   // Feeds every byte the socket has to the decoder. False on EOF or a
   // socket error.
@@ -71,9 +84,13 @@ class Conn {
   bool closed() const;
 
   Socket sock_;
+  std::atomic<uint64_t>& frames_;
+  std::atomic<uint64_t>& writes_;
   FrameDecoder decoder_;
   // Set by EventLoop::Poison: a kError frame is queued, reads have stopped.
   bool poisoned_ = false;
+  // The socket refused bytes; no flush until poll reports it writable.
+  bool blocked_ = false;
 
   mutable std::mutex mu_;
   std::vector<uint8_t> outbox_;
@@ -127,8 +144,12 @@ class EventLoop {
   void Wait();
   // Immediate exit; every connection closes unflushed. Idempotent.
   void Stop();
-  // Wakes the loop from any thread (after a cross-thread Conn::Send).
-  void Wake() const { wake_.Wake(); }
+  // Wakes the loop from any thread (after a cross-thread Conn::Send that
+  // made an outbox busy).
+  void Wake() {
+    wakeups_.fetch_add(1, std::memory_order_relaxed);
+    wake_.Wake();
+  }
 
   // Loop thread: a drain has started.
   bool draining() const { return draining_; }
@@ -148,6 +169,11 @@ class EventLoop {
   uint64_t protocol_errors() const {
     return protocol_errors_.load(std::memory_order_relaxed);
   }
+  LoopCounters counters() const {
+    constexpr auto kRelaxed = std::memory_order_relaxed;
+    return {frames_queued_.load(kRelaxed), accepted_writes_.load(kRelaxed),
+            dialed_writes_.load(kRelaxed), wakeups_.load(kRelaxed)};
+  }
 
  private:
   struct Peer {
@@ -161,6 +187,9 @@ class EventLoop {
   // Each returns false when the connection must close.
   bool ServiceAccepted(const std::shared_ptr<Conn>& conn, short revents);
   bool ServicePeer(Peer& peer, short revents);
+  // End of a pass: writes every connection's queued output, closing those
+  // whose write failed and poisoned ones that have flushed their kError.
+  void FlushAll();
 
   Callbacks callbacks_;
   Socket listener_;
@@ -178,6 +207,10 @@ class EventLoop {
 
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> protocol_errors_{0};
+  std::atomic<uint64_t> frames_queued_{0};
+  std::atomic<uint64_t> accepted_writes_{0};
+  std::atomic<uint64_t> dialed_writes_{0};
+  std::atomic<uint64_t> wakeups_{0};
   std::thread thread_;
 };
 

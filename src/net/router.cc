@@ -111,6 +111,7 @@ RouterCounters Router::counters() const {
   counters.protocol_errors = loop_.protocol_errors();
   counters.shard_disconnects =
       shard_disconnects_.load(std::memory_order_relaxed);
+  counters.loop = loop_.counters();
   return counters;
 }
 
@@ -235,7 +236,7 @@ void Router::HandleClientFrame(const std::shared_ptr<Conn>& conn,
       health.queue_depth = pending_.size();
       io::Writer payload;
       EncodeHealthPayload(health, &payload);
-      conn->SendNow(FrameType::kHealthReply, frame.tag, payload.buffer());
+      conn->Send(FrameType::kHealthReply, frame.tag, payload.buffer());
       return;
     }
     case FrameType::kStatsProbe:
@@ -264,20 +265,15 @@ void Router::StartStatsWait(const std::shared_ptr<Conn>& client,
   wait.client = client;
   wait.client_tag = tag;
   wait.awaiting.assign(shards_.size(), nullptr);
-  std::vector<ShardConn*> failed;
   for (size_t i = 0; i < shards_.size(); ++i) {
     ShardConn* probe = ProbeConn(shards_[i]);
     if (probe == nullptr) continue;
-    if (probe->conn->SendNow(FrameType::kStatsProbe, probe_tag, {})) {
-      wait.awaiting[i] = probe;
-    } else {
-      failed.push_back(probe);
-    }
+    probe->conn->Send(FrameType::kStatsProbe, probe_tag, {});
+    wait.awaiting[i] = probe;
   }
   // Answers at once when no shard owes a reply.
   SettleStatsWait(stats_waits_.emplace(probe_tag, std::move(wait)).first,
                   nullptr);
-  for (ShardConn* conn : failed) FailShardConn(conn);
 }
 
 void Router::SettleStatsWait(std::map<uint64_t, StatsWait>::iterator it,
@@ -296,8 +292,8 @@ void Router::SettleStatsWait(std::map<uint64_t, StatsWait>::iterator it,
   }
   io::Writer payload;
   EncodeStatsPayload(total, &payload);
-  it->second.client->SendNow(FrameType::kStatsReply, it->second.client_tag,
-                             payload.buffer());
+  it->second.client->Send(FrameType::kStatsReply, it->second.client_tag,
+                          payload.buffer());
   stats_waits_.erase(it);
 }
 
@@ -322,11 +318,9 @@ void Router::RoutePending(uint64_t router_tag) {
     RejectPending(std::move(finished), "no healthy shard");
     return;
   }
+  // A failed flush re-routes it via on_close (attempts already counted).
   pending.conn = conn;
-  if (!conn->conn->SendNow(FrameType::kRequest, router_tag, pending.payload)) {
-    FailShardConn(conn);  // re-routes this pending (attempts already counted)
-    return;
-  }
+  conn->conn->Send(FrameType::kRequest, router_tag, pending.payload);
   requests_forwarded_.fetch_add(1, std::memory_order_relaxed);
   if (pending.attempts > 1) failovers_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -340,8 +334,8 @@ void Router::RejectPending(Pending pending, const std::string& reason) {
   response.error = "router: " + reason;
   io::Writer payload;
   EncodeResponsePayload(response, &payload);
-  pending.client->SendNow(FrameType::kResponse, pending.client_tag,
-                          payload.buffer());
+  pending.client->Send(FrameType::kResponse, pending.client_tag,
+                       payload.buffer());
 }
 
 bool Router::HandleShardFrame(ShardConn* conn, Frame frame) {
@@ -353,8 +347,8 @@ bool Router::HandleShardFrame(ShardConn* conn, Frame frame) {
       Pending pending = std::move(it->second);
       pending_.erase(it);
       responses_returned_.fetch_add(1, std::memory_order_relaxed);
-      pending.client->SendNow(FrameType::kResponse, pending.client_tag,
-                              frame.payload);
+      pending.client->Send(FrameType::kResponse, pending.client_tag,
+                           frame.payload);
       return true;
     }
     case FrameType::kHealthReply: {
@@ -443,9 +437,7 @@ void Router::ProbeTick() {
     ++probe_tag_;
     Conn& probe = *probe_conn->conn;
     probe.Send(FrameType::kHealthProbe, probe_tag_, {});
-    if (!probe.SendNow(FrameType::kStatsProbe, probe_tag_, {})) {
-      FailShardConn(probe_conn);
-    }
+    probe.Send(FrameType::kStatsProbe, probe_tag_, {});
   }
 }
 

@@ -73,6 +73,9 @@ struct RouterCounters {
   uint64_t no_shard_rejections = 0;  // kRejected: no healthy shard/attempts
   uint64_t protocol_errors = 0;    // poisoned client connections
   uint64_t shard_disconnects = 0;  // shard sockets that died
+  // Frames queued and socket writes: accepted = toward clients, dialed =
+  // toward shards.
+  LoopCounters loop;
 };
 
 class Router {

@@ -70,6 +70,7 @@ void ShardServer::HandleFrame(const std::shared_ptr<Conn>& conn,
             io::Writer payload;
             EncodeResponsePayload(WireResponse::FromResponse(response),
                                   &payload);
+            // Only an idle -> busy outbox wakes the loop (event_loop.h).
             if (conn->Send(FrameType::kResponse, response.tag,
                            payload.buffer())) {
               loop_.Wake();
@@ -83,14 +84,14 @@ void ShardServer::HandleFrame(const std::shared_ptr<Conn>& conn,
       health.queue_depth = service_->QueueDepth();
       io::Writer payload;
       EncodeHealthPayload(health, &payload);
-      conn->SendNow(FrameType::kHealthReply, frame.tag, payload.buffer());
+      conn->Send(FrameType::kHealthReply, frame.tag, payload.buffer());
       return;
     }
     case FrameType::kStatsProbe: {
       io::Writer payload;
       EncodeStatsPayload(WireStats::FromServiceStats(service_->Stats()),
                          &payload);
-      conn->SendNow(FrameType::kStatsReply, frame.tag, payload.buffer());
+      conn->Send(FrameType::kStatsReply, frame.tag, payload.buffer());
       return;
     }
     default:

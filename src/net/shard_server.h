@@ -7,8 +7,8 @@
 // Threading model. The loop thread owns every socket. Service worker
 // threads never touch one: a completion callback only encodes the
 // response, appends the frame to the connection's locked outbox
-// (Conn::Send), and wakes the loop, so a slow peer can never block a
-// query worker.
+// (Conn::Send), and wakes the loop only when that outbox was idle, so a
+// slow peer can never block a query worker.
 //
 // Error containment (the network tier's core promise): a malformed,
 // truncated, or bit-flipped frame — untrusted input — fails *that
@@ -94,6 +94,7 @@ class ShardServer {
   }
   uint64_t frames_received() const { return frames_received_; }
   uint64_t protocol_errors() const { return loop_.protocol_errors(); }
+  LoopCounters loop_counters() const { return loop_.counters(); }
 
  private:
   ShardServer(std::unique_ptr<engine::Service> service,

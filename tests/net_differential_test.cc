@@ -6,11 +6,14 @@
 // operational paths: kill-a-shard failover re-routes to the surviving
 // shard, a router with no healthy shard rejects cleanly, a draining router
 // answers every request it forwarded before closing, a client's stats
-// probe through the router counts every request answered before it, and
-// garbage on one router client connection poisons only that connection.
+// probe through the router counts every request answered before it,
+// garbage on one router client connection poisons only that connection,
+// and a pipelined burst the router reads at once leaves it for the shard
+// in fewer writes than frames.
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -543,6 +546,67 @@ TEST_F(NetDifferentialTest, RouterGarbageBytesPoisonOnlyThatClient) {
     ASSERT_TRUE(good->Call(knn(), &response).ok());
     EXPECT_TRUE(response.ok()) << response.error;
   }
+  router.Stop();
+  shard.Stop();
+}
+
+TEST_F(NetDifferentialTest, OneSendOf64FramesCostsTheRouterFewerShardWrites) {
+  net::ShardServerOptions shard_options;
+  shard_options.service.num_threads = 2;
+  net::ShardServer shard(OpenRegistry(), shard_options);
+  ASSERT_TRUE(shard.Start().ok());
+  net::Router router({"127.0.0.1:" + std::to_string(shard.port())}, *ids_);
+  ASSERT_TRUE(router.Start().ok());
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (router.healthy_shards() < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  constexpr uint64_t kCount = 64;
+  Rng rng(29);
+  std::vector<uint8_t> burst;
+  for (uint64_t i = 0; i < kCount; ++i) {
+    eng::Request request;
+    request.venue_id = (*ids_)[i % ids_->size()];
+    request.query = eng::Query::Knn(
+        synth::RandomIndoorPoint((*venues_)[i % ids_->size()], rng), 3);
+    const std::vector<uint8_t> frame = net::EncodeRequestFrame(
+        net::WireRequest::FromRequest(request, 0.0), 1000 + i);
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  net::Socket sock;
+  ASSERT_TRUE(
+      net::ConnectTcp(":" + std::to_string(router.port()), 5000.0, &sock)
+          .ok());
+  const uint64_t writes_before = router.counters().loop.dialed_writes;
+  ASSERT_EQ(::send(sock.fd(), burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+
+  std::vector<bool> seen(kCount, false);
+  size_t answered = 0;
+  net::FrameDecoder decoder;
+  uint8_t chunk[4096];
+  while (answered < kCount) {
+    pollfd pfd{sock.fd(), POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 30000), 1) << answered << " answered";
+    const ssize_t n = ::recv(sock.fd(), chunk, sizeof(chunk), 0);
+    ASSERT_GT(n, 0) << answered << " answered";
+    decoder.Feed(chunk, static_cast<size_t>(n));
+    while (std::optional<net::Frame> frame = decoder.Next()) {
+      ASSERT_EQ(frame->type, net::FrameType::kResponse);
+      ASSERT_GE(frame->tag, 1000u);
+      ASSERT_LT(frame->tag, 1000 + kCount);
+      EXPECT_FALSE(seen[frame->tag - 1000]);  // the caller's tag, once
+      seen[frame->tag - 1000] = true;
+      ++answered;
+    }
+  }
+  // The probe tick adds a write now and then; one per forwarded frame
+  // would be 64.
+  EXPECT_LT(router.counters().loop.dialed_writes - writes_before, kCount);
+  EXPECT_EQ(router.counters().responses_returned, kCount);
   router.Stop();
   shard.Stop();
 }

@@ -5,17 +5,24 @@
 // randomized bit-flip and truncation fuzz (clean error, never a crash),
 // and a live ShardServer fed garbage over real sockets — the per-
 // connection error containment the tier promises for untrusted input.
+// Also the worker -> loop handoff: serial round trips never wait out the
+// loop's poll timeout (a lost wakeup), and pipelined bursts sent from
+// several threads onto one connection are all answered.
 
 #include "net/wire.h"
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -478,6 +485,102 @@ TEST_F(NetServerTest, PipelinedRequestsAllComeBack) {
     seen[tag] = true;
     EXPECT_TRUE(response.ok()) << response.error;
   }
+  server.Stop();
+}
+
+TEST_F(NetServerTest, SerialRoundTripsNeverWaitForThePollTimeout) {
+  // A response whose worker does not wake the loop waits for the loop's
+  // 100 ms poll tick, so 500 lost wakeups would take at least 50 s.
+  net::ShardServerOptions options;
+  options.service.num_threads = 2;
+  net::ShardServer server(Bundle(), options);
+  ASSERT_TRUE(server.Start().ok());
+  std::string error;
+  std::unique_ptr<net::Client> client = net::Client::Connect(
+      ":" + std::to_string(server.port()), &error);
+  ASSERT_NE(client, nullptr) << error;
+
+  const auto start = std::chrono::steady_clock::now();
+  for (uint64_t i = 0; i < 500; ++i) {
+    net::WireResponse response;
+    ASSERT_TRUE(client->Call(KnnRequest(i), &response).ok());
+    EXPECT_TRUE(response.ok()) << response.error;
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    ASSERT_LT(elapsed.count(), 5.0) << "s after " << i + 1 << " round trips";
+  }
+  const net::LoopCounters loop = server.loop_counters();
+  EXPECT_EQ(loop.frames_queued, 500u);
+  EXPECT_GE(loop.accepted_writes, 1u);
+  EXPECT_LE(loop.wakeups, 500u);  // at most one per idle -> busy edge
+  server.Stop();
+}
+
+TEST_F(NetServerTest, ThreadedPipelinedBurstsOnOneConnectionAllComeBack) {
+  net::ShardServerOptions options;
+  options.service.num_threads = 2;
+  net::ShardServer server(Bundle(), options);
+  ASSERT_TRUE(server.Start().ok());
+  net::Socket sock;
+  ASSERT_TRUE(
+      net::ConnectTcp(":" + std::to_string(server.port()), 5000.0, &sock)
+          .ok());
+
+  // Each thread sends its bursts whole (one send() under the lock, so
+  // frames never interleave mid-frame); the shard sees them mixed.
+  constexpr uint64_t kThreads = 4, kBursts = 8, kBurst = 16;
+  constexpr uint64_t kTotal = kThreads * kBursts * kBurst;
+  std::mutex send_mu;
+  std::vector<std::thread> senders;
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    senders.emplace_back([&, t] {
+      for (uint64_t b = 0; b < kBursts; ++b) {
+        std::vector<uint8_t> burst;
+        for (uint64_t i = 0; i < kBurst; ++i) {
+          const uint64_t tag = (t * kBursts + b) * kBurst + i;
+          const std::vector<uint8_t> frame =
+              net::EncodeRequestFrame(KnnRequest(tag), tag);
+          burst.insert(burst.end(), frame.begin(), frame.end());
+        }
+        std::lock_guard<std::mutex> lock(send_mu);
+        size_t sent = 0;
+        while (sent < burst.size()) {
+          const ssize_t n = ::send(sock.fd(), burst.data() + sent,
+                                   burst.size() - sent, MSG_NOSIGNAL);
+          if (n <= 0) return;
+          sent += static_cast<size_t>(n);
+        }
+      }
+    });
+  }
+
+  std::vector<bool> seen(kTotal, false);
+  size_t answered = 0;
+  net::FrameDecoder decoder;
+  uint8_t chunk[4096];
+  while (answered < kTotal) {
+    pollfd pfd{sock.fd(), POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 30000), 1) << answered << " answered";
+    const ssize_t n = ::recv(sock.fd(), chunk, sizeof(chunk), 0);
+    ASSERT_GT(n, 0) << answered << " answered";
+    decoder.Feed(chunk, static_cast<size_t>(n));
+    while (std::optional<net::Frame> frame = decoder.Next()) {
+      ASSERT_EQ(frame->type, net::FrameType::kResponse);
+      ASSERT_LT(frame->tag, kTotal);
+      EXPECT_FALSE(seen[frame->tag]);  // exactly one response per tag
+      seen[frame->tag] = true;
+      ++answered;
+      io::Reader reader(Span<const uint8_t>(frame->payload.data(),
+                                            frame->payload.size()));
+      net::WireResponse response;
+      std::string error;
+      ASSERT_TRUE(net::DecodeResponsePayload(&reader, &response, &error))
+          << error;
+      EXPECT_TRUE(response.ok()) << response.error;
+    }
+  }
+  for (std::thread& sender : senders) sender.join();
+  EXPECT_EQ(server.loop_counters().frames_queued, kTotal);
   server.Stop();
 }
 
